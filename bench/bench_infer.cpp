@@ -1,13 +1,13 @@
-// bench_infer: inference-server batching baseline.
+// bench_infer: GPU batching baseline, from the offline replay.
 //
 // Self-timed (same conventions as bench_sim): one JSON document —
 // BENCH_infer.json — holding the modeled batching study (GPU-seconds
 // speedup per batch size under the setup-dominated cost model), an
 // arrival-cadence sweep showing how the linger budget erodes batching
-// when requests are sparse, the dispatch hot-path wall throughput, the
-// adaptive tuner's converged sizes per completion cadence, and a full
-// campaign run with the server enabled (the EXPERIMENTS.md §gpu-batching
-// tables come from this binary).
+// when requests are sparse, the adaptive tuner's converged sizes per
+// completion cadence, and a traced IM-RP campaign whose batching is
+// replayed from its spans (hpc::replay_batching; the EXPERIMENTS.md
+// §gpu-batching tables come from this binary).
 //
 // Modes:
 //   bench_infer [--out FILE]          full run
@@ -16,9 +16,7 @@
 //                                     baseline: fail (exit 1) if the
 //                                     batch-8 speedup drops under the 3x
 //                                     acceptance gate or 0.8x its
-//                                     baseline value, or the dispatch
-//                                     path falls under the absolute
-//                                     sanity floor.
+//                                     baseline value.
 
 #include <chrono>
 #include <cstdint>
@@ -31,7 +29,7 @@
 
 #include "common/json.hpp"
 #include "core/campaign.hpp"
-#include "infer/infer.hpp"
+#include "hpc/analytics.hpp"
 #include "protein/datasets.hpp"
 
 using namespace impress;
@@ -53,30 +51,22 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// Bench-grade cost model: setup 6x the per-item cost, the regime where
 /// batching pays (weight residency + launch setup amortized across the
 /// batch). A full batch of 8 models (6 + 8) vs 8 x (6 + 1): 4x.
-constexpr infer::GpuCostModel kCost{.setup_s = 6.0, .per_item_s = 1.0};
+constexpr hpc::GpuCostModel kCost{.setup_s = 6.0, .per_item_s = 1.0};
 
-infer::InferenceServer::Config bench_config(std::uint32_t max_batch) {
-  infer::InferenceServer::Config cfg;
-  cfg.policy.max_batch = max_batch;
-  cfg.policy.max_linger_s = 600.0;
-  cfg.fold_cost = kCost;
-  cfg.design_cost = kCost;
-  return cfg;
-}
-
-std::vector<mpnn::ScoredSequence> no_designs() { return {}; }
-
-/// Drive `n` design requests arriving `cadence_s` apart through a server
-/// with the given max batch and report the accounting.
-infer::StreamStats run_stream(std::uint32_t max_batch, std::size_t n,
-                              double cadence_s) {
-  infer::InferenceServer server(bench_config(max_batch));
+/// Account `n` design requests arriving `cadence_s` apart under the given
+/// max batch.
+hpc::StreamStats run_stream(std::uint32_t max_batch, std::size_t n,
+                            double cadence_s) {
+  hpc::BatchingConfig config;
+  config.policy = {.max_batch = max_batch, .max_linger_s = 600.0};
+  config.design_cost = kCost;
+  hpc::BatchAccountant accountant(config);
   for (std::size_t i = 0; i < n; ++i)
-    (void)server.design(no_designs, cadence_s * static_cast<double>(i));
-  return server.snapshot().design;
+    accountant.design_request(cadence_s * static_cast<double>(i));
+  return accountant.report().design;
 }
 
-common::Json::Object stream_json(const infer::StreamStats& s) {
+common::Json::Object stream_json(const hpc::StreamStats& s) {
   return common::Json::Object{
       {"requests", s.requests},
       {"batches", s.batches},
@@ -133,28 +123,15 @@ int main(int argc, char** argv) {
               << "x (max batch " << s.max_batch << ")\n";
   }
 
-  // --- Dispatch hot path: wall throughput of the accounting itself (the
-  // science call is a no-op here). This is what executor threads pay per
-  // request on top of the model call.
-  const std::size_t dispatch_n = opt.smoke ? 200'000 : 2'000'000;
-  infer::InferenceServer dispatch_server(bench_config(8));
-  const auto dispatch_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < dispatch_n; ++i)
-    (void)dispatch_server.design(no_designs, 0.0);
-  const double dispatch_wall = seconds_since(dispatch_start);
-  const double dispatch_rps = static_cast<double>(dispatch_n) / dispatch_wall;
-  std::cout << "dispatch path: " << static_cast<std::uint64_t>(dispatch_rps)
-            << " req/s\n";
-
   // --- Adaptive tuner: converged batch size per completion cadence
   // (linger 600 s, so the tuner targets 1 + floor(600/gap)).
   common::Json::Object tuner_study;
   for (const double gap : {50.0, 100.0, 300.0, 900.0}) {
-    infer::BatchTuner tuner(
-        infer::BatchTuner::Config{.ewma_alpha = 0.25,
-                                  .min_batch = 1,
-                                  .max_batch = 16,
-                                  .max_linger_s = 600.0},
+    hpc::BatchTuner tuner(
+        hpc::BatchTuner::Config{.ewma_alpha = 0.25,
+                                .min_batch = 1,
+                                .max_batch = 16,
+                                .max_linger_s = 600.0},
         /*initial_batch=*/8);
     for (int i = 0; i < 64; ++i)
       (void)tuner.observe(gap * static_cast<double>(i));
@@ -167,13 +144,12 @@ int main(int argc, char** argv) {
               << " (" << tuner.decisions() << " decisions)\n";
   }
 
-  // --- Campaign study: the IM-RP protocol with the server enabled and
-  // the default (AlphaFold-calibrated) cost models. Virtual arrival times
-  // come from the simulated schedule, so batching here reflects what the
-  // protocol's real concurrency structure can fill.
+  // --- Campaign study: a traced IM-RP run, its batching replayed with the
+  // default (AlphaFold-calibrated) cost models and the adaptive tuner.
+  // Request times come from the simulated schedule, so batching here
+  // reflects what the protocol's real concurrency structure can fill.
   auto cfg = core::im_rp_campaign(7);
-  cfg.enable_infer = true;
-  cfg.infer_config.adaptive = true;
+  cfg.session.enable_tracing = true;
   std::vector<protein::DesignTarget> targets;
   targets.push_back(
       protein::make_target("BN-A", 84, protein::alpha_synuclein().tail(10)));
@@ -183,18 +159,28 @@ int main(int argc, char** argv) {
   const auto campaign_start = std::chrono::steady_clock::now();
   const auto r = core::Campaign(cfg).run(targets);
   const double campaign_wall = seconds_since(campaign_start);
+  hpc::BatchingConfig batching;
+  batching.speed_factor = hpc::slowest_gpu_speed(cfg.pilot.nodes);
+  batching.adaptive = true;
+  const auto replay_start = std::chrono::steady_clock::now();
+  const auto b = hpc::replay_batching(r.trace, batching);
+  const double replay_wall = seconds_since(replay_start);
   const common::Json::Object campaign{
       {"trajectories", r.total_trajectories()},
-      {"fold", stream_json(r.infer.fold)},
-      {"design", stream_json(r.infer.design)},
-      {"cache_hits", r.infer.fold.cache_hits},
-      {"batch_size", static_cast<std::size_t>(r.infer.batch_size)},
-      {"tuner_decisions", r.infer.tuner_decisions},
+      {"fold", stream_json(b.fold)},
+      {"design", stream_json(b.design)},
+      {"cache_hits", b.fold.cache_hits},
+      {"batch_size", static_cast<std::size_t>(b.batch_size)},
+      {"tuner_decisions", b.tuner_decisions},
       {"wall_s", campaign_wall},
+      {"replay_wall_s", replay_wall},
   };
-  std::cout << "campaign: fold speedup " << r.infer.fold.speedup()
-            << "x over " << r.infer.fold.batches << " batches, design speedup "
-            << r.infer.design.speedup() << "x\n";
+  std::cout << "campaign: fold " << b.fold.requests << " requests in "
+            << b.fold.batches << " batches (" << b.fold.batched_gpu_s
+            << " GPU-s), design " << b.design.requests << " requests in "
+            << b.design.batches << " batches (" << b.design.batched_gpu_s
+            << " GPU-s), " << b.tuner_decisions
+            << " tuner decisions, final batch size " << b.batch_size << "\n";
 
   // Only the modeled batch-8 speedup is gated: it is pure arithmetic,
   // identical across machines and smoke/full modes. The campaign speedup
@@ -204,16 +190,12 @@ int main(int argc, char** argv) {
   };
 
   const common::Json doc{common::Json::Object{
-      {"schema", "impress.bench_infer.v1"},
+      {"schema", "impress.bench_infer.v2"},
       {"mode", opt.smoke ? "smoke" : "full"},
       {"hardware_threads",
        static_cast<std::size_t>(std::thread::hardware_concurrency())},
       {"batching_sweep", batching_sweep},
       {"cadence_sweep", cadence_sweep},
-      {"dispatch_path",
-       common::Json::Object{{"requests", dispatch_n},
-                            {"wall_s", dispatch_wall},
-                            {"req_per_s", dispatch_rps}}},
       {"tuner", tuner_study},
       {"campaign", campaign},
       {"ratios", ratios},
@@ -259,15 +241,6 @@ int main(int argc, char** argv) {
                 << "x\n";
       ++failures;
     }
-  }
-  // Absolute sanity floor: the accounting is a mutex + a dozen counter
-  // updates; any machine clears 1e5 req/s unless the hot path grew
-  // something pathological.
-  constexpr double kAbsoluteFloor = 1e5;
-  if (dispatch_rps < kAbsoluteFloor) {
-    std::cerr << "FAIL: dispatch path " << dispatch_rps << " req/s under the "
-              << kAbsoluteFloor << " sanity floor\n";
-    ++failures;
   }
   if (failures == 0) std::cout << "bench_infer check: OK\n";
   return failures == 0 ? 0 : 1;

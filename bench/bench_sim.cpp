@@ -1,9 +1,9 @@
 // bench_sim: simulation-core scaling baseline.
 //
 // Self-timed (same conventions as bench_report): one JSON document —
-// BENCH_sim.json — holding events/sec for every EventScheduler kind
-// across total-event counts (1e6/1e7/1e8), pending-set sizes (1e2..1e6)
-// and a cancel-heavy mix, plus a utilization-vs-scale study driving a
+// BENCH_sim.json — holding the engine's events/sec across total-event
+// counts (1e6/1e7/1e8), pending-set sizes (1e2..1e6) and a cancel-heavy
+// mix, plus a utilization-vs-scale study driving a
 // simulated cluster of up to 10k heterogeneous nodes through the
 // ResourcePool + UtilizationRecorder stack (the EXPERIMENTS.md §sim-scale
 // tables come from this binary).
@@ -11,13 +11,10 @@
 // Modes:
 //   bench_sim [--out FILE]          full run (1e8-event sweeps; minutes)
 //   bench_sim --smoke [--out FILE]  seconds-scale run for CI smoke jobs
-//   bench_sim --check BASELINE      compare against a checked-in baseline:
-//                                   fail (exit 1) if a gated scheduler
-//                                   ratio drops below 0.8x its baseline
-//                                   value or heap throughput falls under
-//                                   the absolute sanity floor. Ratios are
-//                                   gated, not raw ns — they are what
-//                                   stays stable across machines.
+//   bench_sim --check BASELINE      fail (exit 1) if throughput at 1e4
+//                                   pending events falls under the
+//                                   absolute sanity floor; the baseline's
+//                                   figure is printed alongside.
 
 #include <chrono>
 #include <cstdint>
@@ -46,10 +43,6 @@ struct Options {
   bool smoke = false;
 };
 
-constexpr sim::SchedulerKind kKinds[] = {sim::SchedulerKind::kHeap,
-                                         sim::SchedulerKind::kMap,
-                                         sim::SchedulerKind::kCalendar};
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -66,9 +59,8 @@ double next_delay(std::uint64_t& state) {
 /// Fire `total` events while holding ~`pending` in the queue: prefill
 /// `pending` self-renewing events, each firing schedules one replacement
 /// until the budget is spent, then the queue drains. Returns events/sec.
-double run_throughput(sim::SchedulerKind kind, std::size_t total,
-                      std::size_t pending) {
-  sim::Engine e{sim::EngineConfig{.scheduler = kind}};
+double run_throughput(std::size_t total, std::size_t pending) {
+  sim::Engine e;
   std::uint64_t rng = 0x9E3779B97F4A7C15ULL;
   std::size_t scheduled = 0;
   std::function<void()> tick = [&] {
@@ -94,9 +86,8 @@ double run_throughput(sim::SchedulerKind kind, std::size_t total,
 /// decoy that is cancelled immediately — half of all queue insertions are
 /// removed before firing (retry/backoff timer churn). Returns queue
 /// operations (insert + cancel + fire) per second.
-double run_cancel_heavy(sim::SchedulerKind kind, std::size_t total,
-                        std::size_t pending) {
-  sim::Engine e{sim::EngineConfig{.scheduler = kind}};
+double run_cancel_heavy(std::size_t total, std::size_t pending) {
+  sim::Engine e;
   std::uint64_t rng = 0xD1B54A32D192ED03ULL;
   std::size_t scheduled = 0;
   std::size_t cancels = 0;
@@ -135,11 +126,10 @@ struct ClusterStudy {
   double ops_per_s = 0.0;  ///< allocations + releases per wall second
 };
 
-ClusterStudy run_cluster_study(std::size_t nodes, std::size_t tasks,
-                               sim::SchedulerKind kind) {
+ClusterStudy run_cluster_study(std::size_t nodes, std::size_t tasks) {
   hpc::ResourcePool pool(hpc::make_cluster(nodes));
   hpc::UtilizationRecorder recorder(pool.total_cores(), pool.total_gpus());
-  sim::Engine e{sim::EngineConfig{.scheduler = kind}};
+  sim::Engine e;
   std::uint64_t rng = 0x853C49E6748FEA9BULL;
 
   // Four request shapes matching the cluster's node mix; durations
@@ -225,15 +215,11 @@ int main(int argc, char** argv) {
       opt.smoke ? std::vector<std::size_t>{100'000, 1'000'000}
                 : std::vector<std::size_t>{1'000'000, 10'000'000, 100'000'000};
   common::Json::Object throughput;
-  for (const auto kind : kKinds) {
-    common::Json::Object per_kind;
-    for (const auto total : totals) {
-      const double evps = run_throughput(kind, total, 10'000);
-      per_kind["n" + std::to_string(total)] = evps;
-      std::cout << "throughput " << sim::to_string(kind) << " n=" << total
-                << ": " << static_cast<std::uint64_t>(evps) << " ev/s\n";
-    }
-    throughput[std::string(sim::to_string(kind))] = std::move(per_kind);
+  for (const auto total : totals) {
+    const double evps = run_throughput(total, 10'000);
+    throughput["n" + std::to_string(total)] = evps;
+    std::cout << "throughput n=" << total << ": "
+              << static_cast<std::uint64_t>(evps) << " ev/s\n";
   }
 
   // --- Throughput vs pending-set size (fixed firing budget on top).
@@ -243,52 +229,29 @@ int main(int argc, char** argv) {
                                            1'000'000};
   const std::size_t sweep_budget = opt.smoke ? 100'000 : 1'000'000;
   common::Json::Object pending_sweep;
-  for (const auto kind : kKinds) {
-    common::Json::Object per_kind;
-    for (const auto pending : pendings) {
-      const double evps =
-          run_throughput(kind, pending + sweep_budget, pending);
-      per_kind["p" + std::to_string(pending)] = evps;
-      std::cout << "pending " << sim::to_string(kind) << " p=" << pending
-                << ": " << static_cast<std::uint64_t>(evps) << " ev/s\n";
-    }
-    pending_sweep[std::string(sim::to_string(kind))] = std::move(per_kind);
+  double evps_p10000 = 0.0;  // in both smoke and full sweeps; gated
+  for (const auto pending : pendings) {
+    const double evps = run_throughput(pending + sweep_budget, pending);
+    if (pending == 10'000) evps_p10000 = evps;
+    pending_sweep["p" + std::to_string(pending)] = evps;
+    std::cout << "pending p=" << pending << ": "
+              << static_cast<std::uint64_t>(evps) << " ev/s\n";
   }
 
   // --- Cancel-heavy mix (half of all insertions cancelled).
   const std::size_t cancel_total = opt.smoke ? 100'000 : 1'000'000;
-  common::Json::Object cancel_heavy;
-  for (const auto kind : kKinds) {
-    const double opss = run_cancel_heavy(kind, cancel_total, 10'000);
-    cancel_heavy[std::string(sim::to_string(kind))] = opss;
-    std::cout << "cancel-heavy " << sim::to_string(kind) << ": "
-              << static_cast<std::uint64_t>(opss) << " ops/s\n";
-  }
+  const double cancel_heavy = run_cancel_heavy(cancel_total, 10'000);
+  std::cout << "cancel-heavy: " << static_cast<std::uint64_t>(cancel_heavy)
+            << " ops/s\n";
 
-  // --- Cross-machine-stable ratios (gated by --check). p10000 exists in
-  // both smoke and full sweeps.
-  const auto pending_of = [&](const char* kind, const char* key) {
-    return pending_sweep.at(kind).as_object().at(key).as_number();
-  };
-  common::Json::Object ratios{
-      {"calendar_over_heap_p10000",
-       pending_of("calendar", "p10000") / pending_of("heap", "p10000")},
-      {"map_over_heap_p10000",
-       pending_of("map", "p10000") / pending_of("heap", "p10000")},
-  };
-  for (const auto& [name, value] : ratios)
-    std::cout << "ratio " << name << ": " << value.as_number() << "x\n";
-
-  // --- Utilization vs cluster scale (the 10k-node study). Calendar
-  // scheduler: the large-pending regime is what it exists for.
+  // --- Utilization vs cluster scale (the 10k-node study).
   const std::vector<std::size_t> cluster_sizes =
       opt.smoke ? std::vector<std::size_t>{100, 1'000}
                 : std::vector<std::size_t>{100, 1'000, 10'000};
   const std::size_t tasks_per_node = opt.smoke ? 4 : 20;
   common::Json::Object utilization_scale;
   for (const auto nodes : cluster_sizes) {
-    const auto s = run_cluster_study(nodes, nodes * tasks_per_node,
-                                     sim::SchedulerKind::kCalendar);
+    const auto s = run_cluster_study(nodes, nodes * tasks_per_node);
     utilization_scale["nodes" + std::to_string(nodes)] = common::Json::Object{
         {"nodes", s.nodes},
         {"tasks", s.tasks},
@@ -306,14 +269,13 @@ int main(int argc, char** argv) {
   }
 
   const common::Json doc{common::Json::Object{
-      {"schema", "impress.bench_sim.v1"},
+      {"schema", "impress.bench_sim.v2"},
       {"mode", opt.smoke ? "smoke" : "full"},
       {"hardware_threads",
        static_cast<std::size_t>(std::thread::hardware_concurrency())},
       {"throughput", std::move(throughput)},
-      {"pending_sweep", pending_sweep},
-      {"cancel_heavy", std::move(cancel_heavy)},
-      {"ratios", ratios},
+      {"pending_sweep", std::move(pending_sweep)},
+      {"cancel_heavy", cancel_heavy},
       {"utilization_scale", std::move(utilization_scale)},
   }};
   {
@@ -337,29 +299,20 @@ int main(int argc, char** argv) {
   std::stringstream buf;
   buf << in.rdbuf();
   const auto baseline = common::Json::parse(buf.str());
-  int failures = 0;
-  constexpr double kRegressionFloor = 0.8;  // keep >= 80% of baseline ratio
-  for (const auto& [name, value] : ratios) {
-    if (!baseline.at("ratios").contains(name)) continue;  // schema drift
-    const double base = baseline.at("ratios").at(name).as_number();
-    const double current = value.as_number();
-    if (current < kRegressionFloor * base) {
-      std::cerr << "FAIL: ratio '" << name << "' regressed: " << current
-                << "x < " << kRegressionFloor << " * baseline " << base
-                << "x\n";
-      ++failures;
-    }
-  }
+  std::cout << "p10000: " << static_cast<std::uint64_t>(evps_p10000)
+            << " ev/s (baseline "
+            << static_cast<std::uint64_t>(
+                   baseline.at("pending_sweep").at("p10000").as_number())
+            << " ev/s)\n";
   // Absolute sanity floor: any machine that can run the suite at all
-  // clears 1e5 ev/s on the heap at p=1e4; below that something is badly
-  // broken (e.g. an accidental O(n) scan on the hot path).
+  // clears 1e5 ev/s at p=1e4; below that something is badly broken (e.g.
+  // an accidental O(n) scan on the hot path).
   constexpr double kAbsoluteFloor = 1e5;
-  if (pending_of("heap", "p10000") < kAbsoluteFloor) {
-    std::cerr << "FAIL: heap p10000 throughput "
-              << pending_of("heap", "p10000") << " ev/s under the " << kAbsoluteFloor
-              << " sanity floor\n";
-    ++failures;
+  if (evps_p10000 < kAbsoluteFloor) {
+    std::cerr << "FAIL: p10000 throughput " << evps_p10000
+              << " ev/s under the " << kAbsoluteFloor << " sanity floor\n";
+    return 1;
   }
-  if (failures == 0) std::cout << "bench_sim check: OK\n";
-  return failures == 0 ? 0 : 1;
+  std::cout << "bench_sim check: OK\n";
+  return 0;
 }

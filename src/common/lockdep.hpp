@@ -31,7 +31,7 @@
 //     -> leaves (never hold another tracked lock while holding one of
 //        these, and they call out to nothing):
 //          UidGenerator::mutex_, UtilizationRecorder::mutex_,
-//          Channel::mutex_, Session::timer_mutex_, TaskGraph::mutex_
+//          Channel::mutex_, Session::timer_mutex_
 //
 // Deliberate exceptions encoded in the runtime: Pilot::cancel()/fail()
 // drop Pilot::mutex_ before calling back into the executor or the

@@ -153,24 +153,6 @@ CampaignResult Campaign::execute(
       coordinator_config.fold_cache)
     coordinator_config.fold_cache->restore(*resume_from->fold_cache);
 
-  if (config_.enable_infer && !coordinator_config.infer)
-    coordinator_config.infer =
-        std::make_shared<infer::InferenceServer>(config_.infer_config);
-  if (coordinator_config.infer) {
-    // The slowest GPU generation among the serving nodes bounds every
-    // batch the server dispatches.
-    double slowest = 0.0;
-    const auto scan = [&](const rp::PilotDescription& pd) {
-      for (const auto& node : pd.nodes)
-        if (node.gpus > 0)
-          slowest = slowest == 0.0 ? node.gpu_speed_factor
-                                   : std::min(slowest, node.gpu_speed_factor);
-    };
-    scan(config_.pilot);
-    for (const auto& pd : config_.extra_pilots) scan(pd);
-    if (slowest > 0.0) coordinator_config.infer->set_speed_factor(slowest);
-  }
-
   std::shared_ptr<const SequenceGenerator> generator = config_.generator;
   if (!generator)
     generator = std::make_shared<MpnnGenerator>(config_.sampler);
@@ -326,7 +308,6 @@ CampaignResult Campaign::execute(
   r.attempts = hpc::attempt_counts(session.profiler());
   if (coordinator_config.fold_cache)
     r.fold_cache = coordinator_config.fold_cache->stats();
-  if (coordinator_config.infer) r.infer = coordinator_config.infer->snapshot();
 
   // Observability harvest: close the root span at the simulated makespan
   // (the session clock already sits there) and snapshot everything. The

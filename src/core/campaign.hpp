@@ -60,15 +60,13 @@ struct CheckpointConfig {
 struct CampaignConfig {
   std::string name = "IM-RP";
   ProtocolConfig protocol = calibration::im_rp_protocol();
-  CoordinatorConfig coordinator{
-      .sequential = false,
-      .mpnn_durations = calibration::mpnn_durations(),
-      .fold_durations = calibration::fold_durations(),
-      .refine_durations = RefineDurationModel{},
-      .refined_noise_factor = 0.65,
-      .task_retry = {},
-      .fold_cache = {},
-      .infer = {}};
+  /// CoordinatorConfig defaults with the calibrated stage durations.
+  CoordinatorConfig coordinator = [] {
+    CoordinatorConfig c;
+    c.mpnn_durations = calibration::mpnn_durations();
+    c.fold_durations = calibration::fold_durations();
+    return c;
+  }();
   rp::PilotDescription pilot = calibration::amarel_pilot();
   /// Additional pilots submitted after `pilot` (submission order defines
   /// the fault-plan pilot index: `pilot` is 0, extra_pilots[i] is i+1).
@@ -91,14 +89,6 @@ struct CampaignConfig {
   /// Capacity of the campaign's fold cache (entries), when enabled and no
   /// cache was provided via `coordinator.fold_cache`.
   std::size_t fold_cache_capacity = 4096;
-  /// Build an inference-server surrogate (infer/infer.hpp) from
-  /// `infer_config` when none was provided via `coordinator.infer`.
-  /// Default off. Either way, a present server is speed-calibrated at
-  /// execute time to the slowest GPU generation among the configured
-  /// pilots' nodes, and its accounting lands in CampaignResult::infer.
-  /// Batching is bit-unobservable in every other result field.
-  bool enable_infer = false;
-  infer::InferenceServer::Config infer_config;
   /// Crash-consistent mid-campaign checkpointing; see CheckpointConfig.
   CheckpointConfig checkpoint;
 };
@@ -144,13 +134,6 @@ struct CampaignResult {
 
   /// Fold memo-cache behaviour over the run (all zero when disabled).
   hpc::CacheSummary fold_cache;
-
-  /// Inference-server accounting (infer/infer.hpp): batching behaviour of
-  /// the fold/design streams. `enabled` stays false (everything zero)
-  /// when the campaign ran without a server. Accounting only — it never
-  /// feeds back, so campaigns with and without a server are bit-identical
-  /// in every other field.
-  infer::ServerSnapshot infer;
 
   // Observability harvest (docs/observability.md). Both empty unless the
   // session enabled the corresponding axis

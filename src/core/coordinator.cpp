@@ -123,21 +123,6 @@ void Coordinator::handle_completion(const rp::TaskPtr& task) {
   }
 
   const auto& app = task->description().metadata.at("app");
-  // Adaptive batching: fold-stage completion cadence feeds the server's
-  // tuner. A changed batch size is a campaign decision; trace it as one.
-  if (config_.infer && app == "alphafold") {
-    if (const auto batch = config_.infer->observe_completion(session_.now())) {
-      if (obs::Tracer& tracer = session_.observability().tracer();
-          tracer.enabled()) {
-        const obs::SpanId decision =
-            tracer.instant(session_.now(), "decision.batch_size",
-                           obs::categories::kDecision, config_.trace_root);
-        tracer.attr(decision, "batch_size", std::to_string(*batch));
-      }
-      IMPRESS_LOG(kInfo, "coordinator")
-          << "decision: fold batch size -> " << *batch;
-    }
-  }
   const int cycle_before = p->cycle();
   Pipeline::Action action = [&] {
     if (app == "proteinmpnn" || app == "generator")
@@ -200,13 +185,8 @@ void Coordinator::submit_generator_task(Pipeline* pipeline) {
   protein::Complex input = pipeline->current();
   common::Rng rng = pipeline->fork_task_rng();
 
-  auto srv = config_.infer;
-  rp::Session* session = &session_;
-  auto work = [gen, landscape, input = std::move(input), rng, srv,
-               session](rp::Task&) mutable -> std::any {
-    if (srv)
-      return srv->design([&] { return gen->generate(input, *landscape, rng); },
-                         session->now());
+  auto work = [gen, landscape, input = std::move(input),
+               rng](rp::Task&) mutable -> std::any {
     return gen->generate(input, *landscape, rng);
   };
 
@@ -270,12 +250,8 @@ void Coordinator::submit_fold_task(Pipeline* pipeline, protein::Complex input,
   common::Rng rng = fold_rng_root_.fork(content);
 
   auto cache = config_.fold_cache;
-  auto srv = config_.infer;
-  rp::Session* session = &session_;
-  auto work = [folder, landscape, input, rng, cache, srv,
-               session](rp::Task&) mutable -> std::any {
-    if (srv)
-      return srv->fold(folder, cache, input, *landscape, rng, session->now());
+  auto work = [folder, landscape, input, rng,
+               cache](rp::Task&) mutable -> std::any {
     if (cache) return cache->predict(folder, input, *landscape, rng);
     return folder.predict(input, *landscape, rng);
   };

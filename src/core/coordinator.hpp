@@ -32,7 +32,6 @@
 #include "core/pipeline.hpp"
 #include "fold/fold_cache.hpp"
 #include "fold/fold_task.hpp"
-#include "infer/infer.hpp"
 #include "mpnn/mpnn_task.hpp"
 #include "runtime/session.hpp"
 
@@ -105,14 +104,6 @@ struct CoordinatorConfig {
   /// derived from the fold input's content key, so results are identical
   /// with and without the cache.
   std::shared_ptr<fold::FoldCache> fold_cache;
-  /// Optional inference-server surrogate fronting the fold/design model
-  /// calls (infer/infer.hpp). The science is computed synchronously with
-  /// the caller's rng — batching is accounting-only, so campaigns with
-  /// and without a server (or with different batch sizes) are
-  /// bit-identical. When the server is adaptive, fold-stage completions
-  /// feed its BatchTuner and batch-size changes are traced as
-  /// decision.batch_size instants.
-  std::shared_ptr<infer::InferenceServer> infer;
   /// Trace context: span the coordinator parents its pipeline spans under
   /// (the campaign root span). 0 = pipelines become trace roots.
   obs::SpanId trace_root = 0;

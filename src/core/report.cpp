@@ -87,10 +87,18 @@ std::string pct(double fraction) {
   return common::format_fixed(fraction * 100.0, 1) + "%";
 }
 
-std::string delta_with_relative(double own, double baseline) {
+// Baseline net deltas below this are noise on every Table I metric's
+// scale; a relative change against them is meaningless (dividing by one
+// turns a 6-point pAE gain into "-46300%").
+constexpr double kMinRelativeBaseline = 0.05;
+
+// "own (rel%)", with rel signed so that + means better than the baseline
+// for the metric's direction.
+std::string delta_with_relative(double own, double baseline, Metric m) {
   std::string s = common::format_fixed(own, own < 1.0 && own > -1.0 ? 2 : 1);
-  if (baseline != 0.0) {
-    const double rel = (own - baseline) / std::fabs(baseline) * 100.0;
+  if (std::fabs(baseline) >= kMinRelativeBaseline) {
+    const double gain = higher_is_better(m) ? own - baseline : baseline - own;
+    const double rel = gain / std::fabs(baseline) * 100.0;
     s += " (" + std::string(rel >= 0 ? "+" : "") +
          common::format_fixed(rel, 1) + "%)";
   } else {
@@ -117,6 +125,11 @@ common::Table table1(const CampaignResult& cont_v, const CampaignResult& im_rp,
     const std::size_t n_pl = sequential ? 1 : r.root_pipelines;
     const std::size_t structs_per_pl =
         n_pl == 0 ? 0 : (r.targets + n_pl - 1) / n_pl;
+    const auto delta_cell = [&](Metric m) {
+      return delta_with_relative(
+          net_delta(r, m, cycles),
+          baseline ? net_delta(*baseline, m, cycles) : 0.0, m);
+    };
     t.add_row({
         r.name,
         std::to_string(n_pl),
@@ -126,12 +139,9 @@ common::Table table1(const CampaignResult& cont_v, const CampaignResult& im_rp,
         pct(r.utilization.cpu_active),
         pct(r.utilization.gpu_active),
         common::format_fixed(r.makespan_h, 1),
-        delta_with_relative(net_delta(r, Metric::kPtm, cycles),
-                            baseline ? net_delta(*baseline, Metric::kPtm, cycles) : 0.0),
-        delta_with_relative(net_delta(r, Metric::kPlddt, cycles),
-                            baseline ? net_delta(*baseline, Metric::kPlddt, cycles) : 0.0),
-        delta_with_relative(net_delta(r, Metric::kIpae, cycles),
-                            baseline ? net_delta(*baseline, Metric::kIpae, cycles) : 0.0),
+        delta_cell(Metric::kPtm),
+        delta_cell(Metric::kPlddt),
+        delta_cell(Metric::kIpae),
     });
   };
   row(cont_v, nullptr);

@@ -34,7 +34,9 @@ enum class Metric { kPlddt, kPtm, kIpae };
 [[nodiscard]] double net_delta(const CampaignResult& result, Metric m,
                                int cycles);
 
-/// Table I: experimental setup and results for both arms.
+/// Table I: experimental setup and results for both arms. IM-RP's net
+/// deltas carry their change relative to CONT-V's, signed so that + is
+/// better for the metric, or "(-)" when CONT-V's delta is near zero.
 [[nodiscard]] common::Table table1(const CampaignResult& cont_v,
                                    const CampaignResult& im_rp, int cycles);
 

@@ -41,28 +41,6 @@ std::vector<double> series_from_json(const common::Json& j) {
   return out;
 }
 
-common::Json stream_to_json(const infer::StreamStats& s) {
-  common::Json::Object o;
-  o["requests"] = s.requests;
-  o["cache_hits"] = s.cache_hits;
-  o["batches"] = s.batches;
-  o["max_batch"] = static_cast<std::size_t>(s.max_batch);
-  o["batched_gpu_s"] = s.batched_gpu_s;
-  o["unbatched_gpu_s"] = s.unbatched_gpu_s;
-  return common::Json(std::move(o));
-}
-
-infer::StreamStats stream_from_json(const common::Json& j) {
-  infer::StreamStats s;
-  s.requests = static_cast<std::uint64_t>(j.at("requests").as_number());
-  s.cache_hits = static_cast<std::uint64_t>(j.at("cache_hits").as_number());
-  s.batches = static_cast<std::uint64_t>(j.at("batches").as_number());
-  s.max_batch = static_cast<std::uint32_t>(j.at("max_batch").as_number());
-  s.batched_gpu_s = j.at("batched_gpu_s").as_number();
-  s.unbatched_gpu_s = j.at("unbatched_gpu_s").as_number();
-  return s;
-}
-
 }  // namespace
 
 common::Json to_json(const CampaignResult& result) {
@@ -125,18 +103,6 @@ common::Json to_json(const CampaignResult& result) {
   if (!result.trace.empty()) doc["trace"] = obs::spans_to_json(result.trace);
   if (!result.metrics.empty())
     doc["metrics"] = obs::metrics_to_json(result.metrics);
-  // Inference-server accounting follows the observability rule: the key
-  // is present only when the campaign ran with a server, so server-less
-  // dumps stay byte-identical to schema v1 output.
-  if (result.infer.enabled) {
-    common::Json::Object inf;
-    inf["batch_size"] = static_cast<std::size_t>(result.infer.batch_size);
-    inf["speed_factor"] = result.infer.speed_factor;
-    inf["tuner_decisions"] = result.infer.tuner_decisions;
-    inf["fold"] = stream_to_json(result.infer.fold);
-    inf["design"] = stream_to_json(result.infer.design);
-    doc["infer"] = common::Json(std::move(inf));
-  }
   // Lockdep violations follow the same rule: absent unless a lockdep
   // build actually recorded one (default builds never populate this).
   if (!result.lockdep.empty()) {
@@ -210,17 +176,8 @@ CampaignResult campaign_result_from_json(const common::Json& doc) {
   if (doc.contains("trace")) r.trace = obs::spans_from_json(doc.at("trace"));
   if (doc.contains("metrics"))
     r.metrics = obs::metrics_from_json(doc.at("metrics"));
-  if (doc.contains("infer")) {
-    const auto& inf = doc.at("infer");
-    r.infer.enabled = true;
-    r.infer.batch_size =
-        static_cast<std::uint32_t>(inf.at("batch_size").as_number());
-    r.infer.speed_factor = inf.at("speed_factor").as_number();
-    r.infer.tuner_decisions =
-        static_cast<std::uint64_t>(inf.at("tuner_decisions").as_number());
-    r.infer.fold = stream_from_json(inf.at("fold"));
-    r.infer.design = stream_from_json(inf.at("design"));
-  }
+  // Keys this reader does not know (e.g. the "infer" batching section
+  // older dumps carry) are ignored.
   if (doc.contains("lockdep"))
     for (const auto& line : doc.at("lockdep").as_array())
       r.lockdep.push_back(line.as_string());

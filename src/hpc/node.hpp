@@ -21,7 +21,7 @@ struct NodeSpec {
   /// is not modeled: its devices satisfy any gpu_mem_gb request.
   double gpu_mem_gb = 0.0;
   /// Relative throughput of this node's GPU generation (1.0 = the paper's
-  /// M6000 baseline). Accounting-only: the inference surrogate divides
+  /// M6000 baseline). Accounting-only: the GPU batching replay divides
   /// modeled batch latency by it, but task timing never reads it — mixed
   /// generations are bit-unobservable in campaign results.
   double gpu_speed_factor = 1.0;

@@ -45,7 +45,6 @@
 #include "runtime/scheduler.hpp"
 #include "runtime/session.hpp"
 #include "runtime/task.hpp"
-#include "runtime/task_graph.hpp"
 #include "runtime/task_manager.hpp"
 
 #include "protein/contacts.hpp"

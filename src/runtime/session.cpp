@@ -13,7 +13,6 @@ namespace impress::rp {
 
 Session::Session(SessionConfig config)
     : config_(config),
-      engine_(sim::EngineConfig{.scheduler = config.scheduler}),
       obs_(obs::Observability::Config{.tracing = config.enable_tracing,
                                       .metrics = config.enable_metrics}),
       rng_(common::Rng(config.seed)),

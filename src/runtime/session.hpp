@@ -38,11 +38,6 @@ enum class ExecutionMode {
 struct SessionConfig {
   ExecutionMode mode = ExecutionMode::kSimulated;
   std::uint64_t seed = 42;
-  /// Simulated mode: which event-queue structure backs the engine. Any
-  /// choice replays bit-identically (the (time, seq) determinism
-  /// contract); calendar wins on large pending sets — see
-  /// docs/performance.md and BENCH_sim.json.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kHeap;
   /// Threaded mode: wall seconds per simulated second (1e-4 => a one-hour
   /// task sleeps 0.36 s).
   double time_scale = 1e-4;
@@ -166,7 +161,7 @@ class Session {
                    double horizon_s);
 
   SessionConfig config_;
-  sim::Engine engine_;  ///< constructed with config_.scheduler
+  sim::Engine engine_;
   hpc::Profiler profiler_;
   // Declared before the task manager / executors / pilots that hold a
   // pointer to it (and therefore destroyed after them).

@@ -4,14 +4,11 @@
 
 namespace impress::sim {
 
-Engine::Engine(const EngineConfig& config)
-    : scheduler_(make_scheduler(config.scheduler)) {}
-
 EventId Engine::schedule_at(SimTime t, std::function<void()> fn) {
   const SimTime at = std::max(t, now_);
-  const std::uint64_t seq = next_seq_++;
-  const EventId id = pool_.acquire(at, seq, std::move(fn));
-  scheduler_->insert(SchedEvent{at, seq, id});
+  const EventId id = pool_.acquire(std::move(fn));
+  heap_.push_back(Entry{at, next_seq_++, id});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
@@ -20,31 +17,32 @@ EventId Engine::schedule_after(SimTime delay, std::function<void()> fn) {
 }
 
 bool Engine::cancel(EventId id) {
-  EventPool::Slot* slot = pool_.find_live(id);
-  if (slot == nullptr) return false;
-  const SchedEvent ev{slot->time, slot->seq, id};
+  if (!pool_.is_live(id)) return false;
   pool_.release(id);
-  // Eager-removal schedulers take the entry out now; the heap leaves a
-  // tombstone behind, bounded by compaction.
-  if (!scheduler_->remove(ev)) maybe_compact();
+  maybe_compact();
   return true;
 }
 
 void Engine::maybe_compact() {
-  const std::size_t entries = scheduler_->size();
-  if (entries < 64) return;
+  if (heap_.size() < 64) return;
   std::size_t live_in_batch = 0;
   for (std::size_t i = batch_pos_; i < batch_.size(); ++i)
     if (pool_.is_live(batch_[i].id)) ++live_in_batch;
-  const std::size_t live_in_scheduler = pool_.live_count() - live_in_batch;
-  if (entries > 2 * live_in_scheduler)
-    scheduler_->compact([this](EventId id) { return pool_.is_live(id); });
+  const std::size_t live_in_heap = pool_.live_count() - live_in_batch;
+  if (heap_.size() <= 2 * live_in_heap) return;
+  std::erase_if(heap_, [this](const Entry& e) { return !pool_.is_live(e.id); });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Engine::pop_heap_top() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
 }
 
 bool Engine::step() {
   for (;;) {
     while (batch_pos_ < batch_.size()) {
-      const SchedEvent ev = batch_[batch_pos_++];
+      const Entry ev = batch_[batch_pos_++];
       if (!pool_.is_live(ev.id)) continue;  // cancelled mid-batch
       std::function<void()> fn = pool_.release(ev.id);
       now_ = ev.time;
@@ -54,8 +52,13 @@ bool Engine::step() {
     }
     batch_.clear();
     batch_pos_ = 0;
-    if (scheduler_->empty()) return false;
-    scheduler_->pop_batch(batch_);
+    if (heap_.empty()) return false;
+    // Pop every entry sharing the earliest timestamp, in seq order.
+    const SimTime t = heap_.front().time;
+    do {
+      batch_.push_back(heap_.front());
+      pop_heap_top();
+    } while (!heap_.empty() && heap_.front().time == t);
   }
 }
 
@@ -74,13 +77,13 @@ bool Engine::peek_next_live(SimTime& t) {
     }
     ++batch_pos_;  // tombstone: skipping it here is free
   }
-  while (!scheduler_->empty()) {
-    const SchedEvent& top = scheduler_->peek();
+  while (!heap_.empty()) {
+    const Entry& top = heap_.front();
     if (pool_.is_live(top.id)) {
       t = top.time;
       return true;
     }
-    scheduler_->pop();  // discard tombstone
+    pop_heap_top();  // discard tombstone
   }
   return false;
 }
@@ -105,7 +108,7 @@ bool Engine::warp_to(SimTime t) noexcept {
   now_ = t;
   // Any entries still queued are tombstones of cancelled events; a warp
   // is a clean restore point, so drop them outright.
-  scheduler_->clear();
+  heap_.clear();
   batch_.clear();
   batch_pos_ = 0;
   return true;

@@ -10,38 +10,29 @@
 //
 // Determinism contract: events at equal timestamps fire in insertion
 // order (a monotonically increasing sequence number breaks ties), so a
-// campaign is a pure function of its seed — regardless of which
-// EventScheduler structure backs the queue (sim/event_scheduler.hpp).
+// campaign is a pure function of its seed.
 //
 // Hot-path structure: callbacks live in a slab EventPool (O(1)
-// schedule/cancel, no per-event hashing — sim/event_pool.hpp); the
-// scheduler holds only (time, seq, id) triples; and the engine dequeues
+// schedule/cancel, no per-event hashing — sim/event_pool.hpp); the queue
+// is a binary heap of (time, seq, id) triples; and the engine dequeues
 // all events sharing a timestamp in one batch, so a burst of same-time
-// completions costs one queue visit.
+// completions costs one queue visit. Cancellation is lazy: the heap
+// keeps a tombstone that the engine compacts away once tombstones
+// outnumber live entries.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/event_pool.hpp"
-#include "sim/event_scheduler.hpp"
 
 namespace impress::sim {
 
-struct EngineConfig {
-  /// Event-queue structure. All choices are bit-identical by the
-  /// determinism contract; see event_scheduler.hpp for when each wins.
-  SchedulerKind scheduler = SchedulerKind::kHeap;
-};
-
 class Engine {
  public:
-  Engine() : Engine(EngineConfig{}) {}
-  explicit Engine(const EngineConfig& config);
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -57,10 +48,9 @@ class Engine {
   EventId schedule_after(SimTime delay, std::function<void()> fn);
 
   /// Cancel a pending event. Returns false if it already fired or was
-  /// already cancelled. O(1) against the pool; queue entries are removed
-  /// eagerly where the scheduler supports it and compacted away otherwise
-  /// (cancel churn never grows the queue unboundedly — see
-  /// Engine.CancelChurnBoundedMemory).
+  /// already cancelled. O(1) against the pool; the heap entry stays
+  /// behind as a tombstone and is compacted away (cancel churn never
+  /// grows the queue unboundedly — see Engine.CancelChurnBoundedMemory).
   bool cancel(EventId id);
 
   /// Fire the next event; returns false when the queue is empty.
@@ -90,22 +80,36 @@ class Engine {
     return pool_.live_count();
   }
   [[nodiscard]] std::uint64_t fired_events() const noexcept { return fired_; }
-  [[nodiscard]] SchedulerKind scheduler_kind() const noexcept {
-    return scheduler_->kind();
-  }
 
   /// Queue entries currently held (live events + not-yet-compacted
   /// tombstones + the in-flight batch). Exposed so tests can assert the
   /// tombstone bound under schedule/cancel churn.
   [[nodiscard]] std::size_t scheduler_entries() const noexcept {
-    return scheduler_->size() + (batch_.size() - batch_pos_);
+    return heap_.size() + (batch_.size() - batch_pos_);
   }
 
  private:
+  /// One queue entry. Ordering is lexicographic on (time, seq): seq is
+  /// the engine's global insertion counter, so equal-timestamp events
+  /// fire in insertion order.
+  struct Entry {
+    SimTime time = 0.0;
+    std::uint64_t seq = 0;
+    EventId id = 0;
+  };
+  /// Heap comparator: the earliest (time, seq) sits at the front.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
+
+  void pop_heap_top();
   /// Advance past cancelled entries to the next live event's time.
   /// Consumes tombstones as a side effect; returns false when drained.
   bool peek_next_live(SimTime& t);
-  /// Compact the queue when lazily-cancelled tombstones outnumber live
+  /// Compact the heap when lazily-cancelled tombstones outnumber live
   /// entries (amortized O(1) per cancel: a compaction of k entries
   /// reclaims >= k/2 tombstones, each paid for by one cancel).
   void maybe_compact();
@@ -115,11 +119,11 @@ class Engine {
   std::uint64_t fired_ = 0;
   bool stopped_ = false;
   EventPool pool_;
-  std::unique_ptr<EventScheduler> scheduler_;
-  /// Same-timestamp batch popped from the scheduler, consumed in (time,
-  /// seq) order by step(). Entries cancelled mid-batch are skipped via a
-  /// pool liveness check.
-  std::vector<SchedEvent> batch_;
+  std::vector<Entry> heap_;  ///< binary min-heap on (time, seq)
+  /// Same-timestamp batch popped from the heap, consumed in (time, seq)
+  /// order by step(). Entries cancelled mid-batch are skipped via a pool
+  /// liveness check.
+  std::vector<Entry> batch_;
   std::size_t batch_pos_ = 0;
 };
 

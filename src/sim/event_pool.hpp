@@ -8,10 +8,6 @@
 // set. An EventId packs (generation << 32 | slot index); the generation
 // bumps on every release, so a stale id — cancel after fire, double
 // cancel — decodes to a dead handle instead of hitting a recycled slot.
-//
-// Each slot also carries the event's (time, seq) key so eager-removal
-// schedulers (map, calendar) can locate their queue entry on cancel
-// without any side lookup.
 
 #pragma once
 
@@ -20,22 +16,25 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_scheduler.hpp"
-
 namespace impress::sim {
+
+/// Simulated time in seconds since engine start.
+using SimTime = double;
+
+/// Handle for cancelling a scheduled event (slot index + generation,
+/// packed by the EventPool).
+using EventId = std::uint64_t;
 
 class EventPool {
  public:
   struct Slot {
     std::function<void()> fn;
-    SimTime time = 0.0;
-    std::uint64_t seq = 0;
     std::uint32_t generation = 0;
     bool live = false;
   };
 
-  /// Claim a slot for an event at (time, seq); returns its EventId.
-  EventId acquire(SimTime time, std::uint64_t seq, std::function<void()> fn) {
+  /// Claim a slot for an event's callback; returns its EventId.
+  EventId acquire(std::function<void()> fn) {
     std::uint32_t index = 0;
     if (free_.empty()) {
       index = static_cast<std::uint32_t>(slots_.size());
@@ -46,22 +45,12 @@ class EventPool {
     }
     Slot& slot = slots_[index];
     slot.fn = std::move(fn);
-    slot.time = time;
-    slot.seq = seq;
     slot.live = true;
     return pack(slot.generation, index);
   }
 
-  /// The slot behind `id`, or nullptr if the id is stale (already fired
-  /// or cancelled) or was never issued.
-  [[nodiscard]] Slot* find_live(EventId id) noexcept {
-    const std::uint32_t index = slot_index(id);
-    if (index >= slots_.size()) return nullptr;
-    Slot& slot = slots_[index];
-    if (!slot.live || slot.generation != generation(id)) return nullptr;
-    return &slot;
-  }
-
+  /// False once `id` has fired or been cancelled, or if it was never
+  /// issued.
   [[nodiscard]] bool is_live(EventId id) const noexcept {
     const std::uint32_t index = slot_index(id);
     return index < slots_.size() && slots_[index].live &&
@@ -69,7 +58,7 @@ class EventPool {
   }
 
   /// Release `id`'s slot, returning its callback. The caller must have
-  /// verified liveness (find_live). The generation bump retires every
+  /// verified liveness (is_live). The generation bump retires every
   /// outstanding handle to this slot.
   std::function<void()> release(EventId id) {
     Slot& slot = slots_[slot_index(id)];
@@ -85,9 +74,6 @@ class EventPool {
   [[nodiscard]] std::size_t live_count() const noexcept {
     return slots_.size() - free_.size();
   }
-
-  /// Slab capacity (high-water mark of the pending set).
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
  private:
   static constexpr std::uint64_t kIndexMask = 0xffffffffu;

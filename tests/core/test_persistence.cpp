@@ -152,6 +152,43 @@ TEST_F(Persistence, SessionDumpSchemaStaysV1) {
   EXPECT_EQ(load_session_dump(p).name, "v1");
 }
 
+TEST(SessionDump, V1DumpWithInferSectionStillLoads) {
+  // Schema-v1 dumps of campaigns that ran the live inference-server
+  // accounting carry an "infer" section; the reader ignores it.
+  const auto doc = common::Json::parse(R"({
+    "schema_version": 1, "name": "IM-RP", "makespan_h": 12.5,
+    "targets": 2, "root_pipelines": 2, "subpipelines": 1,
+    "generator_tasks": 12, "refine_tasks": 0, "energy_kwh": 1.5,
+    "fold_tasks": 15, "fold_retries": 3, "failed_tasks": 0,
+    "utilization": {"cpu_active": 0.3, "cpu_allocated": 0.4,
+                    "gpu_active": 0.1, "gpu_allocated": 0.2,
+                    "span_seconds": 45000},
+    "phase_hours": {"running": 11.0}, "cpu_series": [0.3],
+    "gpu_series": [0.1], "gantt": "",
+    "trajectories": [{"pipeline_id": "P1", "target": "T1",
+                      "is_subpipeline": false, "terminated_early": false,
+                      "total_retries": 0,
+                      "history": [{"cycle": 1, "sequence": "ACDE",
+                                   "metrics": {"plddt": 70, "ptm": 0.5,
+                                               "ipae": 10},
+                                   "true_fitness": 0.4, "accepted": true,
+                                   "retries": 0}]}],
+    "infer": {"batch_size": 8, "speed_factor": 1, "tuner_decisions": 0,
+              "fold": {"requests": 15, "cache_hits": 0, "batches": 14,
+                       "max_batch": 2, "batched_gpu_s": 32040,
+                       "unbatched_gpu_s": 32400},
+              "design": {"requests": 12, "cache_hits": 0, "batches": 8,
+                         "max_batch": 2, "batched_gpu_s": 4800,
+                         "unbatched_gpu_s": 5040}}
+  })");
+  const auto r = campaign_result_from_json(doc);
+  EXPECT_EQ(r.name, "IM-RP");
+  EXPECT_EQ(r.fold_tasks, 15u);
+  ASSERT_EQ(r.trajectories.size(), 1u);
+  EXPECT_EQ(r.trajectories[0].history.at(0).sequence, "ACDE");
+  EXPECT_EQ(to_json(r).as_object().count("infer"), 0u);
+}
+
 TEST_F(Persistence, CheckpointLoaderRejectsSessionDumps) {
   CampaignResult result;
   result.name = "v1";

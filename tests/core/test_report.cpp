@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/campaign.hpp"
+#include "protein/datasets.hpp"
+
 namespace impress::core {
 namespace {
 
@@ -114,6 +117,35 @@ TEST(Report, Table1HasBothArms) {
   EXPECT_NE(text.find("IM-RP"), std::string::npos);
   EXPECT_NE(text.find("N/A"), std::string::npos);  // CONT-V sub-PL column
   EXPECT_EQ(table.rows(), 2u);
+}
+
+TEST(Report, Table1RelativeDeltaReadsPlusAsBetter) {
+  // Two-cycle arms whose pAE falls by 3 (baseline) and by 6: the larger
+  // drop is the better result for a lower-is-better metric.
+  const auto arm = [](const std::string& name, double pae_drop) {
+    CampaignResult r;
+    r.name = name;
+    TrajectoryResult t;
+    t.history = {record(1, 60, 0.5, 15), record(2, 70, 0.6, 15 - pae_drop)};
+    r.trajectories = {t};
+    r.targets = 1;
+    r.root_pipelines = 1;
+    return r;
+  };
+  const auto text = table1(arm("CONT-V", 3.0), arm("IM-RP", 6.0), 2).render();
+  EXPECT_NE(text.find("-6.0 (+100.0%)"), std::string::npos) << text;
+}
+
+TEST(Report, Table1RelativeDeltaCellsAtSeed5) {
+  // bench_table1 at its default seed. CONT-V's pAE net delta is -0.0138:
+  // dividing by it printed IM-RP's pAE cell as "-6.4 (-46300.4%)".
+  const auto targets = protein::four_pdz_domains();
+  const auto cont_v = Campaign(cont_v_campaign(5)).run(targets);
+  const auto im_rp = Campaign(im_rp_campaign(5)).run(targets);
+  const auto text =
+      table1(cont_v, im_rp, calibration::kCycles).render();
+  EXPECT_NE(text.find(" 0.23 (+241.4%) |"), std::string::npos) << text;
+  EXPECT_NE(text.find(" -6.4 (-) |"), std::string::npos) << text;
 }
 
 TEST(Report, MetricFigureRendersAllIterations) {

@@ -6,7 +6,6 @@
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
-#include "core/session_dump.hpp"
 #include "protein/datasets.hpp"
 
 namespace impress::core {
@@ -159,63 +158,6 @@ TEST(Determinism, FullObservabilityOnOffBitIdentical) {
     const auto off = Campaign(make(42)).run(targets);
     expect_identical(on, off);
   }
-}
-
-TEST(Determinism, InferServerOnOffBitIdentical) {
-  // The inference-server surrogate must be a pure observer, like the
-  // tracer: science is computed synchronously with the caller's rng, so
-  // switching the server on (even adaptive) perturbs nothing — including
-  // the fold cache's own statistics, which the server path replicates.
-  const auto targets = targets2();
-  auto on_cfg = im_rp_campaign(42);
-  on_cfg.enable_infer = true;
-  on_cfg.infer_config.adaptive = true;
-  const auto on = Campaign(on_cfg).run(targets);
-  const auto off = Campaign(im_rp_campaign(42)).run(targets);
-  expect_identical(on, off);
-  EXPECT_EQ(on.fold_cache.hits, off.fold_cache.hits);
-  EXPECT_EQ(on.fold_cache.misses, off.fold_cache.misses);
-  EXPECT_TRUE(on.infer.enabled);
-  EXPECT_FALSE(off.infer.enabled);
-  EXPECT_EQ(on.infer.fold.requests, on.fold_tasks);
-  EXPECT_EQ(on.infer.design.requests, on.generator_tasks);
-  EXPECT_EQ(on.infer.fold.cache_hits, on.fold_cache.hits);
-  EXPECT_GT(on.infer.fold.batches, 0u);
-}
-
-TEST(Determinism, BatchSizeUnobservableInSessionDump) {
-  // The acceptance check, in session-dump form: a batched (B=8) and an
-  // unbatched (B=1) campaign produce byte-identical dumps once the
-  // "infer" accounting section — whose whole job is to report the
-  // batching — is removed. Everything else is bit-identical.
-  const auto targets = targets2();
-  const auto run_with = [&](std::uint32_t batch) {
-    auto cfg = im_rp_campaign(42);
-    cfg.enable_infer = true;
-    cfg.infer_config.policy.max_batch = batch;
-    return Campaign(cfg).run(targets);
-  };
-  const auto batched = run_with(8);
-  const auto unbatched = run_with(1);
-  expect_identical(batched, unbatched);
-  auto batched_doc = to_json(batched);
-  auto unbatched_doc = to_json(unbatched);
-  EXPECT_NE(batched_doc.dump(2), unbatched_doc.dump(2))
-      << "the accounting itself should see the batch size";
-  batched_doc.as_object().erase("infer");
-  unbatched_doc.as_object().erase("infer");
-  EXPECT_EQ(batched_doc.dump(2), unbatched_doc.dump(2));
-  // The accounting sees what it should: same work, fewer dispatches,
-  // modeled speedup from coalescing.
-  EXPECT_EQ(batched.infer.fold.requests, unbatched.infer.fold.requests);
-  EXPECT_LE(batched.infer.fold.batches, unbatched.infer.fold.batches);
-  EXPECT_GE(batched.infer.fold.speedup(), unbatched.infer.fold.speedup());
-  // And the dump round-trips the section it reports.
-  const auto reread = campaign_result_from_json(to_json(batched));
-  EXPECT_TRUE(reread.infer.enabled);
-  EXPECT_EQ(reread.infer.fold.batches, batched.infer.fold.batches);
-  EXPECT_DOUBLE_EQ(reread.infer.fold.batched_gpu_s,
-                   batched.infer.fold.batched_gpu_s);
 }
 
 TEST(Determinism, SpotPreemptionScheduleUnobservableInScience) {
