@@ -12,7 +12,7 @@ namespace impress::core {
 
 namespace {
 
-constexpr int kSchemaVersion = 2;
+constexpr int kSchemaVersion = 3;
 constexpr std::string_view kKind = "impress.checkpoint";
 
 // --- uint64 <-> hex string (JSON numbers are doubles; exact bits matter
@@ -123,31 +123,6 @@ fold::FoldMetrics fold_metrics_from_json(const common::Json& j) {
   return fold::FoldMetrics{.plddt = j.at("plddt").as_number(),
                            .ptm = j.at("ptm").as_number(),
                            .ipae = j.at("ipae").as_number()};
-}
-
-common::Json prediction_to_json(const fold::Prediction& p) {
-  common::Json::Object o;
-  common::Json::Array models;
-  models.reserve(p.models.size());
-  for (const auto& m : p.models) {
-    common::Json::Object model;
-    model["metrics"] = fold_metrics_to_json(m.metrics);
-    model["structure"] = structure_to_json(m.structure);
-    models.emplace_back(std::move(model));
-  }
-  o["models"] = common::Json(std::move(models));
-  o["best_index"] = p.best_index;
-  return common::Json(std::move(o));
-}
-
-fold::Prediction prediction_from_json(const common::Json& j) {
-  fold::Prediction p;
-  for (const auto& m : j.at("models").as_array())
-    p.models.push_back(
-        fold::ModelPrediction{fold_metrics_from_json(m.at("metrics")),
-                              structure_from_json(m.at("structure"))});
-  p.best_index = static_cast<std::size_t>(j.at("best_index").as_number());
-  return p;
 }
 
 common::Json iteration_to_json(const IterationRecord& rec) {
@@ -301,15 +276,10 @@ common::Json cache_to_json(const fold::FoldCache::Snapshot& s) {
   common::Json::Array shards;
   shards.reserve(s.shards.size());
   for (const auto& shard : s.shards) {
-    common::Json::Array entries;
-    entries.reserve(shard.size());
-    for (const auto& e : shard) {
-      common::Json::Object entry;
-      entry["key"] = hex_u64(e.key);
-      entry["prediction"] = prediction_to_json(e.prediction);
-      entries.emplace_back(std::move(entry));
-    }
-    shards.emplace_back(std::move(entries));
+    common::Json::Array keys;
+    keys.reserve(shard.size());
+    for (const std::uint64_t key : shard) keys.push_back(hex_u64(key));
+    shards.emplace_back(std::move(keys));
   }
   o["shards"] = common::Json(std::move(shards));
   o["hits"] = hex_u64(s.hits);
@@ -322,19 +292,15 @@ common::Json cache_to_json(const fold::FoldCache::Snapshot& s) {
 fold::FoldCache::Snapshot cache_from_json(const common::Json& j) {
   fold::FoldCache::Snapshot s;
   for (const auto& shard : j.at("shards").as_array()) {
-    std::vector<fold::FoldCache::Snapshot::Entry> entries;
-    for (const auto& e : shard.as_array())
-      entries.push_back(fold::FoldCache::Snapshot::Entry{
-          parse_hex_u64(e.at("key")),
-          prediction_from_json(e.at("prediction"))});
-    s.shards.push_back(std::move(entries));
+    std::vector<std::uint64_t> keys;
+    keys.reserve(shard.as_array().size());
+    for (const auto& key : shard.as_array()) keys.push_back(parse_hex_u64(key));
+    s.shards.push_back(std::move(keys));
   }
   s.hits = parse_hex_u64(j.at("hits"));
   s.misses = parse_hex_u64(j.at("misses"));
   s.evictions = parse_hex_u64(j.at("evictions"));
-  // Absent in pre-PR-10 documents; zero is the correct backfill.
-  if (j.contains("duplicate_discards"))
-    s.duplicate_discards = parse_hex_u64(j.at("duplicate_discards"));
+  s.duplicate_discards = parse_hex_u64(j.at("duplicate_discards"));
   return s;
 }
 

@@ -6,7 +6,8 @@
 // run" to "cut a running one": coordinator state (pipelines mid-cycle,
 // parked task submissions, sub-pipeline budgets), runtime state (clock,
 // pilots, executor rng streams, profiler/trace/metrics, uid and task
-// counters), the fold memo cache, and every live rng stream's position.
+// counters), the fold memo's keys and counters, and every live rng
+// stream's position.
 // Campaign::resume() reconstructs all of it so a checkpointed-then-
 // resumed campaign reproduces the uninterrupted CampaignResult
 // bit-for-bit (simulated mode; pinned by Determinism.* tests).
@@ -60,8 +61,9 @@ struct CampaignCheckpoint {
   common::Json generator_state;
 };
 
-/// Serialize (schema kind "impress.checkpoint", version 2 — version 1 is
-/// the finished-campaign session dump).
+/// Serialize (schema kind "impress.checkpoint", version 3 — version 1 is
+/// the finished-campaign session dump). The fold memo section holds keys
+/// and counters only; see fold::FoldCache::Snapshot.
 [[nodiscard]] common::Json to_json(const CampaignCheckpoint& checkpoint);
 
 /// Rebuild from a document. Throws std::invalid_argument on kind/version

@@ -37,6 +37,12 @@ Prediction AlphaFold::predict(const protein::Complex& complex,
   // Traced as a child of whatever span is ambient (the executing attempt,
   // or fold.cache when memoized); inert outside a traced task.
   const obs::ScopedSpan span = obs::ambient_span("fold.predict");
+  return predict_untraced(complex, landscape, rng);
+}
+
+Prediction AlphaFold::predict_untraced(
+    const protein::Complex& complex,
+    const protein::FitnessLandscape& landscape, common::Rng& rng) const {
   const double f_true = landscape.fitness(complex.receptor().sequence);
   // Degraded MSA pulls the effective signal toward the mean (0.5) and
   // widens the noise — single-sequence mode sees less of the landscape.

@@ -76,6 +76,13 @@ class AlphaFold {
                                    const protein::FitnessLandscape& landscape,
                                    common::Rng& rng) const;
 
+  /// predict() without its `fold.predict` span. FoldCache recomputes a
+  /// checkpoint-restored entry through this on its first hit, so the
+  /// resumed trace shows the plain hit the uninterrupted run recorded.
+  [[nodiscard]] Prediction predict_untraced(
+      const protein::Complex& complex,
+      const protein::FitnessLandscape& landscape, common::Rng& rng) const;
+
   /// Predict with an explicit alignment: msa_quality is derived from the
   /// MSA's effective depth (protein::Msa::predictor_quality) instead of
   /// the configured constant. A deeper, less redundant alignment yields a

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <unordered_set>
 
 #include "obs/trace.hpp"
 
@@ -70,18 +73,27 @@ FoldCache::Shard& FoldCache::shard_for(std::uint64_t key) noexcept {
   return *shards_[common::splitmix64(key) % shards_.size()];
 }
 
+void FoldCache::record_hit() {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  if (obs_hits_ != nullptr) obs_hits_->inc();
+}
+
+void FoldCache::record_miss() {
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  if (obs_misses_ != nullptr) obs_misses_->inc();
+}
+
 std::optional<Prediction> FoldCache::lookup(std::uint64_t key) {
   Shard& shard = shard_for(key);
   std::lock_guard lock(shard.mutex);
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_misses_ != nullptr) obs_misses_->inc();
+    record_miss();
     return std::nullopt;
   }
+  if (!it->second->second) return std::nullopt;  // key-only: see header
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_hits_ != nullptr) obs_hits_->inc();
+  record_hit();
   return it->second->second;
 }
 
@@ -115,13 +127,43 @@ Prediction FoldCache::predict(const AlphaFold& folder,
       key(content_key(complex, landscape, folder.config()), rng);
   // Visible in the trace as a child of the executing attempt span.
   obs::ScopedSpan span = obs::ambient_span("fold.cache");
-  if (auto cached = lookup(k)) {
-    span.attr("cache", "hit");
-    return std::move(*cached);
+  Shard& shard = shard_for(k);
+  bool present = false;
+  std::optional<Prediction> cached;
+  {
+    std::lock_guard lock(shard.mutex);
+    if (const auto it = shard.index.find(k); it != shard.index.end()) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      present = true;
+      cached = it->second->second;
+    }
   }
-  span.attr("cache", "miss");
-  Prediction fresh = folder.predict(complex, landscape, rng);
-  insert(k, fresh);
+  if (!present) {
+    record_miss();
+    span.attr("cache", "miss");
+    Prediction fresh = folder.predict(complex, landscape, rng);
+    insert(k, fresh);
+    return fresh;
+  }
+  record_hit();
+  span.attr("cache", "hit");
+  if (cached) return std::move(*cached);
+
+  // First hit on a key-only entry restored from a checkpoint. The
+  // uninterrupted run returned its stored prediction here and left the
+  // rng alone, so recompute from a copy of the rng (equal fingerprint,
+  // equal stream) and without the fold.predict span that run never
+  // opened.
+  common::Rng replay = rng;
+  Prediction fresh = folder.predict_untraced(complex, landscape, replay);
+  {
+    std::lock_guard lock(shard.mutex);
+    // Fill only an entry still waiting. A racing thread may have filled
+    // it with the same value (not a duplicate miss) or evicted it.
+    if (const auto it = shard.index.find(k);
+        it != shard.index.end() && !it->second->second)
+      it->second->second = fresh;
+  }
   return fresh;
 }
 
@@ -143,11 +185,10 @@ FoldCache::Snapshot FoldCache::snapshot() const {
   snap.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mutex);
-    std::vector<Snapshot::Entry> entries;
-    entries.reserve(shard->lru.size());
-    for (const auto& [key, prediction] : shard->lru)
-      entries.push_back(Snapshot::Entry{key, prediction});
-    snap.shards.push_back(std::move(entries));
+    std::vector<std::uint64_t> keys;
+    keys.reserve(shard->lru.size());
+    for (const auto& entry : shard->lru) keys.push_back(entry.first);
+    snap.shards.push_back(std::move(keys));
   }
   snap.hits = hits_.load(std::memory_order_relaxed);
   snap.misses = misses_.load(std::memory_order_relaxed);
@@ -162,16 +203,34 @@ void FoldCache::restore(const Snapshot& snap) {
     throw std::invalid_argument(
         "FoldCache::restore: shard count mismatch (snapshot from a "
         "differently-configured cache)");
+  // Validate every shard before touching any: a malformed snapshot would
+  // otherwise leave unreachable or index-less LRU nodes behind.
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const auto& keys = snap.shards[s];
+    if (keys.size() > per_shard_capacity_)
+      throw std::invalid_argument(
+          "FoldCache::restore: shard " + std::to_string(s) + " holds " +
+          std::to_string(keys.size()) + " keys, capacity is " +
+          std::to_string(per_shard_capacity_) + " per shard");
+    std::unordered_set<std::uint64_t> seen;
+    seen.reserve(keys.size());
+    for (const std::uint64_t k : keys) {
+      if (&shard_for(k) != shards_[s].get())
+        throw std::invalid_argument(
+            "FoldCache::restore: key stored outside its shard");
+      if (!seen.insert(k).second)
+        throw std::invalid_argument(
+            "FoldCache::restore: duplicate key within a shard");
+    }
+  }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     std::lock_guard lock(shard.mutex);
     shard.lru.clear();
     shard.index.clear();
-    // Entries are MRU-first; push_front in reverse rebuilds that order.
-    const auto& entries = snap.shards[s];
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-      shard.lru.emplace_front(it->key, it->prediction);
-      shard.index.emplace(it->key, shard.lru.begin());
+    for (const std::uint64_t k : snap.shards[s]) {  // MRU first
+      shard.lru.emplace_back(k, std::nullopt);
+      shard.index.emplace(k, std::prev(shard.lru.end()));
     }
   }
   hits_.store(snap.hits, std::memory_order_relaxed);

@@ -21,6 +21,12 @@
 // shard holds capacity/N entries rounded up, evicting its own
 // least-recently-used entry on overflow. Hit/miss/eviction counters are
 // lock-free atomics surfaced as hpc::CacheSummary.
+//
+// Checkpoints carry keys, not predictions. A restored entry is key-only
+// until its first hit, which recomputes the prediction from a copy of the
+// caller's rng: the key covers the rng fingerprint, so that copy draws
+// exactly the stream the original miss drew, and the recomputed value is
+// bit-identical to the one the uninterrupted run kept in memory.
 
 #pragma once
 
@@ -71,31 +77,36 @@ class FoldCache {
                                    const protein::FitnessLandscape& landscape,
                                    common::Rng& rng);
 
+  /// Direct probe, for tests. A hit refreshes recency and counts; a
+  /// key-only entry restored from a checkpoint has no prediction to
+  /// return, so it yields std::nullopt and counts nothing (predict()
+  /// recomputes it instead).
   [[nodiscard]] std::optional<Prediction> lookup(std::uint64_t key);
   void insert(std::uint64_t key, Prediction prediction);
 
   [[nodiscard]] hpc::CacheSummary stats() const;
   void clear();
 
-  /// Full cache contents for campaign checkpoints: per-shard entries in
-  /// MRU→LRU order plus the lifetime counters. Restoring reproduces the
-  /// exact recency order, so post-resume hit/eviction patterns — and the
-  /// CacheSummary in the final CampaignResult — match the uninterrupted
-  /// run's bit for bit.
+  /// Cache state for campaign checkpoints: per-shard keys in MRU→LRU
+  /// order plus the lifetime counters. Predictions do not travel — a
+  /// restored entry is recomputed on its first hit (see the header
+  /// comment). Restoring reproduces the exact recency order, so
+  /// post-resume hit/eviction patterns — and the CacheSummary in the
+  /// final CampaignResult — match the uninterrupted run's bit for bit.
   struct Snapshot {
-    struct Entry {
-      std::uint64_t key = 0;
-      Prediction prediction;
-    };
-    std::vector<std::vector<Entry>> shards;  ///< MRU first within a shard
+    std::vector<std::vector<std::uint64_t>> shards;  ///< keys, MRU first
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t duplicate_discards = 0;
   };
   [[nodiscard]] Snapshot snapshot() const;
-  /// Load a snapshot into an empty cache with the same Config (shard
-  /// count and capacity must match the checkpointing cache's).
+  /// Load a snapshot into an empty cache with the same shard count,
+  /// installing key-only entries. A snapshot read from a checkpoint is
+  /// outside input: a shard-count mismatch, a key duplicated within a
+  /// shard, a key stored outside its own shard, or a shard holding more
+  /// keys than this cache's per-shard capacity throws
+  /// std::invalid_argument before any state changes.
   void restore(const Snapshot& snap);
 
   /// Wire campaign-level hit/miss counters (obs metrics registry). Both
@@ -112,14 +123,16 @@ class FoldCache {
  private:
   struct Shard {
     std::mutex mutex;
-    /// LRU order, most-recent first; the map points into the list.
-    std::list<std::pair<std::uint64_t, Prediction>> lru;
-    std::unordered_map<std::uint64_t,
-                       std::list<std::pair<std::uint64_t, Prediction>>::iterator>
-        index;
+    using Lru = std::list<std::pair<std::uint64_t, std::optional<Prediction>>>;
+    /// LRU order, most-recent first; the map points into the list. The
+    /// prediction is empty for a restored entry not yet hit.
+    Lru lru;
+    std::unordered_map<std::uint64_t, Lru::iterator> index;
   };
 
   [[nodiscard]] Shard& shard_for(std::uint64_t key) noexcept;
+  void record_hit();
+  void record_miss();
 
   Config config_;
   std::size_t per_shard_capacity_;

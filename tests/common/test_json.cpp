@@ -5,8 +5,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace impress::common {
 namespace {
@@ -231,6 +234,72 @@ TEST(Json, NumberRoundTripRandomBitPatterns) {
     expect_number_round_trip(x);
     ++tested;
   }
+}
+
+// The printf formatting documents were always written with; dump() must
+// reproduce it byte for byte (reference kept here, not in the library).
+std::string printf_number(double x) {
+  char buf[64];
+  if (x == std::floor(x) && std::fabs(x) < 1e15)
+    std::snprintf(buf, sizeof buf, "%.0f", x);
+  else
+    std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
+}
+
+TEST(Json, NumberRoundTripDumpMatchesPrintf) {
+  const double two53 = 9007199254740992.0;
+  std::vector<double> values{0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             1e15 - 1.0,
+                             1e15,
+                             1e15 + 0.5,
+                             -(1e15 - 1.0),
+                             two53 - 1.0,
+                             two53,
+                             two53 + 1.0,  // rounds to 2^53
+                             two53 + 2.0,
+                             -1.0,
+                             -42.0,
+                             -999999999999999.0,
+                             0.1,
+                             -0.1,
+                             0.5,
+                             2.5,
+                             1.0 / 3.0};
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int random = 0; random < 100'000;) {
+    const double x = std::bit_cast<double>(next());
+    if (!std::isfinite(x)) continue;
+    values.push_back(x);
+    ++random;
+  }
+  // Magnitudes campaigns actually write, on both sides of the integral
+  // branch.
+  for (int i = 0; i < 20'000; ++i) {
+    const double u = static_cast<double>(next() >> 11) * 0x1p-53 * 400.0 - 200.0;
+    values.push_back(u);
+    values.push_back(std::round(u * 1e6));
+  }
+  std::size_t mismatches = 0;
+  for (const double x : values) {
+    const std::string got = Json(x).dump();
+    if (got != printf_number(x) && ++mismatches <= 5)
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(x)
+                    << ": dump " << got << ", printf " << printf_number(x);
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Json, EqualityIsDeep) {

@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
@@ -30,9 +36,10 @@ std::vector<protein::DesignTarget> targets2() {
 class CheckpointDoc : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per process: ctest runs tests as parallel processes,
+    // and object addresses repeat across them (TSan fixes the layout).
     dir_ = fs::temp_directory_path() /
-           ("impress_ckpt_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+           ("impress_ckpt_" + std::to_string(::getpid()));
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -101,51 +108,143 @@ TEST_F(CheckpointDoc, LoaderRejectsWrongKindAndVersion) {
   o["schema_version"] = 1;
   EXPECT_THROW((void)campaign_checkpoint_from_json(common::Json(o)),
                std::invalid_argument);
+  // Version 2 stored every fold-memo prediction; v3 stores keys only.
+  o["schema_version"] = 2;
+  EXPECT_THROW((void)campaign_checkpoint_from_json(common::Json(o)),
+               std::invalid_argument);
   EXPECT_THROW((void)campaign_checkpoint_from_json(common::Json(3.0)),
                std::invalid_argument);
 }
 
-TEST(FoldCacheSnapshot, RoundTripPreservesContentsAndRecency) {
-  fold::FoldCache::Config config{.capacity = 8, .shards = 2};
-  fold::FoldCache cache(config);
-  // Distinct keys; values only need distinguishable best_index.
-  for (std::uint64_t k = 1; k <= 6; ++k) {
-    fold::Prediction p;
-    p.models.resize(1);
-    p.models[0].metrics.plddt = static_cast<double>(k);
-    cache.insert(k * 0x9e3779b97f4a7c15ULL, p);
+const protein::DesignTarget& snapshot_target() {
+  static const auto t = protein::make_target(
+      "SNAP", 64, protein::alpha_synuclein().tail(10));
+  return t;
+}
+
+std::uint64_t cache_key(const fold::AlphaFold& folder, std::uint64_t seed) {
+  const auto& t = snapshot_target();
+  return fold::FoldCache::key(
+      fold::FoldCache::content_key(t.start_complex(), t.landscape,
+                                   folder.config()),
+      common::Rng(seed));
+}
+
+void expect_same_bits(const fold::Prediction& a, const fold::Prediction& b) {
+  EXPECT_EQ(a.best_index, b.best_index);
+  ASSERT_EQ(a.models.size(), b.models.size());
+  for (std::size_t i = 0; i < a.models.size(); ++i) {
+    const auto& ma = a.models[i];
+    const auto& mb = b.models[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ma.metrics.plddt),
+              std::bit_cast<std::uint64_t>(mb.metrics.plddt));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ma.metrics.ptm),
+              std::bit_cast<std::uint64_t>(mb.metrics.ptm));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ma.metrics.ipae),
+              std::bit_cast<std::uint64_t>(mb.metrics.ipae));
+    EXPECT_EQ(ma.structure.plddt(), mb.structure.plddt());
   }
-  // Touch some entries to perturb recency order.
-  (void)cache.lookup(2 * 0x9e3779b97f4a7c15ULL);
-  (void)cache.lookup(5 * 0x9e3779b97f4a7c15ULL);
-  (void)cache.lookup(12345u);  // miss
+}
+
+TEST(FoldCacheSnapshot, RoundTripPreservesKeysRecencyAndCounters) {
+  // Predictions do not travel in a snapshot, so the cache is filled
+  // through predict(): every restored key can then be recomputed.
+  const auto& t = snapshot_target();
+  const auto cx = t.start_complex();
+  const fold::AlphaFold folder;
+  const fold::FoldCache::Config config{.capacity = 16, .shards = 2};
+  fold::FoldCache cache(config);
+  std::vector<fold::Prediction> computed;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    common::Rng rng(seed);
+    computed.push_back(cache.predict(folder, cx, t.landscape, rng));
+  }
+  // Hits on 2 and 5 perturb the recency order.
+  for (const std::uint64_t seed : {2u, 5u}) {
+    common::Rng rng(seed);
+    (void)cache.predict(folder, cx, t.landscape, rng);
+  }
 
   const auto snap = cache.snapshot();
   fold::FoldCache restored(config);
   restored.restore(snap);
 
-  EXPECT_EQ(restored.stats().hits, cache.stats().hits);
-  EXPECT_EQ(restored.stats().misses, cache.stats().misses);
-  EXPECT_EQ(restored.stats().evictions, cache.stats().evictions);
-  for (std::uint64_t k = 1; k <= 6; ++k) {
-    const auto hit = restored.lookup(k * 0x9e3779b97f4a7c15ULL);
-    ASSERT_TRUE(hit.has_value()) << "key " << k;
-    EXPECT_DOUBLE_EQ(hit->models.at(0).metrics.plddt, static_cast<double>(k));
+  // Same keys in the same shards and MRU order; same counters.
+  const auto again = restored.snapshot();
+  EXPECT_EQ(again.shards, snap.shards);
+  EXPECT_EQ(again.hits, snap.hits);
+  EXPECT_EQ(again.misses, snap.misses);
+  EXPECT_EQ(again.evictions, snap.evictions);
+  EXPECT_EQ(again.duplicate_discards, snap.duplicate_discards);
+  EXPECT_EQ(restored.stats().entries, cache.stats().entries);
+
+  // lookup() has no prediction to serve for a key-only entry and counts
+  // nothing; predict() recomputes it and counts a hit.
+  EXPECT_FALSE(restored.lookup(cache_key(folder, 3)).has_value());
+  EXPECT_EQ(restored.stats().hits, snap.hits);
+  EXPECT_EQ(restored.stats().misses, snap.misses);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    common::Rng rng(seed);
+    expect_same_bits(restored.predict(folder, cx, t.landscape, rng),
+                     computed[seed - 1]);
   }
-  // Snapshot-of-restore equals the original snapshot (same shards, same
-  // MRU order) once the verification lookups above are accounted for —
-  // compare the raw key layout instead of counters.
-  auto layout = [](const fold::FoldCache::Snapshot& s) {
-    std::vector<std::vector<std::uint64_t>> keys;
-    for (const auto& shard : s.shards) {
-      keys.emplace_back();
-      for (const auto& e : shard) keys.back().push_back(e.key);
-    }
-    return keys;
-  };
-  fold::FoldCache untouched(config);
-  untouched.restore(snap);
-  EXPECT_EQ(layout(untouched.snapshot()), layout(snap));
+  EXPECT_EQ(restored.stats().hits, snap.hits + 6);
+  EXPECT_EQ(restored.stats().misses, snap.misses);
+  // Filled by those hits, the entries now serve lookup() too.
+  EXPECT_TRUE(restored.lookup(cache_key(folder, 3)).has_value());
+}
+
+// Restoring `snap` must throw and leave the cache's one resident entry
+// and its layout as they were.
+void expect_restore_rejected(const fold::FoldCache::Config& config,
+                             const fold::FoldCache::Snapshot& snap) {
+  fold::FoldCache cache(config);
+  fold::Prediction p;
+  p.models.resize(1);
+  cache.insert(0xabcdefULL, p);
+  const auto before = cache.snapshot();
+  EXPECT_THROW(cache.restore(snap), std::invalid_argument);
+  // Rejected before any state changed.
+  EXPECT_EQ(cache.snapshot().shards, before.shards);
+  EXPECT_TRUE(cache.lookup(0xabcdefULL).has_value());
+}
+
+// Snapshot of a cache holding keys 1..n (a snapshot carries keys only, so
+// placeholder predictions do).
+fold::FoldCache::Snapshot filled_snapshot(const fold::FoldCache::Config& config,
+                                          std::uint64_t n) {
+  fold::FoldCache cache(config);
+  fold::Prediction p;
+  p.models.resize(1);
+  for (std::uint64_t k = 1; k <= n; ++k) cache.insert(k, p);
+  return cache.snapshot();
+}
+
+TEST(FoldCacheSnapshot, RestoreRejectsDuplicateKey) {
+  const fold::FoldCache::Config config{.capacity = 8, .shards = 1};
+  auto snap = filled_snapshot(config, 3);
+  snap.shards[0].push_back(snap.shards[0].front());
+  expect_restore_rejected(config, snap);
+}
+
+TEST(FoldCacheSnapshot, RestoreRejectsMisplacedKey) {
+  const fold::FoldCache::Config config{.capacity = 16, .shards = 2};
+  auto snap = filled_snapshot(config, 6);
+  // Move one key into the shard that does not own it.
+  const std::size_t from = snap.shards[0].empty() ? 1 : 0;
+  snap.shards[1 - from].push_back(snap.shards[from].back());
+  snap.shards[from].pop_back();
+  expect_restore_rejected(config, snap);
+}
+
+TEST(FoldCacheSnapshot, RestoreRejectsOverCapacityShard) {
+  // Resuming with a smaller fold_cache_capacity: 4 keys per shard
+  // written, 1 per shard allowed.
+  const auto snap =
+      filled_snapshot(fold::FoldCache::Config{.capacity = 8, .shards = 2}, 8);
+  ASSERT_GT(std::max(snap.shards[0].size(), snap.shards[1].size()), 1u);
+  expect_restore_rejected(fold::FoldCache::Config{.capacity = 2, .shards = 2},
+                          snap);
 }
 
 TEST(FoldCacheSnapshot, RestoreRejectsShardMismatch) {

@@ -1,8 +1,10 @@
 // Persistence-layer guarantees shared by every artifact writer: atomic
 // (crash-consistent) file replacement, RFC-4180 CSV escaping, and schema
-// versioning across the v1 session dump / v2 checkpoint split.
+// versioning across the v1 session dump / v3 checkpoint split.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -28,9 +30,10 @@ std::string slurp(const std::string& path) {
 class TempDir : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per process: ctest runs tests as parallel processes,
+    // and object addresses repeat across them (TSan fixes the layout).
     dir_ = fs::temp_directory_path() /
-           ("impress_persist_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+           ("impress_persist_" + std::to_string(::getpid()));
     fs::create_directories(dir_);
   }
   void TearDown() override {
@@ -140,7 +143,7 @@ TEST(CsvEscape, TrajectoriesCsvSurvivesHostileTargetName) {
 }
 
 TEST_F(Persistence, SessionDumpSchemaStaysV1) {
-  // Checkpoints are schema v2 under a distinct kind; the finished-run
+  // Checkpoints are schema v3 under a distinct kind; the finished-run
   // session dump must stay loadable as v1 (forward compatibility for
   // archives written before checkpoints existed).
   CampaignResult result;

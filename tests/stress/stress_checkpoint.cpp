@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -135,6 +137,78 @@ TEST(StressCheckpoint, FoldCacheSnapshotRacesLookups) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
   EXPECT_GT(total_entries, 0u);
+}
+
+TEST(StressCheckpoint, FoldCacheRestoredKeyHitsRaceSnapshot) {
+  // After a resume every memo entry is key-only: the first hits race to
+  // recompute and fill the same entries while the checkpoint path
+  // snapshots the shards. Every hit must return the original bits, and
+  // no racing fill may count as a duplicate miss.
+  const auto target =
+      protein::make_target("SC-KEY", 64, protein::alpha_synuclein().tail(10));
+  const auto cx = target.start_complex();
+  const fold::AlphaFold folder;
+  const fold::FoldCache::Config config{.capacity = 64, .shards = 4};
+  constexpr std::uint64_t kKeys = 12;
+  constexpr int kRounds = 3;
+  constexpr int kThreads = 6;
+
+  std::vector<fold::Prediction> reference;
+  fold::FoldCache source(config);
+  for (std::uint64_t seed = 1; seed <= kKeys; ++seed) {
+    common::Rng rng(seed);
+    reference.push_back(source.predict(folder, cx, target.landscape, rng));
+  }
+  fold::FoldCache cache(config);
+  cache.restore(source.snapshot());
+
+  std::atomic<bool> go{false};
+  std::atomic<int> running{kThreads};
+  std::vector<std::vector<fold::Prediction>> got(kThreads);
+  std::vector<std::thread> hitters;
+  for (int w = 0; w < kThreads; ++w)
+    hitters.emplace_back([&, w] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round)
+        for (std::uint64_t seed = 1; seed <= kKeys; ++seed) {
+          common::Rng rng(seed);
+          got[w].push_back(cache.predict(folder, cx, target.landscape, rng));
+        }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  std::thread snapshotter([&] {
+    while (running.load(std::memory_order_acquire) > 0) {
+      const auto snap = cache.snapshot();
+      ASSERT_EQ(snap.shards.size(), 4u);
+    }
+  });
+  go.store(true, std::memory_order_release);
+  for (auto& t : hitters) t.join();
+  snapshotter.join();
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& results : got) {
+    ASSERT_EQ(results.size(), kKeys * kRounds);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const auto& want = reference[i % kKeys];
+      const auto& have = results[i];
+      ASSERT_EQ(have.best_index, want.best_index);
+      ASSERT_EQ(have.models.size(), want.models.size());
+      for (std::size_t m = 0; m < want.models.size(); ++m) {
+        EXPECT_EQ(bits(have.models[m].metrics.plddt),
+                  bits(want.models[m].metrics.plddt));
+        EXPECT_EQ(bits(have.models[m].metrics.ptm),
+                  bits(want.models[m].metrics.ptm));
+        EXPECT_EQ(bits(have.models[m].metrics.ipae),
+                  bits(want.models[m].metrics.ipae));
+      }
+    }
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.hits, kThreads * kKeys * kRounds);
+  EXPECT_EQ(s.misses, kKeys);
+  EXPECT_EQ(s.duplicate_discards, 0u);
+  EXPECT_EQ(s.misses, s.entries + s.evictions + s.duplicate_discards);
 }
 
 }  // namespace

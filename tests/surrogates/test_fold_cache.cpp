@@ -9,9 +9,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "protein/datasets.hpp"
 
 namespace impress::fold {
@@ -70,6 +73,48 @@ TEST(FoldCache, HitLeavesRngUntouched) {
   const auto before = rng.fingerprint();
   (void)cache.predict(folder, cx, t.landscape, rng);  // hit
   EXPECT_EQ(rng.fingerprint(), before);
+}
+
+TEST(FoldCache, RestoredKeyHitMatchesOriginalPrediction) {
+  // A checkpoint carries keys only. The first hit on a restored key
+  // recomputes the prediction from a copy of the caller's rng, and must
+  // be indistinguishable from the uninterrupted run's plain hit: the
+  // same bits, one hit and no miss, the rng untouched, and no
+  // fold.predict span under the fold.cache span.
+  const auto& t = target();
+  const auto cx = t.start_complex();
+  const AlphaFold folder;
+  FoldCache original;
+  common::Rng first(77);
+  const auto computed = original.predict(folder, cx, t.landscape, first);
+  const auto snap = original.snapshot();
+
+  FoldCache restored;
+  restored.restore(snap);
+  obs::Tracer tracer(true);
+  const obs::SpanId attempt =
+      tracer.begin(0.0, "attempt", obs::categories::kAttempt);
+  common::Rng rng(77);
+  const auto before = rng.fingerprint();
+  Prediction hit;
+  {
+    const obs::AmbientContext ctx(&tracer, attempt);
+    hit = restored.predict(folder, cx, t.landscape, rng);
+  }
+  expect_identical(computed, hit);
+  EXPECT_EQ(rng.fingerprint(), before);
+  const auto s = restored.stats();
+  EXPECT_EQ(s.hits - snap.hits, 1u);
+  EXPECT_EQ(s.misses - snap.misses, 0u);
+  EXPECT_EQ(s.entries, 1u);
+
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[1].name, "fold.cache");
+  EXPECT_EQ(spans[1].parent, attempt);
+  const std::vector<std::pair<std::string, std::string>> hit_attr{
+      {"cache", "hit"}};
+  EXPECT_EQ(spans[1].attrs, hit_attr);
 }
 
 TEST(FoldCache, KeySensitiveToEveryInput) {
