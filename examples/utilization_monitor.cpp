@@ -66,7 +66,7 @@ int main() {
   chart.add_row({"GPU", pilot->recorder().gpu_series(80)});
   std::printf("\n%s\n", chart.render().c_str());
 
-  const auto phases = session.profiler().phase_durations();
+  const auto phases = hpc::phase_durations(session.profiler().events());
   std::printf("profiler phase totals: bootstrap=%s exec_setup=%s running=%s\n",
               common::format_duration(phases.at("bootstrap")).c_str(),
               common::format_duration(phases.at("exec_setup")).c_str(),

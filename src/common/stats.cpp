@@ -32,7 +32,9 @@ std::vector<double> sorted_copy(std::span<const double> xs) {
   return v;
 }
 
-double percentile_sorted(const std::vector<double>& v, double p) {
+}  // namespace
+
+double percentile_sorted(std::span<const double> v, double p) {
   if (v.empty()) return 0.0;
   if (v.size() == 1) return v.front();
   const double clamped = std::clamp(p, 0.0, 100.0);
@@ -42,8 +44,6 @@ double percentile_sorted(const std::vector<double>& v, double p) {
   const double frac = rank - std::floor(rank);
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
-
-}  // namespace
 
 double median(std::span<const double> xs) {
   return percentile(xs, 50.0);

@@ -26,6 +26,11 @@ namespace impress::common {
 /// Linear-interpolated percentile, p in [0, 100]; 0 for empty input.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
+/// percentile() of input already sorted ascending — the one copy of the
+/// interpolation, for callers that keep their sample sorted.
+[[nodiscard]] double percentile_sorted(std::span<const double> sorted,
+                                       double p);
+
 [[nodiscard]] double min_of(std::span<const double> xs) noexcept;
 [[nodiscard]] double max_of(std::span<const double> xs) noexcept;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "common/lockdep.hpp"
 #include "common/time_util.hpp"
@@ -283,14 +284,21 @@ CampaignResult Campaign::execute(
       r.utilization.gpu_active /= gpus_sum;
     }
   }
-  for (const auto& [phase, seconds] : session.profiler().phase_durations())
-    r.phase_hours[phase] = common::seconds_to_hours(seconds);
+  {
+    // One merge of the profiler's per-thread buffers feeds every
+    // event-stream harvest; the copy is freed before the obs snapshot.
+    const std::vector<hpc::ProfileEvent> events = session.profiler().events();
+    for (const auto& [phase, seconds] : hpc::phase_durations(events))
+      r.phase_hours[phase] = common::seconds_to_hours(seconds);
+    r.gantt = hpc::render_gantt(events, makespan_s);
+    r.pilot_failures = hpc::summarize_retries(events).pilot_failures;
+    r.attempts = hpc::attempt_counts(events);
+  }
   // Timeline series stay single-recorder views: bins from different
   // pilots' recorders have no meaningful pointwise merge, so they always
   // render the primary pilot.
   r.cpu_series = pilot->recorder().cpu_series(100);
   r.gpu_series = pilot->recorder().gpu_series(100);
-  r.gantt = hpc::render_gantt(session.profiler(), makespan_s);
 
   r.root_pipelines = coordinator.pipelines_submitted();
   r.subpipelines = coordinator.subpipelines_spawned();
@@ -300,12 +308,9 @@ CampaignResult Campaign::execute(
   r.fold_retries = coordinator.fold_retries();
   r.failed_tasks = coordinator.failed_tasks();
 
-  const auto retry = hpc::summarize_retries(session.profiler());
   r.task_retries = session.task_manager().retried();
   r.task_timeouts = session.task_manager().timed_out();
   r.task_requeues = session.task_manager().requeued();
-  r.pilot_failures = retry.pilot_failures;
-  r.attempts = hpc::attempt_counts(session.profiler());
   if (coordinator_config.fold_cache)
     r.fold_cache = coordinator_config.fold_cache->stats();
 

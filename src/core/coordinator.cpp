@@ -1,5 +1,6 @@
 #include "core/coordinator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -7,6 +8,21 @@
 #include "common/stats.hpp"
 
 namespace impress::core {
+
+namespace {
+
+void insert_sorted(std::vector<double>& sorted, double x) {
+  sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), x), x);
+}
+
+void erase_sorted(std::vector<double>& sorted, double x) {
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), x);
+  if (it == sorted.end() || *it != x)
+    throw std::logic_error("Coordinator: composite missing from the pool");
+  sorted.erase(it);
+}
+
+}  // namespace
 
 Coordinator::Coordinator(rp::Session& session, CoordinatorConfig config)
     : session_(session),
@@ -77,6 +93,7 @@ void Coordinator::drain_channels() {
 void Coordinator::register_pipeline(std::unique_ptr<Pipeline> pipeline) {
   Pipeline* p = pipeline.get();
   pipelines_.push_back(std::move(pipeline));
+  if (const auto c = p->last_composite()) insert_sorted(pool_composites_, *c);
   ++active_pipelines_;
   obs::Observability& ob = session_.observability();
   ob.metrics().pipeline_messages->inc();
@@ -124,6 +141,7 @@ void Coordinator::handle_completion(const rp::TaskPtr& task) {
 
   const auto& app = task->description().metadata.at("app");
   const int cycle_before = p->cycle();
+  const auto composite_before = p->last_composite();
   Pipeline::Action action = [&] {
     if (app == "proteinmpnn" || app == "generator")
       return p->on_generator_result(
@@ -142,6 +160,10 @@ void Coordinator::handle_completion(const rp::TaskPtr& task) {
   // pipeline completion: a mid-campaign acceptance that still leaves the
   // target below the pool median triggers re-processing on idle resources.
   const bool accepted_iteration = p->cycle() > cycle_before;
+  if (accepted_iteration) {
+    if (composite_before) erase_sorted(pool_composites_, *composite_before);
+    insert_sorted(pool_composites_, *p->last_composite());
+  }
   process_action(p, std::move(action));
   if (accepted_iteration && !p->finished()) consider_subpipeline(p);
   maybe_submit_queued();
@@ -330,10 +352,7 @@ void Coordinator::on_pipeline_finished(Pipeline* pipeline) {
 }
 
 double Coordinator::pool_median_composite() const {
-  std::vector<double> values;
-  for (const auto& p : pipelines_)
-    if (const auto c = p->last_composite()) values.push_back(*c);
-  return common::median(values);
+  return common::percentile_sorted(pool_composites_, 50.0);
 }
 
 void Coordinator::consider_subpipeline(Pipeline* pipeline) {
@@ -447,6 +466,10 @@ void Coordinator::restore(const CoordinatorCheckpoint& state,
         "Coordinator::restore: pipeline count mismatch");
   resumed_ = true;
   pipelines_ = std::move(pipelines);
+  pool_composites_.clear();
+  for (const auto& p : pipelines_)
+    if (const auto c = p->last_composite()) pool_composites_.push_back(*c);
+  std::sort(pool_composites_.begin(), pool_composites_.end());
 
   std::unordered_map<std::string, Pipeline*> by_id;
   for (const auto& p : pipelines_) by_id[p->id()] = p.get();

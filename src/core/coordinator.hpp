@@ -221,6 +221,11 @@ class Coordinator {
   std::unordered_map<const Pipeline*, obs::SpanId> pipeline_spans_;
   std::deque<std::pair<Pipeline*, rp::TaskDescription>> queued_;  ///< sequential mode
   std::unordered_map<std::string, int> subpipeline_count_;  ///< per target
+  /// last_composite() of every registered pipeline that has one, sorted
+  /// ascending: the design pool pool_median_composite() reads. Updated
+  /// where a composite can appear or change — register_pipeline, an
+  /// accepted iteration in handle_completion, and restore.
+  std::vector<double> pool_composites_;
 
   std::size_t active_pipelines_ = 0;
   std::size_t root_pipelines_ = 0;

@@ -91,24 +91,25 @@ std::vector<double> concurrency_series(const Profiler& profiler,
   return out;
 }
 
-RetrySummary summarize_retries(const Profiler& profiler) {
+RetrySummary summarize_retries(std::span<const ProfileEvent> stream) {
   RetrySummary s;
-  for (const auto& e : profiler.events()) {
+  for (const auto& e : stream) {
     if (e.event == events::kRetry) ++s.retries;
     else if (e.event == events::kTimeout) ++s.timeouts;
     else if (e.event == events::kRequeue) ++s.requeues;
     else if (e.event == events::kPilotFailed) ++s.pilot_failures;
   }
-  for (const auto& [uid, attempts] : attempt_counts(profiler)) {
+  for (const auto& [uid, attempts] : attempt_counts(stream)) {
     if (attempts > 1) ++s.tasks_retried;
     s.max_attempts = std::max(s.max_attempts, attempts);
   }
   return s;
 }
 
-std::map<std::string, int> attempt_counts(const Profiler& profiler) {
+std::map<std::string, int> attempt_counts(
+    std::span<const ProfileEvent> stream) {
   std::map<std::string, int> out;
-  for (const auto& e : profiler.events())
+  for (const auto& e : stream)
     if (e.event == events::kSubmit) ++out[e.entity];
   return out;
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,12 +66,14 @@ struct RetrySummary {
   int max_attempts = 0;           ///< largest attempt count observed
 };
 
-[[nodiscard]] RetrySummary summarize_retries(const Profiler& profiler);
+/// Over an event stream in record order (Profiler::events()).
+[[nodiscard]] RetrySummary summarize_retries(
+    std::span<const ProfileEvent> stream);
 
 /// Attempts per task uid: the number of kSubmit events recorded for it
 /// (>= 1 for anything submitted; > 1 means the retry policy fired).
 [[nodiscard]] std::map<std::string, int> attempt_counts(
-    const Profiler& profiler);
+    std::span<const ProfileEvent> stream);
 
 /// Roll-up of a memoization cache's behaviour over a run (the fold memo
 /// cache reports through this; see fold::FoldCache::stats).

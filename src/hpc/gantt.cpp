@@ -24,13 +24,14 @@ struct Row {
 
 }  // namespace
 
-std::string render_gantt(const Profiler& profiler, double t_end,
+std::string render_gantt(std::span<const ProfileEvent> stream, double t_end,
                          GanttOptions options) {
   std::map<std::string, Row> rows;
   double latest = 0.0;
-  for (const auto& e : profiler.events()) {
-    auto& r = rows[e.entity];
-    r.uid = e.entity;
+  for (const auto& e : stream) {
+    auto [it, inserted] = rows.try_emplace(e.entity);
+    auto& r = it->second;
+    if (inserted) r.uid = e.entity;
     if (e.event == events::kSchedule && r.schedule < 0.0) r.schedule = e.time;
     else if (e.event == events::kExecSetupStart && r.setup < 0.0) r.setup = e.time;
     else if (e.event == events::kExecStart && r.start < 0.0) r.start = e.time;

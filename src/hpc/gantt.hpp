@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 
 #include "hpc/profiler.hpp"
@@ -18,10 +19,11 @@ struct GanttOptions {
   bool include_waiting = true; ///< draw schedule->exec_setup as '.'
 };
 
-/// Render every task that has an exec_start event, ordered by start time.
-/// Legend: '.' waiting in queue, '-' exec setup, '#' running.
+/// Render every task that has an exec_start event in `stream` (events in
+/// record order, as Profiler::events() returns them), ordered by start
+/// time. Legend: '.' waiting in queue, '-' exec setup, '#' running.
 /// `t_end` <= 0 uses the latest event time.
-[[nodiscard]] std::string render_gantt(const Profiler& profiler,
+[[nodiscard]] std::string render_gantt(std::span<const ProfileEvent> stream,
                                        double t_end = 0.0,
                                        GanttOptions options = {});
 

@@ -92,7 +92,8 @@ std::optional<double> Profiler::time_of(std::string_view entity,
   return std::nullopt;
 }
 
-std::map<std::string, double> Profiler::phase_durations() const {
+std::map<std::string, double> phase_durations(
+    std::span<const ProfileEvent> stream) {
   // Pair *_start with the next matching *_stop per entity.
   struct Open {
     double bootstrap = -1.0;
@@ -102,8 +103,7 @@ std::map<std::string, double> Profiler::phase_durations() const {
   std::unordered_map<std::string, Open> open;
   std::map<std::string, double> out{
       {"bootstrap", 0.0}, {"exec_setup", 0.0}, {"running", 0.0}};
-  for (const auto& entry : merged()) {
-    const ProfileEvent& e = entry.event;
+  for (const ProfileEvent& e : stream) {
     auto& o = open[e.entity];
     if (e.event == events::kBootstrapStart) {
       o.bootstrap = e.time;

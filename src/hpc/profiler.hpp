@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,12 +75,6 @@ class Profiler {
   [[nodiscard]] std::optional<double> time_of(std::string_view entity,
                                               std::string_view event) const;
 
-  /// Total duration attributed to each phase across all tasks:
-  ///   "exec_setup" = sum(exec_start - exec_setup_start)
-  ///   "running"    = sum(exec_stop - exec_start)
-  ///   "bootstrap"  = sum(bootstrap_stop - bootstrap_start)
-  [[nodiscard]] std::map<std::string, double> phase_durations() const;
-
   [[nodiscard]] std::size_t size() const;
   void clear();
 
@@ -109,5 +104,13 @@ class Profiler {
   mutable std::mutex registry_mutex_;  // guards buffers_
   std::vector<std::unique_ptr<Buffer>> buffers_;
 };
+
+/// Total duration attributed to each phase across all tasks, over an
+/// event stream in record order (Profiler::events()):
+///   "exec_setup" = sum(exec_start - exec_setup_start)
+///   "running"    = sum(exec_stop - exec_start)
+///   "bootstrap"  = sum(bootstrap_stop - bootstrap_start)
+[[nodiscard]] std::map<std::string, double> phase_durations(
+    std::span<const ProfileEvent> stream);
 
 }  // namespace impress::hpc

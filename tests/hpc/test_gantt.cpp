@@ -18,13 +18,13 @@ void fill_task_profile(Profiler& p) {
 
 TEST(Gantt, EmptyProfilerHandled) {
   Profiler p;
-  EXPECT_EQ(render_gantt(p), "(no events)\n");
+  EXPECT_EQ(render_gantt(p.events()), "(no events)\n");
 }
 
 TEST(Gantt, RendersOneRowPerStartedTask) {
   Profiler p;
   fill_task_profile(p);
-  const auto out = render_gantt(p);
+  const auto out = render_gantt(p.events());
   EXPECT_NE(out.find("task.0"), std::string::npos);
   EXPECT_NE(out.find("task.1"), std::string::npos);
   EXPECT_NE(out.find('#'), std::string::npos);
@@ -36,7 +36,7 @@ TEST(Gantt, WaitingSegmentShownForQueuedTasks) {
   fill_task_profile(p);
   GanttOptions opts;
   opts.include_waiting = true;
-  const auto with_wait = render_gantt(p, 0.0, opts);
+  const auto with_wait = render_gantt(p.events(), 0.0, opts);
   // task.1 waited from 0 to 500 before setup: leading dots on its row.
   EXPECT_NE(with_wait.find('.'), std::string::npos);
 }
@@ -47,7 +47,7 @@ TEST(Gantt, NeverStartedTasksOmitted) {
   p.record(0.0, "task.ran", events::kExecSetupStart);
   p.record(1.0, "task.ran", events::kExecStart);
   p.record(2.0, "task.ran", events::kExecStop);
-  const auto out = render_gantt(p);
+  const auto out = render_gantt(p.events());
   EXPECT_EQ(out.find("task.queued"), std::string::npos);
   EXPECT_NE(out.find("task.ran"), std::string::npos);
 }
@@ -62,7 +62,7 @@ TEST(Gantt, RowCapSummarizesOverflow) {
   }
   GanttOptions opts;
   opts.max_rows = 3;
-  const auto out = render_gantt(p, 0.0, opts);
+  const auto out = render_gantt(p.events(), 0.0, opts);
   EXPECT_NE(out.find("(+7 more tasks)"), std::string::npos);
 }
 
@@ -71,14 +71,14 @@ TEST(Gantt, RunningTaskExtendsToEnd) {
   p.record(0.0, "task.0", events::kExecSetupStart);
   p.record(1.0, "task.0", events::kExecStart);
   // No stop event: still running at t_end.
-  const auto out = render_gantt(p, 100.0);
+  const auto out = render_gantt(p.events(), 100.0);
   EXPECT_NE(out.find('#'), std::string::npos);
 }
 
 TEST(Gantt, AxisShowsSpanInHours) {
   Profiler p;
   fill_task_profile(p);
-  const auto out = render_gantt(p, 7200.0);
+  const auto out = render_gantt(p.events(), 7200.0);
   EXPECT_NE(out.find("2.0h"), std::string::npos);
 }
 

@@ -46,7 +46,7 @@ TEST(Profiler, PhaseDurationsSingleTask) {
   p.record(10.0, "task.0", events::kExecSetupStart);
   p.record(12.0, "task.0", events::kExecStart);
   p.record(20.0, "task.0", events::kExecStop);
-  const auto d = p.phase_durations();
+  const auto d = phase_durations(p.events());
   EXPECT_DOUBLE_EQ(d.at("bootstrap"), 3.0);
   EXPECT_DOUBLE_EQ(d.at("exec_setup"), 2.0);
   EXPECT_DOUBLE_EQ(d.at("running"), 8.0);
@@ -60,7 +60,7 @@ TEST(Profiler, PhaseDurationsSumAcrossTasks) {
     p.record(i * 10.0 + 1.0, uid, events::kExecStart);
     p.record(i * 10.0 + 5.0, uid, events::kExecStop);
   }
-  const auto d = p.phase_durations();
+  const auto d = phase_durations(p.events());
   EXPECT_DOUBLE_EQ(d.at("exec_setup"), 3.0);
   EXPECT_DOUBLE_EQ(d.at("running"), 12.0);
 }
@@ -69,7 +69,7 @@ TEST(Profiler, UnpairedEventsIgnored) {
   Profiler p;
   p.record(0.0, "task.0", events::kExecStop);  // stop without start
   p.record(5.0, "task.1", events::kExecStart);  // start without stop
-  const auto d = p.phase_durations();
+  const auto d = phase_durations(p.events());
   EXPECT_DOUBLE_EQ(d.at("running"), 0.0);
 }
 

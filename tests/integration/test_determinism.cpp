@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/session_dump.hpp"
 #include "protein/datasets.hpp"
 
 namespace impress::core {
@@ -215,6 +219,38 @@ TEST_P(SeedSweep, EverySeedIsSelfConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1u, 7u, 99u));
+
+// FNV-1a 64 of the session dump (the constants perfbench's digest uses).
+std::uint64_t dump_digest(const CampaignResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : to_json(r).dump()) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(Determinism, SessionDumpDigestsAtSeed5) {
+  // Golden outputs: the whole session dump of three seed-5 campaigns,
+  // pinned to the committed code. A change to scheduling, decision-making
+  // or the science that moves a single byte of a dump fails here; a
+  // deliberate change re-records the digests and says why.
+  auto fig3 = im_rp_campaign(5);
+  fig3.protocol.adaptivity_in_final_cycle = false;
+  fig3.protocol.max_subpipelines_per_target = 1;
+  const auto fig3_280 = Campaign(fig3).run(protein::pdz_benchmark(280));
+  EXPECT_EQ(fig3_280.fold_tasks, 2419u);
+  EXPECT_EQ(dump_digest(fig3_280), 0xeb45c9bb3e616902ULL);
+
+  const auto imrp_70 = Campaign(im_rp_campaign(5)).run(protein::pdz_benchmark(70));
+  EXPECT_EQ(imrp_70.fold_tasks, 924u);
+  EXPECT_EQ(dump_digest(imrp_70), 0x64fc331c572c9879ULL);
+
+  const auto contv_70 =
+      Campaign(cont_v_campaign(5)).run(protein::pdz_benchmark(70));
+  EXPECT_EQ(contv_70.fold_tasks, 280u);
+  EXPECT_EQ(dump_digest(contv_70), 0x67b66f9fd9810fe0ULL);
+}
 
 }  // namespace
 }  // namespace impress::core

@@ -107,7 +107,7 @@ TEST(FaultTolerance, PilotOutageMidCampaignRecoversOnSurvivor) {
   session.run();
   EXPECT_EQ(doomed->state(), rp::PilotState::kFailed);
   for (const auto& t : tasks) EXPECT_EQ(t->state(), rp::TaskState::kDone);
-  const auto retry = hpc::summarize_retries(session.profiler());
+  const auto retry = hpc::summarize_retries(session.profiler().events());
   EXPECT_EQ(retry.pilot_failures, 1u);
   EXPECT_GT(retry.retries + retry.requeues, 0u);
   EXPECT_GT(retry.tasks_retried, 0u);
