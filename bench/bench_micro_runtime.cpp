@@ -9,7 +9,6 @@
 
 #include "common/channel.hpp"
 #include "common/thread_pool.hpp"
-#include "hpc/profiler.hpp"
 #include "hpc/resource_pool.hpp"
 #include "runtime/session.hpp"
 #include "sim/engine.hpp"
@@ -18,20 +17,19 @@ using namespace impress;
 
 namespace {
 
-void BM_ProfilerRecord(benchmark::State& state) {
-  // Hot-path cost of one profiler record. The per-thread buffers mean the
+void BM_TracerMark(benchmark::State& state) {
+  // Hot-path cost of one lifecycle mark. The per-thread buffers mean the
   // multi-threaded variants should scale instead of serializing on a
-  // global mutex. Iterations are pinned so the retained event log stays
+  // global mutex. Iterations are pinned so the retained mark log stays
   // bounded; the buffers are drained between runs.
-  static hpc::Profiler profiler;
-  if (state.thread_index() == 0) profiler.clear();
+  static obs::Tracer tracer;
+  if (state.thread_index() == 0) tracer.clear();
   double t = 0.0;
-  for (auto _ : state)
-    profiler.record(t += 1.0, "task.000001", "exec_start");
+  for (auto _ : state) tracer.mark(t += 1.0, "task.000001", "exec_start");
   state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) profiler.clear();
+  if (state.thread_index() == 0) tracer.clear();
 }
-BENCHMARK(BM_ProfilerRecord)
+BENCHMARK(BM_TracerMark)
     ->Iterations(1 << 15)
     ->Threads(1)
     ->Threads(4)

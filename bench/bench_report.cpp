@@ -33,7 +33,7 @@
 #include "common/rng.hpp"
 #include "fold/fold.hpp"
 #include "fold/fold_cache.hpp"
-#include "hpc/profiler.hpp"
+#include "obs/trace.hpp"
 #include "protein/datasets.hpp"
 #include "protein/kernel_tables.hpp"
 #include "protein/landscape.hpp"
@@ -78,23 +78,23 @@ double time_threaded(int threads, std::size_t per_thread,
   return ns / (static_cast<double>(threads) * static_cast<double>(per_thread));
 }
 
-/// The global-mutex recorder the per-thread profiler replaced; kept here
-/// as the contention baseline.
+/// A global-mutex mark recorder: the contention baseline for the
+/// tracer's per-thread buffers.
 class NaiveRecorder {
  public:
   void record(double time, std::string_view entity, std::string_view event) {
     std::lock_guard lock(mutex_);
-    events_.push_back(hpc::ProfileEvent{time, std::string(entity),
-                                        std::string(event), {}});
+    marks_.push_back(
+        obs::Mark{time, std::string(entity), std::string(event), {}});
   }
   [[nodiscard]] std::size_t size() const {
     std::lock_guard lock(mutex_);
-    return events_.size();
+    return marks_.size();
   }
 
  private:
   mutable std::mutex mutex_;
-  std::vector<hpc::ProfileEvent> events_;
+  std::vector<obs::Mark> marks_;
 };
 
 struct Options {
@@ -265,7 +265,9 @@ int main(int argc, char** argv) {
     std::cout << "fold_cache workload hit_rate: " << stats.hit_rate() << "\n";
   }
 
-  // --- Profiler record: per-thread buffers vs the global-mutex recorder.
+  // --- Lifecycle mark: the tracer's per-thread buffers vs the global-mutex
+  // recorder (kernel keys keep their profiler_record names so results stay
+  // comparable across BENCH_kernels.json revisions).
   const int threads = 4;
   const std::size_t per_thread = opt.smoke ? 4096 : 65536;
   double prof_naive_ns = 0.0;
@@ -280,14 +282,15 @@ int main(int argc, char** argv) {
       std::cerr << "warning: naive recorder lost events\n";
   }
   {
-    hpc::Profiler profiler;
+    obs::Tracer tracer;
     prof_sharded_ns =
         time_threaded(threads, per_thread, [&](int t, std::size_t i) {
-          profiler.record(static_cast<double>(i), "task.000001",
-                          t % 2 == 0 ? "exec_start" : "exec_stop");
+          tracer.mark(static_cast<double>(i), "task.000001",
+                      t % 2 == 0 ? "exec_start" : "exec_stop");
         });
-    if (profiler.size() != static_cast<std::size_t>(threads) * per_thread)
-      std::cerr << "warning: profiler lost events\n";
+    if (tracer.marks().size() !=
+        static_cast<std::size_t>(threads) * per_thread)
+      std::cerr << "warning: tracer lost marks\n";
   }
   add_kernel("profiler_record_naive", prof_naive_ns);
   add_kernel("profiler_record", prof_sharded_ns);

@@ -1,7 +1,7 @@
 // Watching the middleware itself: run a heterogeneous workload on the
 // *threaded* executor (real worker threads, scaled wall-clock) and render
-// the pilot's utilization timeline plus the profiler's phase breakdown —
-// the machinery behind the paper's Figs 4-5.
+// the pilot's utilization timeline plus the phase breakdown from the
+// session's lifecycle marks — the machinery behind the paper's Figs 4-5.
 //
 //   $ ./examples/utilization_monitor
 
@@ -9,6 +9,7 @@
 
 #include "common/ascii_chart.hpp"
 #include "common/time_util.hpp"
+#include "hpc/analytics.hpp"
 #include "runtime/session.hpp"
 
 using namespace impress;
@@ -66,7 +67,8 @@ int main() {
   chart.add_row({"GPU", pilot->recorder().gpu_series(80)});
   std::printf("\n%s\n", chart.render().c_str());
 
-  const auto phases = hpc::phase_durations(session.profiler().events());
+  const auto phases =
+      hpc::phase_durations(session.observability().tracer().marks());
   std::printf("profiler phase totals: bootstrap=%s exec_setup=%s running=%s\n",
               common::format_duration(phases.at("bootstrap")).c_str(),
               common::format_duration(phases.at("exec_setup")).c_str(),

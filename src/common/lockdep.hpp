@@ -16,8 +16,8 @@
 //
 // When IMPRESS_LOCKDEP is OFF (the default), TrackedMutex is an inline
 // forwarding wrapper around std::mutex with no extra members and the
-// report/clear entry points collapse to constants: the gate mirrors the
-// IMPRESS_OBS pattern and costs nothing in normal builds.
+// report/clear entry points collapse to constants: the gate costs nothing
+// in normal builds.
 //
 // ---------------------------------------------------------------------------
 // Canonical mutex acquisition order (hold an earlier lock while taking a
@@ -37,8 +37,9 @@
 // drop Pilot::mutex_ before calling back into the executor or the
 // TaskManager (requeue/terminal handlers), and TaskManager::finalize()
 // invokes user callbacks outside mutex_ — both prevent the reverse edges
-// that would close a cycle. hpc::Profiler's internal buffer locks are an
-// untracked leaf (hot path; they never take another lock).
+// that would close a cycle. obs::Tracer's internal locks (buffer registry,
+// per-thread buffers) are an untracked leaf: every lifecycle mark takes
+// them, under Pilot::mutex_ among others, and they call out to nothing.
 // ---------------------------------------------------------------------------
 
 #pragma once

@@ -91,15 +91,7 @@ CampaignResult Campaign::resume(
   if (checkpoint.targets != targets.size())
     throw std::invalid_argument("Campaign::resume: target count mismatch");
 
-  rp::SessionRestore restore;
-  restore.now = checkpoint.now;
-  restore.profiler_events = checkpoint.profiler_events;
-  restore.trace = checkpoint.trace;
-  restore.trace_next_seq = checkpoint.trace_next_seq;
-  restore.metrics = checkpoint.metrics;
-  restore.uid_counters = checkpoint.uid_counters;
-  restore.task_counters = checkpoint.task_counters;
-  rp::Session session(config_.session, restore);
+  rp::Session session(config_.session, checkpoint);
   return execute(session, targets, &checkpoint);
 }
 
@@ -190,7 +182,7 @@ CampaignResult Campaign::execute(
           doc.seed = config_.session.seed;
           doc.targets = targets.size();
           doc.now = session.now();
-          doc.profiler_events = session.profiler().events();
+          doc.profiler_events = ob.tracer().marks();
           if (ob.tracer().enabled()) {
             doc.trace = ob.tracer().spans();
             doc.trace_next_seq = ob.tracer().next_seq();
@@ -285,14 +277,14 @@ CampaignResult Campaign::execute(
     }
   }
   {
-    // One merge of the profiler's per-thread buffers feeds every
-    // event-stream harvest; the copy is freed before the obs snapshot.
-    const std::vector<hpc::ProfileEvent> events = session.profiler().events();
-    for (const auto& [phase, seconds] : hpc::phase_durations(events))
+    // One merge of the tracer's per-thread buffers feeds every mark
+    // harvest; the copy is freed before the obs snapshot.
+    const std::vector<obs::Mark> marks = ob.tracer().marks();
+    for (const auto& [phase, seconds] : hpc::phase_durations(marks))
       r.phase_hours[phase] = common::seconds_to_hours(seconds);
-    r.gantt = hpc::render_gantt(events, makespan_s);
-    r.pilot_failures = hpc::summarize_retries(events).pilot_failures;
-    r.attempts = hpc::attempt_counts(events);
+    r.gantt = hpc::render_gantt(marks, makespan_s);
+    r.pilot_failures = hpc::summarize_retries(marks).pilot_failures;
+    r.attempts = hpc::attempt_counts(marks);
   }
   // Timeline series stay single-recorder views: bins from different
   // pilots' recorders have no meaningful pointwise merge, so they always

@@ -107,7 +107,7 @@ struct CampaignResult {
   std::map<std::string, double> phase_hours;  ///< bootstrap/exec_setup/running
   std::vector<double> cpu_series;  ///< binned active CPU utilization [0,1]
   std::vector<double> gpu_series;
-  /// Task-level Gantt rendering of the run (profiler events).
+  /// Task-level Gantt rendering of the run (lifecycle marks).
   std::string gantt;
   /// Estimated dynamic energy of the campaign (kWh; see
   /// hpc::UtilizationRecorder::energy_kwh).

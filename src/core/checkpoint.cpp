@@ -413,11 +413,10 @@ CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
 
   c.now = doc.at("now").as_number();
   for (const auto& e : doc.at("profiler_events").as_array())
-    c.profiler_events.push_back(
-        hpc::ProfileEvent{.time = e.at("time").as_number(),
-                          .entity = e.at("entity").as_string(),
-                          .event = e.at("event").as_string(),
-                          .info = e.at("info").as_string()});
+    c.profiler_events.push_back(obs::Mark{.time = e.at("time").as_number(),
+                                          .entity = e.at("entity").as_string(),
+                                          .event = e.at("event").as_string(),
+                                          .info = e.at("info").as_string()});
   if (doc.contains("trace")) c.trace = obs::spans_from_json(doc.at("trace"));
   c.trace_next_seq = parse_hex_u64(doc.at("trace_next_seq"));
   c.campaign_span = parse_hex_u64(doc.at("campaign_span"));

@@ -5,7 +5,7 @@
 // A checkpoint extends the session-dump idea from "archive a finished
 // run" to "cut a running one": coordinator state (pipelines mid-cycle,
 // parked task submissions, sub-pipeline budgets), runtime state (clock,
-// pilots, executor rng streams, profiler/trace/metrics, uid and task
+// pilots, executor rng streams, marks/trace/metrics, uid and task
 // counters), the fold memo's keys and counters, and every live rng
 // stream's position.
 // Campaign::resume() reconstructs all of it so a checkpointed-then-
@@ -35,22 +35,16 @@ namespace impress::core {
 
 /// Everything needed to resume a campaign mid-flight. Built by the
 /// campaign's checkpoint sink at a coordinator quiesce point; consumed by
-/// Campaign::resume().
-struct CampaignCheckpoint {
+/// Campaign::resume(), which hands the inherited runtime layer straight to
+/// the restoring rp::Session.
+struct CampaignCheckpoint : rp::SessionRestore {
   std::string campaign_name;
   std::uint64_t seed = 0;
   std::size_t targets = 0;   ///< root target count (config validation)
   std::uint64_t ordinal = 0; ///< 1-based index of this checkpoint
 
-  // Runtime layer (rp::SessionRestore counterpart).
-  double now = 0.0;
-  std::vector<hpc::ProfileEvent> profiler_events;
-  std::vector<obs::SpanRecord> trace;
-  std::uint64_t trace_next_seq = 1;
+  // Runtime layer beyond rp::SessionRestore.
   obs::SpanId campaign_span = 0;  ///< still-open campaign root span
-  obs::MetricsSnapshot metrics;
-  std::map<std::string, std::uint64_t> uid_counters;
-  rp::TaskManager::Counters task_counters;
   std::vector<rp::PilotRestore> pilots;
 
   // Protocol layer.

@@ -20,9 +20,9 @@ struct RawTimes {
   double stop = -1.0;
 };
 
-std::map<std::string, RawTimes> collect(const Profiler& profiler) {
+std::map<std::string, RawTimes> collect(std::span<const obs::Mark> marks) {
   std::map<std::string, RawTimes> out;
-  for (const auto& e : profiler.events()) {
+  for (const auto& e : marks) {
     auto& r = out[e.entity];
     if (e.event == events::kSchedule && r.schedule < 0.0) r.schedule = e.time;
     else if (e.event == events::kExecSetupStart && r.setup < 0.0) r.setup = e.time;
@@ -34,9 +34,43 @@ std::map<std::string, RawTimes> collect(const Profiler& profiler) {
 
 }  // namespace
 
-std::vector<TaskTiming> task_timings(const Profiler& profiler) {
+std::map<std::string, double> phase_durations(
+    std::span<const obs::Mark> marks) {
+  // Pair *_start with the next matching *_stop per entity.
+  struct Open {
+    double bootstrap = -1.0;
+    double setup = -1.0;
+    double exec = -1.0;
+  };
+  std::unordered_map<std::string, Open> open;
+  std::map<std::string, double> out{
+      {"bootstrap", 0.0}, {"exec_setup", 0.0}, {"running", 0.0}};
+  for (const obs::Mark& e : marks) {
+    auto& o = open[e.entity];
+    if (e.event == events::kBootstrapStart) {
+      o.bootstrap = e.time;
+    } else if (e.event == events::kBootstrapStop && o.bootstrap >= 0.0) {
+      out["bootstrap"] += e.time - o.bootstrap;
+      o.bootstrap = -1.0;
+    } else if (e.event == events::kExecSetupStart) {
+      o.setup = e.time;
+    } else if (e.event == events::kExecStart) {
+      if (o.setup >= 0.0) {
+        out["exec_setup"] += e.time - o.setup;
+        o.setup = -1.0;
+      }
+      o.exec = e.time;
+    } else if (e.event == events::kExecStop && o.exec >= 0.0) {
+      out["running"] += e.time - o.exec;
+      o.exec = -1.0;
+    }
+  }
+  return out;
+}
+
+std::vector<TaskTiming> task_timings(std::span<const obs::Mark> marks) {
   std::vector<TaskTiming> out;
-  for (const auto& [uid, r] : collect(profiler)) {
+  for (const auto& [uid, r] : collect(marks)) {
     if (r.schedule < 0.0 || r.setup < 0.0 || r.start < 0.0 || r.stop < 0.0)
       continue;
     out.push_back(TaskTiming{.uid = uid,
@@ -47,8 +81,8 @@ std::vector<TaskTiming> task_timings(const Profiler& profiler) {
   return out;
 }
 
-TimingSummary summarize_timings(const Profiler& profiler) {
-  const auto timings = task_timings(profiler);
+TimingSummary summarize_timings(std::span<const obs::Mark> marks) {
+  const auto timings = task_timings(marks);
   TimingSummary s;
   s.tasks = timings.size();
   if (timings.empty()) return s;
@@ -68,11 +102,11 @@ TimingSummary summarize_timings(const Profiler& profiler) {
   return s;
 }
 
-std::vector<double> concurrency_series(const Profiler& profiler,
+std::vector<double> concurrency_series(std::span<const obs::Mark> marks,
                                        std::size_t bins, double t_end) {
   std::vector<double> out(bins, 0.0);
   if (bins == 0) return out;
-  const auto raw = collect(profiler);
+  const auto raw = collect(marks);
   if (t_end <= 0.0)
     for (const auto& [uid, r] : raw) t_end = std::max(t_end, r.stop);
   if (t_end <= 0.0) return out;
@@ -91,32 +125,31 @@ std::vector<double> concurrency_series(const Profiler& profiler,
   return out;
 }
 
-RetrySummary summarize_retries(std::span<const ProfileEvent> stream) {
+RetrySummary summarize_retries(std::span<const obs::Mark> marks) {
   RetrySummary s;
-  for (const auto& e : stream) {
+  for (const auto& e : marks) {
     if (e.event == events::kRetry) ++s.retries;
     else if (e.event == events::kTimeout) ++s.timeouts;
     else if (e.event == events::kRequeue) ++s.requeues;
     else if (e.event == events::kPilotFailed) ++s.pilot_failures;
   }
-  for (const auto& [uid, attempts] : attempt_counts(stream)) {
+  for (const auto& [uid, attempts] : attempt_counts(marks)) {
     if (attempts > 1) ++s.tasks_retried;
     s.max_attempts = std::max(s.max_attempts, attempts);
   }
   return s;
 }
 
-std::map<std::string, int> attempt_counts(
-    std::span<const ProfileEvent> stream) {
+std::map<std::string, int> attempt_counts(std::span<const obs::Mark> marks) {
   std::map<std::string, int> out;
-  for (const auto& e : stream)
+  for (const auto& e : marks)
     if (e.event == events::kSubmit) ++out[e.entity];
   return out;
 }
 
-std::size_t peak_concurrency(const Profiler& profiler) {
+std::size_t peak_concurrency(std::span<const obs::Mark> marks) {
   std::vector<std::pair<double, int>> edges;
-  for (const auto& [uid, r] : collect(profiler)) {
+  for (const auto& [uid, r] : collect(marks)) {
     if (r.start < 0.0 || r.stop < 0.0) continue;
     edges.emplace_back(r.start, +1);
     edges.emplace_back(r.stop, -1);

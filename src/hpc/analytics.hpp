@@ -1,8 +1,12 @@
-// Post-mortem analytics over profiler event streams and campaign traces —
-// the numbers behind "middleware overhead" discussions (RADICAL-Analytics
-// style): per-task wait/setup/run decomposition, concurrency profiles,
-// aggregate overhead ratios, and the GPU-batching accounting replayed
-// from a traced campaign's span timestamps.
+// Post-mortem analytics over the runtime's lifecycle marks and campaign
+// traces — the numbers behind "middleware overhead" discussions
+// (RADICAL-Analytics style): the Fig-5 phase breakdown, per-task
+// wait/setup/run decomposition, concurrency profiles, aggregate overhead
+// ratios, retry roll-ups, and the GPU-batching accounting replayed from a
+// traced campaign's span timestamps.
+//
+// Every mark reader takes the marks in record order, as
+// obs::Tracer::marks() returns them.
 
 #pragma once
 
@@ -12,13 +16,42 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hpc/node.hpp"
-#include "hpc/profiler.hpp"
 #include "obs/trace.hpp"
 
 namespace impress::hpc {
+
+/// Well-known lifecycle mark names (obs::Mark::event) shared by the
+/// runtime and the readers below.
+namespace events {
+inline constexpr std::string_view kBootstrapStart = "bootstrap_start";
+inline constexpr std::string_view kBootstrapStop = "bootstrap_stop";
+inline constexpr std::string_view kSubmit = "submit";
+inline constexpr std::string_view kSchedule = "schedule";
+inline constexpr std::string_view kExecSetupStart = "exec_setup_start";
+inline constexpr std::string_view kExecStart = "exec_start";
+inline constexpr std::string_view kExecStop = "exec_stop";
+inline constexpr std::string_view kDone = "done";
+inline constexpr std::string_view kFailed = "failed";
+inline constexpr std::string_view kCancelled = "cancelled";
+// Fault-tolerance events (see docs/fault_tolerance.md).
+inline constexpr std::string_view kRetry = "retry";        ///< retry scheduled
+inline constexpr std::string_view kTimeout = "timeout";    ///< deadline hit
+inline constexpr std::string_view kRequeue = "requeue";    ///< re-routed off a dead pilot
+inline constexpr std::string_view kPilotFailed = "pilot_failed";
+/// Spot capacity returned: a reclaimed pilot re-entered ACTIVE.
+inline constexpr std::string_view kPilotReactivated = "pilot_reactivated";
+}  // namespace events
+
+/// Total duration attributed to each phase across all tasks:
+///   "exec_setup" = sum(exec_start - exec_setup_start)
+///   "running"    = sum(exec_stop - exec_start)
+///   "bootstrap"  = sum(bootstrap_stop - bootstrap_start)
+[[nodiscard]] std::map<std::string, double> phase_durations(
+    std::span<const obs::Mark> marks);
 
 /// One task's timing decomposition (all in seconds).
 struct TaskTiming {
@@ -30,7 +63,8 @@ struct TaskTiming {
 
 /// Decompose every task that reached exec_stop. Tasks missing any of the
 /// four events are skipped.
-[[nodiscard]] std::vector<TaskTiming> task_timings(const Profiler& profiler);
+[[nodiscard]] std::vector<TaskTiming> task_timings(
+    std::span<const obs::Mark> marks);
 
 struct TimingSummary {
   std::size_t tasks = 0;
@@ -43,20 +77,20 @@ struct TimingSummary {
   double overhead_fraction = 0.0;
 };
 
-[[nodiscard]] TimingSummary summarize_timings(const Profiler& profiler);
+[[nodiscard]] TimingSummary summarize_timings(
+    std::span<const obs::Mark> marks);
 
 /// Average number of concurrently *running* tasks per time bin over
-/// [0, t_end] (t_end <= 0 uses the latest event). The empirical
+/// [0, t_end] (t_end <= 0 uses the latest exec_stop). The empirical
 /// concurrency profile behind the utilization figures.
-[[nodiscard]] std::vector<double> concurrency_series(const Profiler& profiler,
-                                                     std::size_t bins,
-                                                     double t_end = 0.0);
+[[nodiscard]] std::vector<double> concurrency_series(
+    std::span<const obs::Mark> marks, std::size_t bins, double t_end = 0.0);
 
 /// Peak of the concurrency profile (exact, not binned).
-[[nodiscard]] std::size_t peak_concurrency(const Profiler& profiler);
+[[nodiscard]] std::size_t peak_concurrency(std::span<const obs::Mark> marks);
 
-/// Fault-tolerance roll-up over the event stream: how much of the
-/// campaign's work was first-attempt vs recovery.
+/// Fault-tolerance roll-up over the marks: how much of the campaign's
+/// work was first-attempt vs recovery.
 struct RetrySummary {
   std::size_t retries = 0;        ///< failed attempts resubmitted (kRetry)
   std::size_t timeouts = 0;       ///< attempt-deadline evictions (kTimeout)
@@ -66,14 +100,12 @@ struct RetrySummary {
   int max_attempts = 0;           ///< largest attempt count observed
 };
 
-/// Over an event stream in record order (Profiler::events()).
-[[nodiscard]] RetrySummary summarize_retries(
-    std::span<const ProfileEvent> stream);
+[[nodiscard]] RetrySummary summarize_retries(std::span<const obs::Mark> marks);
 
-/// Attempts per task uid: the number of kSubmit events recorded for it
+/// Attempts per task uid: the number of kSubmit marks recorded for it
 /// (>= 1 for anything submitted; > 1 means the retry policy fired).
 [[nodiscard]] std::map<std::string, int> attempt_counts(
-    std::span<const ProfileEvent> stream);
+    std::span<const obs::Mark> marks);
 
 /// Roll-up of a memoization cache's behaviour over a run (the fold memo
 /// cache reports through this; see fold::FoldCache::stats).

@@ -7,6 +7,7 @@
 
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
+#include "hpc/analytics.hpp"
 
 namespace impress::hpc {
 
@@ -24,11 +25,11 @@ struct Row {
 
 }  // namespace
 
-std::string render_gantt(std::span<const ProfileEvent> stream, double t_end,
+std::string render_gantt(std::span<const obs::Mark> marks, double t_end,
                          GanttOptions options) {
   std::map<std::string, Row> rows;
   double latest = 0.0;
-  for (const auto& e : stream) {
+  for (const auto& e : marks) {
     auto [it, inserted] = rows.try_emplace(e.entity);
     auto& r = it->second;
     if (inserted) r.uid = e.entity;

@@ -1,4 +1,4 @@
-// Gantt rendering of profiler events: one row per task, setup and run
+// Gantt rendering of lifecycle marks: one row per task, setup and run
 // segments drawn on a shared time axis. The visual form of the Fig-5
 // phase breakdown, and the quickest way to see scheduling behaviour
 // (backfill vs head-blocking) at a glance.
@@ -9,7 +9,7 @@
 #include <span>
 #include <string>
 
-#include "hpc/profiler.hpp"
+#include "obs/trace.hpp"
 
 namespace impress::hpc {
 
@@ -19,11 +19,11 @@ struct GanttOptions {
   bool include_waiting = true; ///< draw schedule->exec_setup as '.'
 };
 
-/// Render every task that has an exec_start event in `stream` (events in
-/// record order, as Profiler::events() returns them), ordered by start
-/// time. Legend: '.' waiting in queue, '-' exec setup, '#' running.
-/// `t_end` <= 0 uses the latest event time.
-[[nodiscard]] std::string render_gantt(std::span<const ProfileEvent> stream,
+/// Render every task that has an exec_start mark in `marks` (in record
+/// order, as obs::Tracer::marks() returns them), ordered by start time.
+/// Legend: '.' waiting in queue, '-' exec setup, '#' running.
+/// `t_end` <= 0 uses the latest mark time.
+[[nodiscard]] std::string render_gantt(std::span<const obs::Mark> marks,
                                        double t_end = 0.0,
                                        GanttOptions options = {});
 

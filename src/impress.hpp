@@ -5,8 +5,8 @@
 // Modules (each usable independently — see docs/):
 //   impress::common  — rng, stats, channels, thread pool, json, charts
 //   impress::sim     — discrete-event engine
-//   impress::hpc     — nodes, resource pools, profiler, utilization,
-//                      gantt, analytics
+//   impress::hpc     — nodes, resource pools, utilization, gantt,
+//                      analytics (lifecycle-mark readers)
 //   impress::rp      — pilot-job runtime (sessions, pilots, tasks,
 //                      schedulers, executors, task graphs)
 //   impress::protein — sequences, structures, PDB/FASTA, contacts,
@@ -36,7 +36,6 @@
 #include "hpc/analytics.hpp"
 #include "hpc/gantt.hpp"
 #include "hpc/node.hpp"
-#include "hpc/profiler.hpp"
 #include "hpc/resource_pool.hpp"
 #include "hpc/utilization.hpp"
 

@@ -82,8 +82,7 @@ std::uint64_t MetricsSnapshot::counter(std::string_view name) const noexcept {
   return 0;
 }
 
-MetricsRegistry::MetricsRegistry(bool enabled)
-    : enabled_(IMPRESS_OBS_COMPILED_IN != 0 && enabled) {}
+MetricsRegistry::MetricsRegistry(bool enabled) : enabled_(enabled) {}
 
 Counter* MetricsRegistry::counter(std::string_view name) {
   std::lock_guard lock(mutex_);

@@ -1,8 +1,9 @@
 // The observability bundle the runtime threads through its layers: one
-// Tracer + one MetricsRegistry + the pre-registered handle set
-// (RuntimeMetrics) every hot path writes through. Sessions own one
-// (rp::Session::observability()); campaigns harvest it into
-// CampaignResult at the end of run().
+// Tracer (always-on lifecycle marks, optional spans) + one MetricsRegistry
+// + the pre-registered handle set (RuntimeMetrics) every hot path writes
+// through. Sessions own one (rp::Session::observability()) and hand it by
+// reference to the TaskManager, pilots and executors; campaigns harvest it
+// into CampaignResult at the end of run().
 //
 // Naming conventions (see docs/observability.md):
 //   metrics:  impress_<layer>_<noun>[_<unit>]  e.g. impress_tasks_done,
@@ -180,9 +181,11 @@ struct FabricMetrics {
   [[nodiscard]] static FabricMetrics registered(MetricsRegistry& registry);
 };
 
-/// One tracer + one registry + the runtime handle bundle. Disabled by
-/// default on both axes; each axis is independently switchable
-/// (SessionConfig.enable_tracing / enable_metrics).
+/// One tracer + one registry + the runtime handle bundle. Spans and
+/// metrics are disabled by default, so a default-constructed bundle is the
+/// uninstrumented case (it still records lifecycle marks); each axis is
+/// independently switchable (SessionConfig.enable_tracing /
+/// enable_metrics).
 class Observability {
  public:
   struct Config {
@@ -190,7 +193,7 @@ class Observability {
     bool metrics = false;
   };
 
-  Observability();  // default-disabled on both axes; defined below
+  Observability();  // spans and metrics disabled; defined below
   explicit Observability(Config config)
       : tracer_(config.tracing),
         registry_(config.metrics),

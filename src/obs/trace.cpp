@@ -8,8 +8,11 @@ namespace impress::obs {
 namespace {
 
 /// Thread-local map from tracer id to that tracer's buffer for this
-/// thread (same shape as hpc::Profiler's cache: ids are process-unique
-/// and never reused, so a stale entry can never be matched).
+/// thread. Ids are process-unique and never reused, so a stale entry for a
+/// destroyed tracer can never be matched (and its dangling pointer is
+/// never dereferenced). The cache is bounded; eviction only costs a
+/// re-registration (an extra buffer) if that tracer is used again from
+/// this thread.
 struct TlsEntry {
   std::uint64_t id = 0;
   void* buffer = nullptr;
@@ -31,8 +34,7 @@ thread_local std::vector<AmbientFrame> ambient_stack;  // NOLINT
 
 }  // namespace
 
-Tracer::Tracer(bool enabled)
-    : id_(next_tracer_id()), enabled_(kCompiledIn && enabled) {}
+Tracer::Tracer(bool enabled) : id_(next_tracer_id()), enabled_(enabled) {}
 
 Tracer::Buffer& Tracer::local_buffer() {
   for (const auto& e : tls_buffers)
@@ -53,6 +55,19 @@ void Tracer::record(Event event) {
   Buffer& buf = local_buffer();
   std::lock_guard lock(buf.mutex);
   buf.events.push_back(std::move(event));
+}
+
+void Tracer::mark(double time, std::string_view entity, std::string_view event,
+                  std::string_view info) {
+  Buffer& buf = local_buffer();
+  const std::uint64_t seq =
+      next_mark_seq_.fetch_add(1, std::memory_order_relaxed);
+  // Build the entry (three string allocations) before taking the lock:
+  // the writer/reader critical section covers only the push itself.
+  MarkEntry entry{seq, Mark{time, std::string(entity), std::string(event),
+                            std::string(info)}};
+  std::lock_guard lock(buf.mutex);
+  buf.marks.push_back(std::move(entry));
 }
 
 SpanId Tracer::begin(double time, std::string_view name,
@@ -84,28 +99,50 @@ SpanId Tracer::instant(double time, std::string_view name,
   return id;
 }
 
-std::vector<Tracer::Event> Tracer::merged() const {
-  std::vector<Event> out;
+template <typename T>
+std::vector<T> Tracer::merged(std::vector<T> Buffer::*items) const {
+  std::vector<T> out;
   std::lock_guard registry_lock(registry_mutex_);
   for (const auto& buf : buffers_) {
     std::lock_guard lock(buf->mutex);
-    out.insert(out.end(), buf->events.begin(), buf->events.end());
+    const std::vector<T>& mine = (*buf).*items;
+    out.insert(out.end(), mine.begin(), mine.end());
   }
   std::sort(out.begin(), out.end(),
-            [](const Event& a, const Event& b) { return a.seq < b.seq; });
+            [](const T& a, const T& b) { return a.seq < b.seq; });
   return out;
 }
 
-void Tracer::preload(std::vector<SpanRecord> spans, std::uint64_t next_seq) {
-  preloaded_ = std::move(spans);
+void Tracer::preload(std::vector<Mark> marks, std::vector<SpanRecord> spans,
+                     std::uint64_t next_seq) {
+  std::lock_guard registry_lock(registry_mutex_);
+  preloaded_marks_ = std::move(marks);
+  if (!enabled()) return;
+  preloaded_spans_ = std::move(spans);
   next_seq_.store(next_seq, std::memory_order_relaxed);
 }
 
+std::vector<Mark> Tracer::marks() const {
+  std::vector<Mark> out;
+  {
+    std::lock_guard registry_lock(registry_mutex_);
+    out = preloaded_marks_;
+  }
+  auto live = merged(&Buffer::marks);
+  out.reserve(out.size() + live.size());
+  for (auto& e : live) out.push_back(std::move(e.mark));
+  return out;
+}
+
 std::vector<SpanRecord> Tracer::spans() const {
-  std::vector<SpanRecord> out = preloaded_;
+  std::vector<SpanRecord> out;
+  {
+    std::lock_guard registry_lock(registry_mutex_);
+    out = preloaded_spans_;
+  }
   std::unordered_map<SpanId, std::size_t> index;  // span id -> out slot
   for (std::size_t i = 0; i < out.size(); ++i) index[out[i].id] = i;
-  for (auto& e : merged()) {
+  for (auto& e : merged(&Buffer::events)) {
     switch (e.kind) {
       case Kind::kOpen: {
         index[e.id] = out.size();
@@ -142,8 +179,8 @@ std::vector<SpanRecord> Tracer::spans() const {
 }
 
 std::size_t Tracer::size() const {
-  std::size_t total = preloaded_.size();
   std::lock_guard registry_lock(registry_mutex_);
+  std::size_t total = preloaded_spans_.size();
   for (const auto& buf : buffers_) {
     std::lock_guard lock(buf->mutex);
     for (const auto& e : buf->events)
@@ -154,9 +191,12 @@ std::size_t Tracer::size() const {
 
 void Tracer::clear() {
   std::lock_guard registry_lock(registry_mutex_);
+  preloaded_marks_.clear();
+  preloaded_spans_.clear();
   for (const auto& buf : buffers_) {
     std::lock_guard lock(buf->mutex);
     buf->events.clear();
+    buf->marks.clear();
   }
 }
 

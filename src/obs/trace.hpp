@@ -1,24 +1,33 @@
-// Structured tracing: RAII spans with parent/child nesting, recorded into
-// thread-safe per-thread buffers (the hpc::Profiler pattern) and exported
-// as a chrome://tracing / Perfetto-loadable JSON document (obs/export.hpp).
+// The runtime's one event recorder: always-on lifecycle marks plus
+// optional structured spans, both kept in thread-safe per-thread buffers.
 //
-// A span is an interval [start, end] with a name, a category, an optional
-// parent span and string attributes. Span trees carry campaign / pipeline
-// / task / attempt identity, so a fold retry shows up as a sibling
-// "attempt" span under its task, inside its pipeline-iteration stage span.
+// Marks are RADICAL-Pilot's profiler records: every runtime state
+// transition (submit, schedule, exec_start, ...; names in hpc/analytics.hpp
+// hpc::events) emits one (time, entity, event, info) record. They are
+// always recorded — the Fig 4/5 phase breakdown, the Gantt chart and the
+// retry/attempt counts in CampaignResult are derived from them — and read
+// back in record order by marks().
+//
+// Spans are the optional trace: RAII intervals [start, end] with a name, a
+// category, an optional parent span and string attributes, exported as a
+// chrome://tracing / Perfetto-loadable JSON document (obs/export.hpp). Span
+// trees carry campaign / pipeline / task / attempt identity, so a fold
+// retry shows up as a sibling "attempt" span under its task, inside its
+// pipeline-iteration stage span.
+//
+// Marks and spans share the per-thread buffers but are numbered by
+// separate relaxed counters, so span ids and ordinals do not depend on how
+// many marks were recorded.
 //
 // Determinism contract (pinned by tests/obs/test_golden_trace.cpp and the
-// Determinism suite): tracing never draws from any rng and never feeds
-// back into the traced computation, so enabling it must not perturb
+// Determinism suite): recording never draws from any rng and never feeds
+// back into the traced computation, so enabling spans must not perturb
 // campaign results — the same contract the fold cache honours. In
 // simulated mode the span tree (names, nesting, ordinal order) is itself
 // a pure function of the seed.
 //
-// Cost model: a disabled tracer (the default) costs one branch per call
-// site; no buffer is ever allocated. Compiling with
-// IMPRESS_OBS_COMPILED_IN=0 (cmake -DIMPRESS_OBS=OFF) additionally turns
-// every recording member into a statically checkable no-op —
-// obs::kCompiledIn lets tests assert which build they are in.
+// Cost model: with spans disabled (the default) a span call site costs one
+// branch and no span event is buffered; a mark costs one buffered record.
 
 #pragma once
 
@@ -32,16 +41,7 @@
 #include <utility>
 #include <vector>
 
-#ifndef IMPRESS_OBS_COMPILED_IN
-#define IMPRESS_OBS_COMPILED_IN 1
-#endif
-
 namespace impress::obs {
-
-/// Compile-time switch: when false every Tracer/ScopedSpan member is an
-/// empty inline function (the "no-op sink") and the optimizer erases the
-/// call sites entirely.
-inline constexpr bool kCompiledIn = IMPRESS_OBS_COMPILED_IN != 0;
 
 /// Identifies one span within one Tracer; 0 means "no span".
 using SpanId = std::uint64_t;
@@ -72,15 +72,28 @@ struct SpanRecord {
   [[nodiscard]] bool closed() const noexcept { return end >= start; }
 };
 
+/// One lifecycle mark: a runtime state transition.
+struct Mark {
+  double time = 0.0;   ///< seconds (simulated or wall)
+  std::string entity;  ///< uid, e.g. "task.000003"
+  std::string event;   ///< e.g. "schedule", "exec_start" (hpc::events)
+  std::string info;    ///< free-form detail
+};
+
 class Tracer {
  public:
   explicit Tracer(bool enabled = false);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return kCompiledIn && enabled_;
-  }
+  /// Whether spans are recorded. Marks are recorded either way.
+  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
+
+  /// Record a lifecycle mark (always on).
+  void mark(double time, std::string_view entity, std::string_view event,
+            std::string_view info = {});
+  /// All marks in record order. Thread-safe snapshot.
+  [[nodiscard]] std::vector<Mark> marks() const;
 
   /// Wire the clock used by ScopedSpan and now(); spans recorded through
   /// the explicit-time overloads never consult it.
@@ -104,14 +117,18 @@ class Tracer {
   [[nodiscard]] std::vector<SpanRecord> spans() const;
   /// Number of spans opened so far.
   [[nodiscard]] std::size_t size() const;
+  /// Drop every mark and span, preloaded ones included.
   void clear();
 
-  /// Checkpoint restore: seed the tracer with spans recorded before the
-  /// cut and continue numbering at `next_seq` (the value checkpointed
-  /// from the original run, so post-resume seqs match the uninterrupted
-  /// run's). Post-resume end()/attr() calls on a preloaded span id merge
-  /// into its record. Call once, before any concurrent use.
-  void preload(std::vector<SpanRecord> spans, std::uint64_t next_seq);
+  /// Checkpoint restore: seed the tracer with the marks and spans recorded
+  /// before the cut; later marks sort after the preloaded ones. Span
+  /// numbering continues at `next_seq` (the value checkpointed from the
+  /// original run, so post-resume seqs match the uninterrupted run's), and
+  /// post-resume end()/attr() calls on a preloaded span id merge into its
+  /// record. Spans and `next_seq` are ignored when spans are disabled.
+  /// Call once, before any concurrent use.
+  void preload(std::vector<Mark> marks, std::vector<SpanRecord> spans,
+               std::uint64_t next_seq);
   /// Next seq the tracer will assign (checkpointed alongside spans()).
   [[nodiscard]] std::uint64_t next_seq() const noexcept {
     return next_seq_.load(std::memory_order_relaxed);
@@ -128,26 +145,37 @@ class Tracer {
     std::string name;      ///< span name (kOpen) or attr key (kAttr)
     std::string category;  ///< span category (kOpen) or attr value (kAttr)
   };
+  struct MarkEntry {
+    std::uint64_t seq = 0;
+    Mark mark;
+  };
   struct Buffer {
     std::mutex mutex;  // writer vs concurrent snapshot reader
     std::vector<Event> events;
+    std::vector<MarkEntry> marks;
   };
 
+  /// This thread's buffer for this tracer, creating and registering it on
+  /// first use. Buffers live until the tracer is destroyed.
   [[nodiscard]] Buffer& local_buffer();
   void record(Event event);
-  [[nodiscard]] std::vector<Event> merged() const;
+  /// Every buffer's `items`, merged and sorted by seq.
+  template <typename T>
+  [[nodiscard]] std::vector<T> merged(std::vector<T> Buffer::*items) const;
 
   const std::uint64_t id_;  ///< process-unique; keys the thread-local cache
   const bool enabled_;
   std::function<double()> clock_;
-  /// Spans restored from a checkpoint (see preload); their ids are all
-  /// below the restored next_seq_, so they sort before live spans.
-  std::vector<SpanRecord> preloaded_;
   /// Seqs double as span ids (an open's seq is its span's id); starts at 1
   /// so id 0 stays "no span".
   std::atomic<std::uint64_t> next_seq_{1};
-  mutable std::mutex registry_mutex_;  // guards buffers_
+  std::atomic<std::uint64_t> next_mark_seq_{0};
+  mutable std::mutex registry_mutex_;  // guards buffers_ and the preloads
   std::vector<std::unique_ptr<Buffer>> buffers_;
+  /// Records restored from a checkpoint (see preload). They precede every
+  /// live record: preloaded span ids are all below the restored next_seq_.
+  std::vector<Mark> preloaded_marks_;
+  std::vector<SpanRecord> preloaded_spans_;
 };
 
 /// RAII span: opens on construction using the tracer's clock, closes on

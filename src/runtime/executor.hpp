@@ -9,7 +9,7 @@
 //
 // Both honor the same contract: exec-setup overhead is applied, phases run
 // in order, the work function executes once, usage intervals land in the
-// pilot's UtilizationRecorder, profiler events are emitted, and exactly
+// pilot's UtilizationRecorder, lifecycle marks are recorded, and exactly
 // one completion callback fires with the task in a terminal state.
 
 #pragma once
@@ -18,7 +18,6 @@
 
 #include "common/rng.hpp"
 #include "hpc/resource_pool.hpp"
-#include "obs/obs.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/task.hpp"
 
@@ -62,12 +61,6 @@ class Executor {
     faults_ = faults;
   }
 
-  /// Wire the session's observability bundle (attempt/phase spans and the
-  /// exec histograms). Pass nullptr (the default) for an uninstrumented
-  /// executor. Must outlive the executor. Instrumentation never draws
-  /// from the executor's rng, so wiring it cannot perturb results.
-  void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
-
  protected:
   /// Fate of one attempt: neutral when no injector is wired.
   [[nodiscard]] FaultInjector::AttemptFault draw_fault(
@@ -76,19 +69,8 @@ class Executor {
     return faults_->draw_attempt(task->uid(), task->attempt());
   }
 
-  /// Tracer when span recording is live for this executor, else nullptr.
-  [[nodiscard]] obs::Tracer* tracer() const noexcept {
-    return obs_ != nullptr && obs_->tracer().enabled() ? &obs_->tracer()
-                                                       : nullptr;
-  }
-  /// Pre-registered metric handles, or nullptr when no bundle is wired.
-  [[nodiscard]] const obs::RuntimeMetrics* metrics() const noexcept {
-    return obs_ != nullptr ? &obs_->metrics() : nullptr;
-  }
-
  private:
   const FaultInjector* faults_ = nullptr;
-  obs::Observability* obs_ = nullptr;
 };
 
 }  // namespace impress::rp

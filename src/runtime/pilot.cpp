@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/logging.hpp"
+#include "hpc/analytics.hpp"
 
 namespace impress::rp {
 
@@ -17,11 +18,11 @@ std::string_view to_string(PilotState s) noexcept {
 }
 
 Pilot::Pilot(std::string uid, PilotDescription description,
-             hpc::Profiler& profiler, std::function<double()> now_fn,
+             obs::Observability& obs, std::function<double()> now_fn,
              bool restored)
     : uid_(std::move(uid)),
       description_(std::move(description)),
-      profiler_(profiler),
+      obs_(obs),
       now_(std::move(now_fn)),
       pool_(description_.nodes),
       recorder_(pool_.total_cores(), pool_.total_gpus()),
@@ -29,7 +30,7 @@ Pilot::Pilot(std::string uid, PilotDescription description,
                  [this](TaskPtr t, hpc::Allocation a) {
                    place(std::move(t), std::move(a));
                  }) {
-  if (!restored) profiler_.record(now_(), uid_, hpc::events::kBootstrapStart);
+  if (!restored) obs_.tracer().mark(now_(), uid_, hpc::events::kBootstrapStart);
 }
 
 void Pilot::attach(Executor& executor, CompletionFn on_task_terminal,
@@ -44,7 +45,7 @@ void Pilot::activate() {
   std::lock_guard lock(mutex_);
   if (state_ != PilotState::kLaunching) return;
   state_ = PilotState::kActive;
-  profiler_.record(now_(), uid_, hpc::events::kBootstrapStop);
+  obs_.tracer().mark(now_(), uid_, hpc::events::kBootstrapStop);
   IMPRESS_LOG(kInfo, "pilot") << uid_ << " active ("
                               << pool_.total_cores() << " cores, "
                               << pool_.total_gpus() << " gpus)";
@@ -54,10 +55,8 @@ void Pilot::activate() {
 void Pilot::run_scheduler() {
   // Called with mutex_ held.
   const std::size_t placed = scheduler_.try_schedule();
-  if (obs_ != nullptr) {
-    obs_->metrics().scheduler_ticks->inc();
-    if (placed > 0) obs_->metrics().scheduler_placements->add(placed);
-  }
+  obs_.metrics().scheduler_ticks->inc();
+  if (placed > 0) obs_.metrics().scheduler_placements->add(placed);
 }
 
 void Pilot::enqueue(TaskPtr task) {
@@ -75,8 +74,8 @@ bool Pilot::try_enqueue(TaskPtr task) {
     throw std::invalid_argument("task " + task->uid() +
                                 " can never fit on pilot " + uid_);
   task->set_state(TaskState::kScheduling, now_());
-  profiler_.record(now_(), task->uid(), hpc::events::kSchedule, uid_);
-  if (obs_ != nullptr) obs_->metrics().scheduler_enqueues->inc();
+  obs_.tracer().mark(now_(), task->uid(), hpc::events::kSchedule, uid_);
+  obs_.metrics().scheduler_enqueues->inc();
   scheduler_.enqueue(std::move(task));
   if (state_ == PilotState::kActive) run_scheduler();
   return true;
@@ -94,7 +93,7 @@ bool Pilot::cancel(const TaskPtr& task) {
     std::lock_guard lock(mutex_);
     if (scheduler_.remove(task)) {
       task->set_state(TaskState::kCancelled, now_());
-      profiler_.record(now_(), task->uid(), hpc::events::kCancelled, uid_);
+      obs_.tracer().mark(now_(), task->uid(), hpc::events::kCancelled, uid_);
       notify = on_task_terminal_;
     } else {
       executor = executor_;
@@ -142,7 +141,7 @@ void Pilot::fail() {
     std::lock_guard lock(mutex_);
     if (state_ == PilotState::kDone || state_ == PilotState::kFailed) return;
     state_ = PilotState::kFailed;
-    profiler_.record(now_(), uid_, hpc::events::kPilotFailed);
+    obs_.tracer().mark(now_(), uid_, hpc::events::kPilotFailed);
     drained = scheduler_.drain();
     evicted.reserve(executing_.size());
     for (const auto& [uid, t] : executing_) evicted.push_back(t);
@@ -158,12 +157,12 @@ void Pilot::fail() {
   // the executor's cancel path.
   for (const auto& task : drained) {
     if (requeue) {
-      profiler_.record(now_(), task->uid(), hpc::events::kRequeue, uid_);
+      obs_.tracer().mark(now_(), task->uid(), hpc::events::kRequeue, uid_);
       requeue(task);
     } else {
       task->set_error("pilot " + uid_ + " failed");
       task->set_state(TaskState::kFailed, now_());
-      profiler_.record(now_(), task->uid(), hpc::events::kFailed, uid_);
+      obs_.tracer().mark(now_(), task->uid(), hpc::events::kFailed, uid_);
       if (notify) notify(task);
     }
   }
@@ -177,7 +176,7 @@ void Pilot::reactivate() {
   std::lock_guard lock(mutex_);
   if (state_ != PilotState::kFailed) return;
   state_ = PilotState::kActive;
-  profiler_.record(now_(), uid_, hpc::events::kPilotReactivated);
+  obs_.tracer().mark(now_(), uid_, hpc::events::kPilotReactivated);
   IMPRESS_LOG(kInfo, "pilot") << uid_ << " reactivated (spot capacity back)";
   // fail() released nothing — evicted tasks return their allocations via
   // the executor's cancel path — so by the time work routes back here the
@@ -206,12 +205,12 @@ void Pilot::on_complete(const TaskPtr& task) {
     task->clear_allocation();
     --running_;
     executing_.erase(task->uid());
-    profiler_.record(now_(), task->uid(),
-                     task->state() == TaskState::kDone ? hpc::events::kDone
-                     : task->state() == TaskState::kFailed
-                         ? hpc::events::kFailed
-                         : hpc::events::kCancelled,
-                     uid_);
+    obs_.tracer().mark(now_(), task->uid(),
+                       task->state() == TaskState::kDone ? hpc::events::kDone
+                       : task->state() == TaskState::kFailed
+                           ? hpc::events::kFailed
+                           : hpc::events::kCancelled,
+                       uid_);
     if (state_ == PilotState::kActive) run_scheduler();
     notify = on_task_terminal_;
   }

@@ -24,9 +24,9 @@
 
 #include "common/lockdep.hpp"
 #include "hpc/node.hpp"
-#include "hpc/profiler.hpp"
 #include "hpc/resource_pool.hpp"
 #include "hpc/utilization.hpp"
+#include "obs/obs.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/load.hpp"
 #include "runtime/scheduler.hpp"
@@ -50,17 +50,17 @@ struct PilotDescription {
 
 class Pilot {
  public:
-  /// `now_fn` reads the session clock; `on_task_terminal` reports back to
-  /// the TaskManager after resources are released. A `restored` pilot is
-  /// being rebuilt from a checkpoint: its bootstrap_start event already
-  /// lives in the preloaded profiler, so the constructor must not record a
-  /// second one (the caller then sets the checkpointed state via
-  /// restore_state()).
-  Pilot(std::string uid, PilotDescription description, hpc::Profiler& profiler,
+  /// `now_fn` reads the session clock; `obs` receives the pilot's
+  /// lifecycle marks and scheduler-decision counters and must outlive the
+  /// pilot. A `restored` pilot is being rebuilt from a checkpoint: its
+  /// bootstrap_start mark is already among the preloaded marks, so the
+  /// constructor must not record a second one (the caller then sets the
+  /// checkpointed state via restore_state()).
+  Pilot(std::string uid, PilotDescription description, obs::Observability& obs,
         std::function<double()> now_fn, bool restored = false);
 
-  /// Checkpoint restore: force the lifecycle state without emitting
-  /// profiler events or draining/evicting anything.
+  /// Checkpoint restore: force the lifecycle state without recording
+  /// marks or draining/evicting anything.
   void restore_state(PilotState s) noexcept { state_.store(s); }
 
   Pilot(const Pilot&) = delete;
@@ -84,11 +84,6 @@ class Pilot {
   /// enqueue().
   void attach(Executor& executor, CompletionFn on_task_terminal,
               RequeueFn on_task_requeue = {});
-
-  /// Wire the session's observability bundle (scheduler-decision
-  /// counters). Pass nullptr (the default) to leave the pilot
-  /// uninstrumented. Must outlive the pilot.
-  void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
 
   /// Mark bootstrap finished; queued tasks start flowing.
   void activate();
@@ -146,13 +141,12 @@ class Pilot {
 
   std::string uid_;
   PilotDescription description_;
-  hpc::Profiler& profiler_;
+  obs::Observability& obs_;
   std::function<double()> now_;
   hpc::ResourcePool pool_;
   hpc::UtilizationRecorder recorder_;
   Scheduler scheduler_;
   Executor* executor_ = nullptr;
-  obs::Observability* obs_ = nullptr;
   CompletionFn on_task_terminal_;
   RequeueFn on_task_requeue_;
   // Atomic: read lock-free by TaskManager::route while activate()/finish()

@@ -23,8 +23,7 @@ Session::Session(SessionConfig config)
   if (config_.faults.any())
     faults_.emplace(config_.faults, rng_.fork("faults"));
   tmgr_ = std::make_unique<TaskManager>(
-      uids_, profiler_, [this] { return now(); }, rng_.fork("tmgr"));
-  tmgr_->set_observability(&obs_);
+      uids_, obs_, [this] { return now(); }, rng_.fork("tmgr"));
   tmgr_->set_defer(
       [this](double delay_s, std::function<void()> fn) {
         call_after(delay_s, std::move(fn));
@@ -33,7 +32,7 @@ Session::Session(SessionConfig config)
 
 Session::Session(SessionConfig config, const SessionRestore& restore)
     : Session(config) {
-  // Clock first: preloaded trace/profiler events carry pre-cut times, and
+  // Clock first: preloaded marks and spans carry pre-cut times, and
   // everything recorded from here on must stamp post-cut times.
   if (config_.mode == ExecutionMode::kSimulated) {
     // A fresh engine has no live events and now() == 0, so this can only
@@ -47,9 +46,8 @@ Session::Session(SessionConfig config, const SessionRestore& restore)
   } else {
     clock_offset_ = restore.now;
   }
-  profiler_.preload(restore.profiler_events);
-  if (obs_.tracer().enabled())
-    obs_.tracer().preload(restore.trace, restore.trace_next_seq);
+  obs_.tracer().preload(restore.profiler_events, restore.trace,
+                        restore.trace_next_seq);
   obs_.registry().preload(restore.metrics);
   uids_.restore_counters(restore.uid_counters);
   tmgr_->restore_counters(restore.task_counters);
@@ -81,20 +79,18 @@ std::unique_ptr<Executor> Session::make_executor(
     common::Rng exec_rng) {
   std::unique_ptr<Executor> exec;
   if (config_.mode == ExecutionMode::kSimulated) {
-    exec = std::make_unique<SimExecutor>(engine_, profiler_, pilot->recorder(),
+    exec = std::make_unique<SimExecutor>(engine_, obs_, pilot->recorder(),
                                          description.exec_overhead, exec_rng);
   } else {
     exec = std::make_unique<ThreadExecutor>(
-        *pool_, profiler_, pilot->recorder(), description.exec_overhead,
-        exec_rng, config_.time_scale, [this] { return now(); });
+        *pool_, obs_, pilot->recorder(), description.exec_overhead, exec_rng,
+        config_.time_scale, [this] { return now(); });
   }
   if (faults_) exec->set_fault_injector(&*faults_);
-  exec->set_observability(&obs_);
   return exec;
 }
 
 void Session::register_pilot(PilotPtr pilot, std::unique_ptr<Executor> exec) {
-  pilot->set_observability(&obs_);
   pilot->attach(*exec, tmgr_->terminal_handler(), tmgr_->requeue_handler());
   executors_.push_back(std::move(exec));
   pilots_.push_back(pilot);
@@ -132,7 +128,7 @@ void Session::arm_outages(const PilotPtr& pilot, std::size_t index,
 
 PilotPtr Session::submit_pilot(const PilotDescription& description) {
   auto pilot = std::make_shared<Pilot>(uids_.next("pilot"), description,
-                                       profiler_, [this] { return now(); });
+                                       obs_, [this] { return now(); });
   register_pilot(pilot,
                  make_executor(pilot, description,
                                rng_.fork("executor." + pilot->uid())));
@@ -147,7 +143,7 @@ PilotPtr Session::submit_pilot(const PilotDescription& description,
                                const PilotRestore& restore) {
   // The checkpointed uid is reused verbatim; the uid counters restored at
   // construction already account for it, so next("pilot") is not drawn.
-  auto pilot = std::make_shared<Pilot>(restore.uid, description, profiler_,
+  auto pilot = std::make_shared<Pilot>(restore.uid, description, obs_,
                                        [this] { return now(); },
                                        /*restored=*/true);
   for (const auto& interval : restore.intervals)
@@ -156,7 +152,7 @@ PilotPtr Session::submit_pilot(const PilotDescription& description,
                             rng_.fork("executor." + pilot->uid()));
   exec->restore_rng_state(restore.executor_rng);
   register_pilot(pilot, std::move(exec));
-  // Bootstrap completed before the cut (its events are preloaded); jump
+  // Bootstrap completed before the cut (its marks are preloaded); jump
   // straight to the checkpointed lifecycle state.
   pilot->restore_state(restore.failed ? PilotState::kFailed
                                       : PilotState::kActive);

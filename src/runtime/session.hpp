@@ -1,11 +1,12 @@
 // Session: top-level owner of one runtime instance (RP's Session analog).
 //
 // A session fixes the execution mode (simulated virtual clock vs real
-// worker threads), the master seed, and owns the engine, profiler, uid
-// generator, pilots, executors and the TaskManager. Everything an IMPRESS
-// campaign needs hangs off a Session, and two Sessions in one process are
-// fully independent — the Table-I bench runs the CONT-V and IM-RP
-// campaigns back to back in separate sessions.
+// worker threads), the master seed, and owns the engine, the observability
+// bundle (lifecycle marks, spans, metrics), uid generator, pilots,
+// executors and the TaskManager. Everything an IMPRESS campaign needs
+// hangs off a Session, and two Sessions in one process are fully
+// independent — the Table-I bench runs the CONT-V and IM-RP campaigns
+// back to back in separate sessions.
 
 #pragma once
 
@@ -21,7 +22,6 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/uid.hpp"
-#include "hpc/profiler.hpp"
 #include "obs/obs.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/pilot.hpp"
@@ -66,12 +66,12 @@ struct PilotRestore {
 };
 
 /// Runtime-layer checkpoint payload, applied at construction: clock warp,
-/// profiler/trace/metrics preloads, uid counters and TaskManager totals.
+/// mark/trace/metrics preloads, uid counters and TaskManager totals.
 /// Checkpoints are only cut at quiesce (nothing in flight), so no task or
 /// scheduler state appears here.
 struct SessionRestore {
   double now = 0.0;  ///< session clock at the cut (simulated seconds)
-  std::vector<hpc::ProfileEvent> profiler_events;
+  std::vector<obs::Mark> profiler_events;  ///< lifecycle marks
   std::vector<obs::SpanRecord> trace;
   std::uint64_t trace_next_seq = 1;
   obs::MetricsSnapshot metrics;
@@ -103,7 +103,6 @@ class Session {
 
   [[nodiscard]] TaskManager& task_manager() noexcept { return *tmgr_; }
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
-  [[nodiscard]] hpc::Profiler& profiler() noexcept { return profiler_; }
   [[nodiscard]] obs::Observability& observability() noexcept { return obs_; }
   [[nodiscard]] const obs::Observability& observability() const noexcept {
     return obs_;
@@ -147,8 +146,8 @@ class Session {
   void close();
 
  private:
-  /// Executor construction + fault/obs wiring shared by both
-  /// submit_pilot overloads.
+  /// Executor construction + fault wiring shared by both submit_pilot
+  /// overloads.
   std::unique_ptr<Executor> make_executor(const PilotPtr& pilot,
                                           const PilotDescription& description,
                                           common::Rng exec_rng);
@@ -162,9 +161,8 @@ class Session {
 
   SessionConfig config_;
   sim::Engine engine_;
-  hpc::Profiler profiler_;
   // Declared before the task manager / executors / pilots that hold a
-  // pointer to it (and therefore destroyed after them).
+  // reference to it (and therefore destroyed after them).
   obs::Observability obs_;
   common::UidGenerator uids_;
   common::Rng rng_;

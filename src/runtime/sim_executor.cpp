@@ -3,26 +3,28 @@
 #include <exception>
 #include <vector>
 
+#include "hpc/analytics.hpp"
+
 namespace impress::rp {
 
 void SimExecutor::launch(TaskPtr task, CompletionFn on_complete) {
   const double now = engine_.now();
-  profiler_.record(now, task->uid(), hpc::events::kExecSetupStart);
+  obs::Tracer& tr = obs_.tracer();
+  tr.mark(now, task->uid(), hpc::events::kExecSetupStart);
   double setup = overhead_.setup_mean_s;
   if (setup > 0.0 && overhead_.setup_jitter_sigma > 0.0)
     setup = rng_.lognormal_mean(setup, overhead_.setup_jitter_sigma);
   // Instrumentation strictly after the rng draw: tracing must not shift
   // the stream (the bit-exactness contract).
-  if (const obs::RuntimeMetrics* m = metrics())
-    m->exec_setup_seconds->observe(setup);
-  if (obs::Tracer* tr = tracer()) {
+  obs_.metrics().exec_setup_seconds->observe(setup);
+  if (tr.enabled()) {
     const obs::SpanId attempt =
-        tr->begin(now, "attempt." + std::to_string(task->attempt()),
-                  obs::categories::kAttempt, task->trace_span());
+        tr.begin(now, "attempt." + std::to_string(task->attempt()),
+                 obs::categories::kAttempt, task->trace_span());
     task->set_attempt_span(attempt);
-    const obs::SpanId span = tr->begin(now, "exec_setup",
-                                       obs::categories::kPhase, attempt);
-    tr->end(span, now + setup);
+    const obs::SpanId span =
+        tr.begin(now, "exec_setup", obs::categories::kPhase, attempt);
+    tr.end(span, now + setup);
   }
   auto& entry = pending_[task->uid()];
   entry.on_complete = std::move(on_complete);
@@ -32,7 +34,7 @@ void SimExecutor::launch(TaskPtr task, CompletionFn on_complete) {
 
 void SimExecutor::start_phases(const TaskPtr& task) {
   const double start = engine_.now();
-  profiler_.record(start, task->uid(), hpc::events::kExecStart);
+  obs_.tracer().mark(start, task->uid(), hpc::events::kExecStart);
 
   const FaultInjector::AttemptFault fault = draw_fault(task);
 
@@ -71,13 +73,13 @@ void SimExecutor::start_phases(const TaskPtr& task) {
         // Usage is only recorded when the task actually ran to completion;
         // a cancelled task never reaches this event. Phase spans follow
         // the same rule, with the intervals' explicit times.
-        if (obs::Tracer* tr = tracer()) {
+        if (obs::Tracer& tr = obs_.tracer(); tr.enabled()) {
           const auto& phases = task->description().phases;
           for (std::size_t i = 0; i < intervals.size(); ++i) {
-            const obs::SpanId span = tr->begin(
+            const obs::SpanId span = tr.begin(
                 intervals[i].start, phases[i].name, obs::categories::kPhase,
                 task->attempt_span());
-            tr->end(span, intervals[i].end);
+            tr.end(span, intervals[i].end);
           }
         }
         for (auto& iv : intervals) recorder_.record(std::move(iv));
@@ -95,11 +97,10 @@ void SimExecutor::fail_injected(const TaskPtr& task) {
   task->set_error("injected fault (attempt " + std::to_string(task->attempt()) +
                   ")");
   task->set_state(TaskState::kFailed, now);
-  profiler_.record(now, task->uid(), hpc::events::kExecStop, "injected-fault");
-  if (obs::Tracer* tr = tracer()) {
-    tr->attr(task->attempt_span(), "outcome", "injected-fault");
-    tr->end(task->attempt_span(), now);
-  }
+  obs::Tracer& tr = obs_.tracer();
+  tr.mark(now, task->uid(), hpc::events::kExecStop, "injected-fault");
+  tr.attr(task->attempt_span(), "outcome", "injected-fault");
+  tr.end(task->attempt_span(), now);
   if (on_complete) on_complete(task);
 }
 
@@ -113,7 +114,7 @@ void SimExecutor::finish(const TaskPtr& task) {
   if (task->description().work) {
     // Ambient context: code inside the work function (mpnn sampler, fold
     // surrogate, fold cache) can open child spans under this attempt.
-    obs::AmbientContext ambient(tracer(), task->attempt_span());
+    obs::AmbientContext ambient(&obs_.tracer(), task->attempt_span());
     try {
       task->set_result(task->description().work(*task));
       task->set_state(TaskState::kDone, now);
@@ -127,13 +128,14 @@ void SimExecutor::finish(const TaskPtr& task) {
   } else {
     task->set_state(TaskState::kDone, now);
   }
-  profiler_.record(now, task->uid(), hpc::events::kExecStop);
-  if (const obs::RuntimeMetrics* m = metrics())
-    m->task_run_seconds->observe(now - task->state_time(TaskState::kExecuting));
-  if (obs::Tracer* tr = tracer()) {
-    tr->attr(task->attempt_span(), "outcome",
-             std::string(to_string(task->state())));
-    tr->end(task->attempt_span(), now);
+  obs::Tracer& tr = obs_.tracer();
+  tr.mark(now, task->uid(), hpc::events::kExecStop);
+  obs_.metrics().task_run_seconds->observe(
+      now - task->state_time(TaskState::kExecuting));
+  if (tr.enabled()) {
+    tr.attr(task->attempt_span(), "outcome",
+            std::string(to_string(task->state())));
+    tr.end(task->attempt_span(), now);
   }
   if (on_complete) on_complete(task);
 }
@@ -145,12 +147,10 @@ bool SimExecutor::cancel(const TaskPtr& task) {
   CompletionFn on_complete = std::move(it->second.on_complete);
   pending_.erase(it);
   task->set_state(TaskState::kCancelled, engine_.now());
-  profiler_.record(engine_.now(), task->uid(), hpc::events::kExecStop,
-                   "cancelled");
-  if (obs::Tracer* tr = tracer()) {
-    tr->attr(task->attempt_span(), "outcome", "cancelled");
-    tr->end(task->attempt_span(), engine_.now());
-  }
+  obs::Tracer& tr = obs_.tracer();
+  tr.mark(engine_.now(), task->uid(), hpc::events::kExecStop, "cancelled");
+  tr.attr(task->attempt_span(), "outcome", "cancelled");
+  tr.end(task->attempt_span(), engine_.now());
   if (on_complete) on_complete(task);
   return true;
 }

@@ -8,8 +8,8 @@
 #include <unordered_map>
 
 #include "common/rng.hpp"
-#include "hpc/profiler.hpp"
 #include "hpc/utilization.hpp"
+#include "obs/obs.hpp"
 #include "runtime/executor.hpp"
 #include "sim/engine.hpp"
 
@@ -17,11 +17,14 @@ namespace impress::rp {
 
 class SimExecutor : public Executor {
  public:
-  SimExecutor(sim::Engine& engine, hpc::Profiler& profiler,
+  /// `obs` receives the lifecycle marks, attempt/phase spans and exec
+  /// histograms; it must outlive the executor. Instrumentation never
+  /// draws from the executor's rng, so enabling it cannot perturb results.
+  SimExecutor(sim::Engine& engine, obs::Observability& obs,
               hpc::UtilizationRecorder& recorder, ExecOverheadModel overhead,
               common::Rng rng)
       : engine_(engine),
-        profiler_(profiler),
+        obs_(obs),
         recorder_(recorder),
         overhead_(overhead),
         rng_(rng) {}
@@ -52,7 +55,7 @@ class SimExecutor : public Executor {
   void fail_injected(const TaskPtr& task);
 
   sim::Engine& engine_;
-  hpc::Profiler& profiler_;
+  obs::Observability& obs_;
   hpc::UtilizationRecorder& recorder_;
   ExecOverheadModel overhead_;
   common::Rng rng_;

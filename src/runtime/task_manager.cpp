@@ -6,12 +6,13 @@
 
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
+#include "hpc/analytics.hpp"
 
 namespace impress::rp {
 
-TaskManager::TaskManager(common::UidGenerator& uids, hpc::Profiler& profiler,
+TaskManager::TaskManager(common::UidGenerator& uids, obs::Observability& obs,
                          std::function<double()> now_fn, common::Rng rng)
-    : uids_(uids), profiler_(profiler), now_(std::move(now_fn)), rng_(rng) {}
+    : uids_(uids), obs_(obs), now_(std::move(now_fn)), rng_(rng) {}
 
 void TaskManager::add_pilot(PilotPtr pilot) {
   std::lock_guard lock(mutex_);
@@ -52,24 +53,22 @@ TaskPtr TaskManager::submit(TaskDescription description) {
                                description.name + "'");
     task = std::make_shared<Task>(uids_.next("task"), std::move(description));
     task->set_state(TaskState::kSubmitted, now_());
-    profiler_.record(now_(), task->uid(), hpc::events::kSubmit,
-                     task->description().name);
+    obs_.tracer().mark(now_(), task->uid(), hpc::events::kSubmit,
+                       task->description().name);
     task_pilot_[task->uid()] = pilot;
     ++outstanding_;
     ++submitted_;
   }
-  if (obs_ != nullptr) {
-    obs_->metrics().tasks_submitted->inc();
-    obs_->metrics().tasks_outstanding->add(1.0);
-    if (obs::Tracer& tracer = obs_->tracer(); tracer.enabled()) {
-      // The task span covers submit -> terminal across every attempt,
-      // nested under the submitting stage (TaskDescription::trace_parent).
-      const obs::SpanId span =
-          tracer.begin(now_(), task->description().name,
-                       obs::categories::kTask, task->description().trace_parent);
-      tracer.attr(span, "uid", task->uid());
-      task->set_trace_span(span);
-    }
+  obs_.metrics().tasks_submitted->inc();
+  obs_.metrics().tasks_outstanding->add(1.0);
+  if (obs::Tracer& tracer = obs_.tracer(); tracer.enabled()) {
+    // The task span covers submit -> terminal across every attempt,
+    // nested under the submitting stage (TaskDescription::trace_parent).
+    const obs::SpanId span =
+        tracer.begin(now_(), task->description().name, obs::categories::kTask,
+                     task->description().trace_parent);
+    tracer.attr(span, "uid", task->uid());
+    task->set_trace_span(span);
   }
   IMPRESS_LOG(kDebug, "tmgr") << "submit " << task->uid() << " ('"
                               << task->description().name << "') -> "
@@ -102,7 +101,7 @@ void TaskManager::dispatch(const TaskPtr& task, PilotPtr pilot) {
       fail_unroutable(task, "pilot " + pilot->uid() + " died; no alternative");
       return;
     }
-    profiler_.record(now_(), task->uid(), hpc::events::kRequeue, next->uid());
+    obs_.tracer().mark(now_(), task->uid(), hpc::events::kRequeue, next->uid());
     pilot = std::move(next);
   }
 }
@@ -124,9 +123,9 @@ void TaskManager::arm_deadline(const TaskPtr& task) {
       pilot = it->second;
       ++timed_out_;
     }
-    if (obs_ != nullptr) obs_->metrics().tasks_timed_out->inc();
-    profiler_.record(now_(), task->uid(), hpc::events::kTimeout,
-                     "attempt " + std::to_string(attempt));
+    obs_.metrics().tasks_timed_out->inc();
+    obs_.tracer().mark(now_(), task->uid(), hpc::events::kTimeout,
+                       "attempt " + std::to_string(attempt));
     IMPRESS_LOG(kWarn, "tmgr") << task->uid() << " attempt " << attempt
                                << " exceeded deadline of " << timeout << "s";
     task->set_evict_reason(EvictReason::kTimeout);
@@ -162,8 +161,8 @@ bool TaskManager::cancel(const TaskPtr& task) {
     if (backoff_.erase(task->uid()) > 0) {
       in_backoff = true;
       task->set_state(TaskState::kCancelled, now_());
-      profiler_.record(now_(), task->uid(), hpc::events::kCancelled,
-                       "during retry backoff");
+      obs_.tracer().mark(now_(), task->uid(), hpc::events::kCancelled,
+                         "during retry backoff");
     } else {
       const auto it = task_pilot_.find(task->uid());
       if (it == task_pilot_.end()) return false;
@@ -243,9 +242,9 @@ void TaskManager::on_terminal(const TaskPtr& task) {
                         ? "attempt deadline exceeded"
                         : "pilot failed during execution");
     task->set_state(TaskState::kFailed, now_());
-    profiler_.record(now_(), task->uid(), hpc::events::kFailed,
-                     reason == EvictReason::kTimeout ? "deadline"
-                                                     : "pilot-failure");
+    obs_.tracer().mark(now_(), task->uid(), hpc::events::kFailed,
+                       reason == EvictReason::kTimeout ? "deadline"
+                                                       : "pilot-failure");
   }
 
   if (task->state() == TaskState::kFailed) {
@@ -270,11 +269,11 @@ void TaskManager::on_terminal(const TaskPtr& task) {
           rng_.fork(common::stable_hash(task->uid()) +
                     static_cast<std::uint64_t>(task->attempt()));
       const double delay = policy.backoff_delay(task->attempt() + 1, jitter);
-      profiler_.record(now_(), task->uid(), hpc::events::kRetry,
-                       "attempt " + std::to_string(task->attempt()) +
-                           " failed; next in " + std::to_string(delay) + "s");
+      obs_.tracer().mark(now_(), task->uid(), hpc::events::kRetry,
+                         "attempt " + std::to_string(task->attempt()) +
+                             " failed; next in " + std::to_string(delay) + "s");
       lock.unlock();
-      if (obs_ != nullptr) obs_->metrics().tasks_retried->inc();
+      obs_.metrics().tasks_retried->inc();
       IMPRESS_LOG(kInfo, "tmgr")
           << task->uid() << " attempt " << task->attempt() << "/"
           << policy.max_attempts << " failed (" << task->error()
@@ -304,8 +303,8 @@ void TaskManager::resubmit(const TaskPtr& task) {
     if (pilot) {
       task->begin_retry(now_());
       task_pilot_[task->uid()] = pilot;
-      profiler_.record(now_(), task->uid(), hpc::events::kSubmit,
-                       "attempt " + std::to_string(task->attempt()));
+      obs_.tracer().mark(now_(), task->uid(), hpc::events::kSubmit,
+                         "attempt " + std::to_string(task->attempt()));
     }
   }
   if (!pilot) {
@@ -332,7 +331,7 @@ void TaskManager::requeue(const TaskPtr& task) {
     fail_unroutable(task, "pilot failed; no alternative fits");
     return;
   }
-  if (obs_ != nullptr) obs_->metrics().tasks_requeued->inc();
+  obs_.metrics().tasks_requeued->inc();
   IMPRESS_LOG(kInfo, "tmgr") << "requeue " << task->uid() << " -> "
                              << pilot->uid();
   dispatch(task, std::move(pilot));
@@ -341,31 +340,27 @@ void TaskManager::requeue(const TaskPtr& task) {
 void TaskManager::fail_unroutable(const TaskPtr& task, const std::string& why) {
   task->set_error(why);
   task->set_state(TaskState::kFailed, now_());
-  profiler_.record(now_(), task->uid(), hpc::events::kFailed, why);
+  obs_.tracer().mark(now_(), task->uid(), hpc::events::kFailed, why);
   finalize(task);
 }
 
 void TaskManager::finalize(const TaskPtr& task) {
-  if (obs_ != nullptr) {
-    const TaskState state = task->state();
-    switch (state) {
-      case TaskState::kDone: obs_->metrics().tasks_done->inc(); break;
-      case TaskState::kFailed: obs_->metrics().tasks_failed->inc(); break;
-      case TaskState::kCancelled:
-        obs_->metrics().tasks_cancelled->inc();
-        break;
-      default: break;
-    }
-    obs_->metrics().tasks_outstanding->sub(1.0);
-    if (obs::Tracer& tracer = obs_->tracer();
-        tracer.enabled() && task->trace_span() != 0) {
-      tracer.attr(task->trace_span(), "outcome",
-                  std::string(to_string(state)));
-      if (task->attempt() > 1)
-        tracer.attr(task->trace_span(), "attempts",
-                    std::to_string(task->attempt()));
-      tracer.end(task->trace_span(), now_());
-    }
+  const TaskState state = task->state();
+  const obs::RuntimeMetrics& metrics = obs_.metrics();
+  switch (state) {
+    case TaskState::kDone: metrics.tasks_done->inc(); break;
+    case TaskState::kFailed: metrics.tasks_failed->inc(); break;
+    case TaskState::kCancelled: metrics.tasks_cancelled->inc(); break;
+    default: break;
+  }
+  metrics.tasks_outstanding->sub(1.0);
+  if (obs::Tracer& tracer = obs_.tracer();
+      tracer.enabled() && task->trace_span() != 0) {
+    tracer.attr(task->trace_span(), "outcome", std::string(to_string(state)));
+    if (task->attempt() > 1)
+      tracer.attr(task->trace_span(), "attempts",
+                  std::to_string(task->attempt()));
+    tracer.end(task->trace_span(), now_());
   }
   std::vector<Callback> callbacks;
   {

@@ -24,7 +24,6 @@
 #include "common/lockdep.hpp"
 #include "common/rng.hpp"
 #include "common/uid.hpp"
-#include "hpc/profiler.hpp"
 #include "obs/obs.hpp"
 #include "runtime/pilot.hpp"
 #include "runtime/task.hpp"
@@ -41,7 +40,10 @@ class TaskManager {
   /// Retry backoff and per-attempt deadlines are driven through it.
   using DeferFn = std::function<void(double, std::function<void()>)>;
 
-  TaskManager(common::UidGenerator& uids, hpc::Profiler& profiler,
+  /// `obs` (which must outlive the manager) receives the task lifecycle
+  /// marks, the task spans (submit -> terminal, parented under
+  /// TaskDescription::trace_parent) and the task-lifecycle counters.
+  TaskManager(common::UidGenerator& uids, obs::Observability& obs,
               std::function<double()> now_fn,
               common::Rng rng = common::Rng(0));
 
@@ -52,12 +54,6 @@ class TaskManager {
   /// Wire the deferred-execution hook. Without it, retries are submitted
   /// immediately (no backoff) and attempt deadlines are not enforced.
   void set_defer(DeferFn defer);
-
-  /// Wire the session's observability bundle: task spans (submit →
-  /// terminal, parented under TaskDescription::trace_parent) and the
-  /// task-lifecycle counters. Pass nullptr (the default) to leave the
-  /// manager uninstrumented. Must outlive the manager.
-  void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
 
   /// Submit one task; returns the live Task handle.
   /// Throws std::runtime_error if no registered pilot can ever fit it.
@@ -151,11 +147,10 @@ class TaskManager {
   PilotPtr route(const TaskDescription& td, const Pilot* exclude = nullptr);
 
   common::UidGenerator& uids_;
-  hpc::Profiler& profiler_;
+  obs::Observability& obs_;
   std::function<double()> now_;
   common::Rng rng_;  ///< backoff jitter; forked per (task, attempt)
   DeferFn defer_;
-  obs::Observability* obs_ = nullptr;
 
   // Root of the canonical acquisition order (see lockdep.hpp): held while
   // peeking Pilot queue lengths in route() and drawing uids, never taken

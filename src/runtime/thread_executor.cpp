@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "hpc/analytics.hpp"
+
 namespace impress::rp {
 
 void ThreadExecutor::sleep_scaled(double sim_seconds) const {
@@ -39,26 +41,26 @@ void ThreadExecutor::launch(TaskPtr task, CompletionFn on_complete) {
     cancel_flags_[task->uid()] = flag;
   }
   // Instrumentation strictly after every rng draw above (bit-exactness).
-  if (const obs::RuntimeMetrics* m = metrics())
-    m->exec_setup_seconds->observe(setup);
-  if (obs::Tracer* tr = tracer())
+  obs_.metrics().exec_setup_seconds->observe(setup);
+  if (obs::Tracer& tr = obs_.tracer(); tr.enabled())
     task->set_attempt_span(
-        tr->begin(now_(), "attempt." + std::to_string(task->attempt()),
-                  obs::categories::kAttempt, task->trace_span()));
+        tr.begin(now_(), "attempt." + std::to_string(task->attempt()),
+                 obs::categories::kAttempt, task->trace_span()));
 
   pool_.submit([this, task = std::move(task), on_complete = std::move(on_complete),
                 setup, durations = std::move(durations), fault, fail_budget,
                 flag] {
-    profiler_.record(now_(), task->uid(), hpc::events::kExecSetupStart);
+    obs::Tracer& tr = obs_.tracer();
+    tr.mark(now_(), task->uid(), hpc::events::kExecSetupStart);
     const double setup_t0 = now_();
     sleep_scaled(setup);
-    if (obs::Tracer* tr = tracer()) {
-      const obs::SpanId span =
-          tr->begin(setup_t0, "exec_setup", obs::categories::kPhase,
-                    task->attempt_span());
-      tr->end(span, now_());
+    if (tr.enabled()) {
+      const obs::SpanId span = tr.begin(setup_t0, "exec_setup",
+                                        obs::categories::kPhase,
+                                        task->attempt_span());
+      tr.end(span, now_());
     }
-    profiler_.record(now_(), task->uid(), hpc::events::kExecStart);
+    tr.mark(now_(), task->uid(), hpc::events::kExecStart);
 
     bool cancelled = false;
     bool crashed = false;
@@ -81,10 +83,10 @@ void ThreadExecutor::launch(TaskPtr task, CompletionFn on_complete) {
       const double t0 = now_();
       sleep_scaled(d);
       if (fault.fail) continue;  // doomed attempt: no usage accounting
-      if (obs::Tracer* tr = tracer()) {
-        const obs::SpanId span = tr->begin(
+      if (tr.enabled()) {
+        const obs::SpanId span = tr.begin(
             t0, phases[i].name, obs::categories::kPhase, task->attempt_span());
-        tr->end(span, now_());
+        tr.end(span, now_());
       }
       recorder_.record(hpc::UsageInterval{.start = t0,
                                           .end = now_(),
@@ -108,7 +110,7 @@ void ThreadExecutor::launch(TaskPtr task, CompletionFn on_complete) {
     } else if (task->description().work) {
       // Ambient context: library code inside the work function can open
       // child spans under this attempt (see obs::ambient_span).
-      obs::AmbientContext ambient(tracer(), task->attempt_span());
+      obs::AmbientContext ambient(&tr, task->attempt_span());
       try {
         task->set_result(task->description().work(*task));
         task->set_state(TaskState::kDone, now);
@@ -122,16 +124,15 @@ void ThreadExecutor::launch(TaskPtr task, CompletionFn on_complete) {
     } else {
       task->set_state(TaskState::kDone, now);
     }
-    profiler_.record(now_(), task->uid(), hpc::events::kExecStop,
-                     crashed ? "injected-fault" : "");
-    if (const obs::RuntimeMetrics* m = metrics())
-      m->task_run_seconds->observe(now_() -
-                                   task->state_time(TaskState::kExecuting));
-    if (obs::Tracer* tr = tracer()) {
-      tr->attr(task->attempt_span(), "outcome",
-               crashed ? "injected-fault"
-                       : std::string(to_string(task->state())));
-      tr->end(task->attempt_span(), now_());
+    tr.mark(now_(), task->uid(), hpc::events::kExecStop,
+            crashed ? "injected-fault" : "");
+    obs_.metrics().task_run_seconds->observe(
+        now_() - task->state_time(TaskState::kExecuting));
+    if (tr.enabled()) {
+      tr.attr(task->attempt_span(), "outcome",
+              crashed ? "injected-fault"
+                      : std::string(to_string(task->state())));
+      tr.end(task->attempt_span(), now_());
     }
     {
       std::lock_guard lock(mutex_);

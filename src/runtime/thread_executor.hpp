@@ -15,8 +15,8 @@
 #include "common/lockdep.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "hpc/profiler.hpp"
 #include "hpc/utilization.hpp"
+#include "obs/obs.hpp"
 #include "runtime/executor.hpp"
 
 namespace impress::rp {
@@ -25,13 +25,14 @@ class ThreadExecutor : public Executor {
  public:
   /// `time_scale` converts simulated seconds to wall seconds for sleeps
   /// (e.g. 1e-4 runs a 1-hour task in 0.36 s). `now_fn` reads the session
-  /// clock in simulated seconds.
-  ThreadExecutor(common::ThreadPool& pool, hpc::Profiler& profiler,
+  /// clock in simulated seconds. `obs` (which must outlive the executor)
+  /// receives marks, spans and exec histograms, as for SimExecutor.
+  ThreadExecutor(common::ThreadPool& pool, obs::Observability& obs,
                  hpc::UtilizationRecorder& recorder,
                  ExecOverheadModel overhead, common::Rng rng,
                  double time_scale, std::function<double()> now_fn)
       : pool_(pool),
-        profiler_(profiler),
+        obs_(obs),
         recorder_(recorder),
         overhead_(overhead),
         rng_(std::move(rng)),
@@ -57,7 +58,7 @@ class ThreadExecutor : public Executor {
   void sleep_scaled(double sim_seconds) const;
 
   common::ThreadPool& pool_;
-  hpc::Profiler& profiler_;
+  obs::Observability& obs_;
   hpc::UtilizationRecorder& recorder_;
   ExecOverheadModel overhead_;
   common::Rng rng_;

@@ -5,18 +5,18 @@
 namespace impress::hpc {
 namespace {
 
-void add_task(Profiler& p, const std::string& uid, double schedule,
+void add_task(obs::Tracer& t, const std::string& uid, double schedule,
               double setup, double start, double stop) {
-  p.record(schedule, uid, events::kSchedule);
-  p.record(setup, uid, events::kExecSetupStart);
-  p.record(start, uid, events::kExecStart);
-  p.record(stop, uid, events::kExecStop);
+  t.mark(schedule, uid, events::kSchedule);
+  t.mark(setup, uid, events::kExecSetupStart);
+  t.mark(start, uid, events::kExecStart);
+  t.mark(stop, uid, events::kExecStop);
 }
 
 TEST(Analytics, TaskTimingDecomposition) {
-  Profiler p;
-  add_task(p, "task.0", 0.0, 10.0, 15.0, 115.0);
-  const auto timings = task_timings(p);
+  obs::Tracer t;
+  add_task(t, "task.0", 0.0, 10.0, 15.0, 115.0);
+  const auto timings = task_timings(t.marks());
   ASSERT_EQ(timings.size(), 1u);
   EXPECT_DOUBLE_EQ(timings[0].wait, 10.0);
   EXPECT_DOUBLE_EQ(timings[0].setup, 5.0);
@@ -24,18 +24,18 @@ TEST(Analytics, TaskTimingDecomposition) {
 }
 
 TEST(Analytics, IncompleteTasksSkipped) {
-  Profiler p;
-  add_task(p, "task.0", 0.0, 1.0, 2.0, 3.0);
-  p.record(0.0, "task.queued", events::kSchedule);  // never ran
-  p.record(0.0, "task.running", events::kExecStart);  // no stop
-  EXPECT_EQ(task_timings(p).size(), 1u);
+  obs::Tracer t;
+  add_task(t, "task.0", 0.0, 1.0, 2.0, 3.0);
+  t.mark(0.0, "task.queued", events::kSchedule);  // never ran
+  t.mark(0.0, "task.running", events::kExecStart);  // no stop
+  EXPECT_EQ(task_timings(t.marks()).size(), 1u);
 }
 
 TEST(Analytics, SummaryAggregates) {
-  Profiler p;
-  add_task(p, "task.0", 0.0, 10.0, 12.0, 112.0);   // wait 10 setup 2 run 100
-  add_task(p, "task.1", 0.0, 30.0, 34.0, 234.0);   // wait 30 setup 4 run 200
-  const auto s = summarize_timings(p);
+  obs::Tracer t;
+  add_task(t, "task.0", 0.0, 10.0, 12.0, 112.0);   // wait 10 setup 2 run 100
+  add_task(t, "task.1", 0.0, 30.0, 34.0, 234.0);   // wait 30 setup 4 run 200
+  const auto s = summarize_timings(t.marks());
   EXPECT_EQ(s.tasks, 2u);
   EXPECT_DOUBLE_EQ(s.mean_wait, 20.0);
   EXPECT_DOUBLE_EQ(s.mean_setup, 3.0);
@@ -45,17 +45,17 @@ TEST(Analytics, SummaryAggregates) {
 }
 
 TEST(Analytics, EmptyProfilerSummary) {
-  Profiler p;
-  const auto s = summarize_timings(p);
+  obs::Tracer t;
+  const auto s = summarize_timings(t.marks());
   EXPECT_EQ(s.tasks, 0u);
   EXPECT_EQ(s.overhead_fraction, 0.0);
 }
 
 TEST(Analytics, ConcurrencySeriesCountsRunningTasks) {
-  Profiler p;
-  add_task(p, "task.0", 0.0, 0.0, 0.0, 100.0);
-  add_task(p, "task.1", 0.0, 0.0, 50.0, 100.0);
-  const auto series = concurrency_series(p, 4, 100.0);
+  obs::Tracer t;
+  add_task(t, "task.0", 0.0, 0.0, 0.0, 100.0);
+  add_task(t, "task.1", 0.0, 0.0, 50.0, 100.0);
+  const auto series = concurrency_series(t.marks(), 4, 100.0);
   ASSERT_EQ(series.size(), 4u);
   EXPECT_NEAR(series[0], 1.0, 1e-9);  // 0-25: only task.0
   EXPECT_NEAR(series[1], 1.0, 1e-9);  // 25-50
@@ -64,37 +64,71 @@ TEST(Analytics, ConcurrencySeriesCountsRunningTasks) {
 }
 
 TEST(Analytics, ConcurrencyHandlesRunningAtEnd) {
-  Profiler p;
-  p.record(0.0, "task.0", events::kSchedule);
-  p.record(0.0, "task.0", events::kExecSetupStart);
-  p.record(0.0, "task.0", events::kExecStart);  // never stops
-  const auto series = concurrency_series(p, 2, 10.0);
+  obs::Tracer t;
+  t.mark(0.0, "task.0", events::kSchedule);
+  t.mark(0.0, "task.0", events::kExecSetupStart);
+  t.mark(0.0, "task.0", events::kExecStart);  // never stops
+  const auto series = concurrency_series(t.marks(), 2, 10.0);
   EXPECT_NEAR(series[0], 1.0, 1e-9);
   EXPECT_NEAR(series[1], 1.0, 1e-9);
 }
 
 TEST(Analytics, PeakConcurrency) {
-  Profiler p;
-  add_task(p, "task.0", 0, 0, 0.0, 10.0);
-  add_task(p, "task.1", 0, 0, 5.0, 15.0);
-  add_task(p, "task.2", 0, 0, 8.0, 9.0);
-  add_task(p, "task.3", 0, 0, 20.0, 30.0);
-  EXPECT_EQ(peak_concurrency(p), 3u);
+  obs::Tracer t;
+  add_task(t, "task.0", 0, 0, 0.0, 10.0);
+  add_task(t, "task.1", 0, 0, 5.0, 15.0);
+  add_task(t, "task.2", 0, 0, 8.0, 9.0);
+  add_task(t, "task.3", 0, 0, 20.0, 30.0);
+  EXPECT_EQ(peak_concurrency(t.marks()), 3u);
 }
 
 TEST(Analytics, PeakConcurrencyBackToBackIsOne) {
-  Profiler p;
-  add_task(p, "task.0", 0, 0, 0.0, 10.0);
-  add_task(p, "task.1", 0, 0, 10.0, 20.0);  // starts exactly as 0 stops
-  EXPECT_EQ(peak_concurrency(p), 1u);
+  obs::Tracer t;
+  add_task(t, "task.0", 0, 0, 0.0, 10.0);
+  add_task(t, "task.1", 0, 0, 10.0, 20.0);  // starts exactly as 0 stops
+  EXPECT_EQ(peak_concurrency(t.marks()), 1u);
 }
 
 TEST(Analytics, EmptyInputs) {
-  Profiler p;
-  EXPECT_EQ(peak_concurrency(p), 0u);
-  EXPECT_TRUE(concurrency_series(p, 0).empty());
-  const auto series = concurrency_series(p, 3);
+  obs::Tracer t;
+  EXPECT_EQ(peak_concurrency(t.marks()), 0u);
+  EXPECT_TRUE(concurrency_series(t.marks(), 0).empty());
+  const auto series = concurrency_series(t.marks(), 3);
   for (double v : series) EXPECT_EQ(v, 0.0);
+}
+
+TEST(Profiler, PhaseDurationsSingleTask) {
+  obs::Tracer t;
+  t.mark(0.0, "pilot.0", events::kBootstrapStart);
+  t.mark(3.0, "pilot.0", events::kBootstrapStop);
+  t.mark(10.0, "task.0", events::kExecSetupStart);
+  t.mark(12.0, "task.0", events::kExecStart);
+  t.mark(20.0, "task.0", events::kExecStop);
+  const auto d = phase_durations(t.marks());
+  EXPECT_DOUBLE_EQ(d.at("bootstrap"), 3.0);
+  EXPECT_DOUBLE_EQ(d.at("exec_setup"), 2.0);
+  EXPECT_DOUBLE_EQ(d.at("running"), 8.0);
+}
+
+TEST(Profiler, PhaseDurationsSumAcrossTasks) {
+  obs::Tracer t;
+  for (int i = 0; i < 3; ++i) {
+    const std::string uid = "task." + std::to_string(i);
+    t.mark(i * 10.0, uid, events::kExecSetupStart);
+    t.mark(i * 10.0 + 1.0, uid, events::kExecStart);
+    t.mark(i * 10.0 + 5.0, uid, events::kExecStop);
+  }
+  const auto d = phase_durations(t.marks());
+  EXPECT_DOUBLE_EQ(d.at("exec_setup"), 3.0);
+  EXPECT_DOUBLE_EQ(d.at("running"), 12.0);
+}
+
+TEST(Profiler, UnpairedEventsIgnored) {
+  obs::Tracer t;
+  t.mark(0.0, "task.0", events::kExecStop);   // stop without start
+  t.mark(5.0, "task.1", events::kExecStart);  // start without stop
+  const auto d = phase_durations(t.marks());
+  EXPECT_DOUBLE_EQ(d.at("running"), 0.0);
 }
 
 }  // namespace

@@ -222,14 +222,7 @@ BatchingReport replay(core::CampaignConfig cfg, std::uint32_t max_batch,
   return replay_batching(result.trace, batching);
 }
 
-class BatchingReplay : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!obs::kCompiledIn) GTEST_SKIP() << "tracing is compiled out";
-  }
-};
-
-TEST_F(BatchingReplay, GoldenBatchSizesAndTuner) {
+TEST(BatchingReplay, GoldenBatchSizesAndTuner) {
   const Stream fold1{15, 0, 15, 1, 32400, 32400};
   const struct {
     std::uint32_t max_batch;
@@ -250,7 +243,7 @@ TEST_F(BatchingReplay, GoldenBatchSizesAndTuner) {
   }
 }
 
-TEST_F(BatchingReplay, GoldenPrewarmedCacheHits) {
+TEST(BatchingReplay, GoldenPrewarmedCacheHits) {
   // A shared fold cache warmed by an identical run answers every fold.
   auto cfg = core::im_rp_campaign(42);
   cfg.coordinator.fold_cache = std::make_shared<fold::FoldCache>();
@@ -259,7 +252,7 @@ TEST_F(BatchingReplay, GoldenPrewarmedCacheHits) {
                 {{15, 15, 0, 0, 0, 0}, {12, 0, 11, 2, 4980, 5040}, 1, 1});
 }
 
-TEST_F(BatchingReplay, GoldenFaultyRunWithRetries) {
+TEST(BatchingReplay, GoldenFaultyRunWithRetries) {
   // Injected crashes stop an attempt before its work runs: retried
   // attempts request again, crashed ones never did.
   auto cfg = core::im_rp_campaign(42);
@@ -269,14 +262,14 @@ TEST_F(BatchingReplay, GoldenFaultyRunWithRetries) {
                                         {12, 0, 9, 2, 4860, 5040}, 8, 0});
 }
 
-TEST_F(BatchingReplay, GoldenFasterGpuGeneration) {
+TEST(BatchingReplay, GoldenFasterGpuGeneration) {
   auto cfg = core::im_rp_campaign(42);
   for (auto& node : cfg.pilot.nodes) node.gpu_speed_factor = 2.5;
   expect_golden(replay(cfg, 8, false), {{15, 0, 14, 2, 12816, 12960},
                                         {12, 0, 8, 2, 1920, 2016}, 8, 0});
 }
 
-TEST_F(BatchingReplay, CountsEveryFoldAndGeneratorTask) {
+TEST(BatchingReplay, CountsEveryFoldAndGeneratorTask) {
   auto cfg = core::im_rp_campaign(42);
   cfg.session.enable_tracing = true;
   cfg.enable_fold_cache = false;  // requests come from fold.predict spans

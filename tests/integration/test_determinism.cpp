@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
@@ -46,6 +47,11 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.fold_tasks, b.fold_tasks);
   EXPECT_EQ(a.fold_retries, b.fold_retries);
   EXPECT_EQ(a.subpipelines, b.subpipelines);
+  // Fields derived from the lifecycle marks.
+  EXPECT_EQ(a.phase_hours, b.phase_hours);
+  EXPECT_EQ(a.gantt, b.gantt);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.pilot_failures, b.pilot_failures);
 }
 
 TEST(Determinism, ImRpBitIdenticalAcrossRuns) {
@@ -220,21 +226,26 @@ TEST_P(SeedSweep, EverySeedIsSelfConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1u, 7u, 99u));
 
-// FNV-1a 64 of the session dump (the constants perfbench's digest uses).
-std::uint64_t dump_digest(const CampaignResult& r) {
+// FNV-1a 64 (the constants perfbench's digest uses).
+std::uint64_t fnv1a(const std::string& text) {
   std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : to_json(r).dump()) {
+  for (const unsigned char c : text) {
     h ^= c;
     h *= 1099511628211ULL;
   }
   return h;
 }
 
+std::uint64_t dump_digest(const CampaignResult& r) {
+  return fnv1a(to_json(r).dump());
+}
+
 TEST(Determinism, SessionDumpDigestsAtSeed5) {
-  // Golden outputs: the whole session dump of three seed-5 campaigns,
-  // pinned to the committed code. A change to scheduling, decision-making
-  // or the science that moves a single byte of a dump fails here; a
-  // deliberate change re-records the digests and says why.
+  // Golden outputs: the whole session dump of four seed-5 campaigns (one
+  // traced and metered) and one mid-run checkpoint document, pinned to the
+  // committed code. A change to scheduling, decision-making or the science
+  // that moves a single byte of a dump fails here; a deliberate change
+  // re-records the digests and says why.
   auto fig3 = im_rp_campaign(5);
   fig3.protocol.adaptivity_in_final_cycle = false;
   fig3.protocol.max_subpipelines_per_target = 1;
@@ -250,6 +261,22 @@ TEST(Determinism, SessionDumpDigestsAtSeed5) {
       Campaign(cont_v_campaign(5)).run(protein::pdz_benchmark(70));
   EXPECT_EQ(contv_70.fold_tasks, 280u);
   EXPECT_EQ(dump_digest(contv_70), 0x67b66f9fd9810fe0ULL);
+
+  // Traced and metered, with a checkpoint cut every 20 completions: pins
+  // the span, metric and checkpoint bytes next to the untraced dumps.
+  auto observed = im_rp_campaign(5);
+  observed.session.enable_tracing = true;
+  observed.session.enable_metrics = true;
+  observed.checkpoint.every_n_completions = 20;
+  std::vector<std::uint64_t> cuts;
+  observed.checkpoint.sink = [&cuts](const CampaignCheckpoint& doc) {
+    cuts.push_back(fnv1a(to_json(doc).dump()));
+  };
+  const auto observed_8 = Campaign(observed).run(protein::pdz_benchmark(8));
+  EXPECT_EQ(observed_8.fold_tasks, 90u);
+  EXPECT_EQ(dump_digest(observed_8), 0xd90040aef20da009ULL);
+  ASSERT_EQ(cuts.size(), 5u);
+  EXPECT_EQ(cuts[2], 0x8486f55d8fbf943fULL);  // the middle cut
 }
 
 }  // namespace

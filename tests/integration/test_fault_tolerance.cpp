@@ -107,7 +107,8 @@ TEST(FaultTolerance, PilotOutageMidCampaignRecoversOnSurvivor) {
   session.run();
   EXPECT_EQ(doomed->state(), rp::PilotState::kFailed);
   for (const auto& t : tasks) EXPECT_EQ(t->state(), rp::TaskState::kDone);
-  const auto retry = hpc::summarize_retries(session.profiler().events());
+  const auto retry = hpc::summarize_retries(
+      session.observability().tracer().marks());
   EXPECT_EQ(retry.pilot_failures, 1u);
   EXPECT_GT(retry.retries + retry.requeues, 0u);
   EXPECT_GT(retry.tasks_retried, 0u);

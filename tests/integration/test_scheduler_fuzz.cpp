@@ -6,13 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "hpc/analytics.hpp"
 #include "runtime/session.hpp"
 
 namespace impress::rp {
 namespace {
+
+// Time of the first `event` mark recorded for `entity`.
+std::optional<double> time_of(const std::vector<obs::Mark>& marks,
+                              std::string_view entity, std::string_view event) {
+  for (const auto& m : marks)
+    if (m.entity == entity && m.event == event) return m.time;
+  return std::nullopt;
+}
 
 struct FuzzParams {
   std::uint64_t seed;
@@ -101,12 +112,12 @@ TEST_P(RuntimeFuzz, InvariantsHoldForRandomWorkloads) {
   EXPECT_GE(makespan * node.cores, total_core_seconds * 0.5);
   EXPECT_LT(makespan, 1e9);
 
-  // 4. Profiler ordering invariants for every task.
+  // 4. Lifecycle-mark ordering invariants for every task.
+  const auto marks = session.observability().tracer().marks();
   for (const auto& iv : intervals) {
     const auto setup =
-        session.profiler().time_of(iv.task_uid, hpc::events::kExecSetupStart);
-    const auto start =
-        session.profiler().time_of(iv.task_uid, hpc::events::kExecStart);
+        time_of(marks, iv.task_uid, hpc::events::kExecSetupStart);
+    const auto start = time_of(marks, iv.task_uid, hpc::events::kExecStart);
     ASSERT_TRUE(setup && start);
     EXPECT_LE(*setup, *start);
     EXPECT_LE(*start, iv.start + 1e-9);

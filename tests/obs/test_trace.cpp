@@ -1,6 +1,6 @@
-// Tracer unit tests: span lifecycle, nesting, attributes, the ambient
-// context, thread-safety of the per-thread buffers, and the disabled /
-// no-op paths that back the zero-cost-when-off contract.
+// Tracer unit tests: lifecycle marks, span lifecycle, nesting, attributes,
+// the ambient context, thread-safety of the per-thread buffers, and the
+// disabled / no-op span paths that back the zero-cost-when-off contract.
 
 #include <gtest/gtest.h>
 
@@ -115,6 +115,83 @@ TEST(Tracer, ClearDropsEverything) {
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_TRUE(tracer.spans().empty());
+
+  // Preloaded records go too, not only the per-thread buffers.
+  Tracer restored(true);
+  SpanRecord old;
+  old.id = 1;
+  old.name = "before.cut";
+  old.open_seq = 1;
+  restored.preload({Mark{1.0, "task.0", "submit", ""}}, {old}, 2);
+  (void)restored.begin(2.0, "after.cut", categories::kWork);
+  restored.mark(2.0, "task.0", "schedule");
+  EXPECT_EQ(restored.size(), 2u);
+  EXPECT_EQ(restored.marks().size(), 2u);
+  restored.clear();
+  EXPECT_EQ(restored.size(), 0u);
+  EXPECT_TRUE(restored.spans().empty());
+  EXPECT_TRUE(restored.marks().empty());
+}
+
+TEST(Tracer, MarksLeaveSpanIdsAlone) {
+  // Marks have their own sequence counter: recording one never shifts a
+  // span id, so traced outputs do not depend on how many marks there are.
+  Tracer plain(true);
+  Tracer marked(true);
+  marked.mark(0.0, "task.0", "submit");
+  const SpanId a = plain.begin(0.0, "x", categories::kWork);
+  const SpanId b = marked.begin(0.0, "x", categories::kWork);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(marked.next_seq(), plain.next_seq());
+  EXPECT_EQ(marked.size(), 1u);  // the mark is not a span
+}
+
+TEST(Tracer, PreloadedMarksComeFirst) {
+  Tracer tracer;
+  tracer.preload({Mark{1.0, "pilot.0", "bootstrap_start", ""}},
+                 {SpanRecord{}}, 7);
+  tracer.mark(2.0, "pilot.0", "bootstrap_stop");
+  const auto marks = tracer.marks();
+  ASSERT_EQ(marks.size(), 2u);
+  EXPECT_EQ(marks[0].event, "bootstrap_start");
+  EXPECT_EQ(marks[1].event, "bootstrap_stop");
+  // Spans disabled: the preloaded spans and span numbering are ignored.
+  EXPECT_TRUE(tracer.spans().empty());
+  EXPECT_EQ(tracer.next_seq(), 1u);
+}
+
+// Lifecycle marks are the runtime's profile (RADICAL-Pilot's profiler
+// records): these pin record order, clear() and concurrent recording.
+TEST(Profiler, RecordsInOrder) {
+  Tracer tracer;  // spans disabled: marks are recorded regardless
+  tracer.mark(1.0, "task.0", "submit", "fold");
+  tracer.mark(2.0, "task.0", "schedule");
+  const auto marks = tracer.marks();
+  ASSERT_EQ(marks.size(), 2u);
+  EXPECT_EQ(marks[0].event, "submit");
+  EXPECT_EQ(marks[0].info, "fold");
+  EXPECT_EQ(marks[1].event, "schedule");
+  EXPECT_DOUBLE_EQ(marks[1].time, 2.0);
+  EXPECT_EQ(marks[1].entity, "task.0");
+}
+
+TEST(Profiler, ClearEmpties) {
+  Tracer tracer;
+  tracer.mark(1.0, "a", "x");
+  tracer.clear();
+  EXPECT_TRUE(tracer.marks().empty());
+}
+
+TEST(Profiler, ThreadSafeRecording) {
+  Tracer tracer;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&tracer, t] {
+      for (int i = 0; i < 500; ++i)
+        tracer.mark(i, "entity." + std::to_string(t), "event");
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(tracer.marks().size(), 2000u);
 }
 
 TEST(Tracer, ThreadsMergeIntoOneOrderedSnapshot) {

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 
+#include "hpc/analytics.hpp"
 #include "runtime/session.hpp"
 #include "runtime/task_manager.hpp"
 
@@ -229,7 +230,7 @@ TEST(Retry, SpotReclaimEvictsAndPilotReturns) {
                 session.task_manager().requeued(),
             0u);
   bool reactivated = false;
-  for (const auto& e : session.profiler().events())
+  for (const auto& e : session.observability().tracer().marks())
     if (e.event == hpc::events::kPilotReactivated) reactivated = true;
   EXPECT_TRUE(reactivated);
 }
@@ -274,7 +275,7 @@ TEST(Retry, SpotReclaimedRunIsDeterministic) {
                       session.task_manager().failed(),
                       session.task_manager().retried(),
                       session.task_manager().requeued(), session.now(),
-                      session.profiler().events().size()};
+                      session.observability().tracer().marks().size()};
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -296,7 +297,7 @@ TEST(Retry, FaultedRunIsDeterministic) {
     return std::tuple{session.task_manager().done(),
                       session.task_manager().failed(),
                       session.task_manager().retried(), session.now(),
-                      session.profiler().events().size()};
+                      session.observability().tracer().marks().size()};
   };
   EXPECT_EQ(run_once(), run_once());
 }

@@ -1,15 +1,26 @@
 // End-to-end runtime behaviour on the simulated (discrete-event) executor:
-// state machines, timing, utilization accounting, profiler events,
+// state machines, timing, utilization accounting, lifecycle marks,
 // cancellation, phases, and failure propagation.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
+#include "hpc/analytics.hpp"
 #include "runtime/session.hpp"
 
 namespace impress::rp {
 namespace {
+
+// Time of the first `event` mark recorded for `entity`.
+std::optional<double> time_of(const std::vector<obs::Mark>& marks,
+                              std::string_view entity, std::string_view event) {
+  for (const auto& m : marks)
+    if (m.entity == entity && m.event == event) return m.time;
+  return std::nullopt;
+}
 
 PilotDescription small_pilot(double bootstrap = 0.0, double setup = 0.0) {
   PilotDescription pd;
@@ -135,13 +146,13 @@ TEST(SimSession, ProfilerEventOrdering) {
   session.submit_pilot(small_pilot(5.0, 2.0));
   auto task = session.task_manager().submit(make_simple_task("t", 1, 0, 10.0));
   session.run();
-  auto& prof = session.profiler();
-  const auto submit = prof.time_of(task->uid(), hpc::events::kSubmit);
-  const auto sched = prof.time_of(task->uid(), hpc::events::kSchedule);
-  const auto setup = prof.time_of(task->uid(), hpc::events::kExecSetupStart);
-  const auto start = prof.time_of(task->uid(), hpc::events::kExecStart);
-  const auto stop = prof.time_of(task->uid(), hpc::events::kExecStop);
-  const auto done = prof.time_of(task->uid(), hpc::events::kDone);
+  const auto marks = session.observability().tracer().marks();
+  const auto submit = time_of(marks, task->uid(), hpc::events::kSubmit);
+  const auto sched = time_of(marks, task->uid(), hpc::events::kSchedule);
+  const auto setup = time_of(marks, task->uid(), hpc::events::kExecSetupStart);
+  const auto start = time_of(marks, task->uid(), hpc::events::kExecStart);
+  const auto stop = time_of(marks, task->uid(), hpc::events::kExecStop);
+  const auto done = time_of(marks, task->uid(), hpc::events::kDone);
   ASSERT_TRUE(submit && sched && setup && start && stop && done);
   EXPECT_LE(*submit, *sched);
   EXPECT_LE(*sched, *setup);
@@ -158,7 +169,7 @@ TEST(SimSession, PhaseDurationsAggregated) {
   session.task_manager().submit(make_simple_task("a", 1, 0, 10.0));
   session.task_manager().submit(make_simple_task("b", 1, 0, 20.0));
   session.run();
-  const auto d = hpc::phase_durations(session.profiler().events());
+  const auto d = hpc::phase_durations(session.observability().tracer().marks());
   EXPECT_DOUBLE_EQ(d.at("bootstrap"), 5.0);
   EXPECT_DOUBLE_EQ(d.at("exec_setup"), 4.0);
   EXPECT_DOUBLE_EQ(d.at("running"), 30.0);

@@ -13,7 +13,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "hpc/profiler.hpp"
+#include "obs/obs.hpp"
 #include "runtime/pilot.hpp"
 #include "runtime/session.hpp"
 #include "runtime/thread_executor.hpp"
@@ -96,10 +96,10 @@ TEST(StressExecutor, PilotTeardownWhileTasksInFlight) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                .count() * 1e3;  // virtual seconds at time_scale 1e-3
   };
-  hpc::Profiler profiler;
+  obs::Observability obs;
   common::ThreadPool pool(4);
-  Pilot pilot("pilot.stress", stress_pilot(), profiler, now_fn);
-  ThreadExecutor exec(pool, profiler, pilot.recorder(), ExecOverheadModel{},
+  Pilot pilot("pilot.stress", stress_pilot(), obs, now_fn);
+  ThreadExecutor exec(pool, obs, pilot.recorder(), ExecOverheadModel{},
                       common::Rng(11), 1e-3, now_fn);
   std::atomic<int> terminal{0};
   pilot.attach(exec, [&](const TaskPtr&) {

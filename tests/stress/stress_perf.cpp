@@ -1,20 +1,21 @@
-// Interleaving-hostile hammering of the two new concurrent structures —
-// the sharded FoldCache and the per-thread Profiler buffers. Designed to
-// trip ThreadSanitizer on any missing synchronization rather than flake:
-// many writers over overlapping keys, readers merging mid-write, and
-// clear() racing record().
+// Interleaving-hostile hammering of two concurrent structures — the
+// sharded FoldCache and the Tracer's per-thread buffers, driven through
+// its always-on lifecycle marks. Designed to trip ThreadSanitizer on any
+// missing synchronization rather than flake: many writers over
+// overlapping keys, readers merging mid-write, and clear() racing mark().
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fold/fold_cache.hpp"
-#include "hpc/profiler.hpp"
+#include "obs/trace.hpp"
 
 namespace impress {
 namespace {
@@ -87,10 +88,10 @@ TEST(StressPerf, FoldCacheClearWhileHammered) {
 
 TEST(StressPerf, ProfilerConcurrentRecordAndMerge) {
   // 8 writer threads, each its own entity, with 2 readers merging the
-  // buffers concurrently. Afterwards: nothing lost, the global sequence
-  // order is a total order, and each entity's records appear in its own
-  // program order (encoded in the event time).
-  hpc::Profiler profiler;
+  // buffers concurrently (marks and spans). Afterwards: nothing lost, and
+  // each entity's marks appear in its own program order (encoded in the
+  // mark time).
+  obs::Tracer tracer(true);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
 
@@ -99,8 +100,8 @@ TEST(StressPerf, ProfilerConcurrentRecordAndMerge) {
   for (int r = 0; r < 2; ++r)
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        (void)profiler.size();
-        (void)profiler.events();  // merge mid-write
+        (void)tracer.size();
+        (void)tracer.marks();  // merge mid-write
       }
     });
 
@@ -109,67 +110,64 @@ TEST(StressPerf, ProfilerConcurrentRecordAndMerge) {
     writers.emplace_back([&, t] {
       const std::string entity = "task.writer" + std::to_string(t);
       for (int i = 0; i < kPerThread; ++i)
-        profiler.record(static_cast<double>(i), entity, "exec_start");
+        tracer.mark(static_cast<double>(i), entity, "exec_start");
     });
   for (auto& w : writers) w.join();
   stop.store(true);
   for (auto& r : readers) r.join();
 
-  EXPECT_EQ(profiler.size(),
-            static_cast<std::size_t>(kThreads) * kPerThread);
-  const auto events = profiler.events();
-  ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads) * kPerThread);
+  const auto marks = tracer.marks();
+  ASSERT_EQ(marks.size(), static_cast<std::size_t>(kThreads) * kPerThread);
+  EXPECT_EQ(tracer.size(), 0u);  // marks are not spans
   // Per-entity program order survives the merge.
-  for (int t = 0; t < kThreads; ++t) {
-    const auto mine =
-        profiler.events_for("task.writer" + std::to_string(t));
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(kPerThread));
-    for (int i = 0; i < kPerThread; ++i)
-      ASSERT_DOUBLE_EQ(mine[static_cast<std::size_t>(i)].time,
-                       static_cast<double>(i));
-  }
+  std::map<std::string, int> seen;  // entity -> marks read so far
+  for (const auto& m : marks)
+    ASSERT_DOUBLE_EQ(m.time, static_cast<double>(seen[m.entity]++));
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kThreads));
+  for (const auto& [entity, n] : seen) EXPECT_EQ(n, kPerThread) << entity;
 }
 
 TEST(StressPerf, ProfilerClearWhileRecording) {
-  hpc::Profiler profiler;
+  obs::Tracer tracer;
   std::atomic<bool> stop{false};
   std::thread clearer([&] {
-    while (!stop.load(std::memory_order_relaxed)) profiler.clear();
+    while (!stop.load(std::memory_order_relaxed)) tracer.clear();
   });
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t)
     writers.emplace_back([&, t] {
       const std::string entity = "task.c" + std::to_string(t);
       for (int i = 0; i < 20000; ++i)
-        profiler.record(static_cast<double>(i), entity, "exec_start");
+        tracer.mark(static_cast<double>(i), entity, "exec_start");
     });
   for (auto& w : writers) w.join();
   stop.store(true);
   clearer.join();
   // Whatever survived the clears is still a well-formed merge.
-  const auto events = profiler.events();
-  EXPECT_LE(events.size(), 4u * 20000u);
+  const auto marks = tracer.marks();
+  EXPECT_LE(marks.size(), 4u * 20000u);
 }
 
 TEST(StressPerf, ManyProfilersAcrossThreads) {
-  // Exercises the bounded thread-local cache: more profilers than the
-  // TLS cap, touched from several threads, must still route every record
-  // to the right profiler.
-  constexpr int kProfilers = 80;  // > kTlsCacheCap (64)
-  std::vector<std::unique_ptr<hpc::Profiler>> profilers;
-  for (int i = 0; i < kProfilers; ++i)
-    profilers.push_back(std::make_unique<hpc::Profiler>());
+  // Exercises the bounded thread-local cache: more tracers than the TLS
+  // cap, touched from several threads, must still route every mark to the
+  // right tracer.
+  constexpr int kTracers = 80;  // > kTlsCacheCap (64)
+  std::vector<std::unique_ptr<obs::Tracer>> tracers;
+  for (int i = 0; i < kTracers; ++i)
+    tracers.push_back(std::make_unique<obs::Tracer>());
 
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t)
     workers.emplace_back([&] {
       for (int round = 0; round < 50; ++round)
-        for (int i = 0; i < kProfilers; ++i)
-          profilers[static_cast<std::size_t>(i)]->record(
+        for (int i = 0; i < kTracers; ++i)
+          tracers[static_cast<std::size_t>(i)]->mark(
               static_cast<double>(round), "task.x", "exec_start");
     });
   for (auto& w : workers) w.join();
-  for (const auto& p : profilers) EXPECT_EQ(p->size(), 4u * 50u);
+  for (const auto& tracer : tracers)
+    EXPECT_EQ(tracer->marks().size(), 4u * 50u);
 }
 
 }  // namespace

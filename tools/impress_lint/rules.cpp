@@ -255,7 +255,7 @@ bool is_hot_path_file(const std::string& rel) {
   static const std::vector<std::string> hot = {
       "src/protein/landscape.cpp",  "src/protein/kernel_tables.cpp",
       "src/protein/sequence.cpp",   "src/mpnn/mpnn.cpp",
-      "src/fold/fold_cache.cpp",    "src/hpc/profiler.cpp",
+      "src/fold/fold_cache.cpp",    "src/obs/trace.cpp",
       "src/core/crossover_generator.cpp",
       "service/service.cpp",        "service/backpressure.cpp",
       "service/sim_backend.cpp",

@@ -34,7 +34,7 @@
 //                        system_clock / random_device / rand / srand /
 //                        gettimeofday in library code breaks replayable
 //                        sims; use the session clock and seeded RNGs.
-//                        (steady_clock stays legal: it is the profiler's
+//                        (steady_clock stays legal: it is the session's
 //                        clock and never reaches persisted state.)
 //   raw-struct-serialization
 //                        net TUs must encode messages field by field
