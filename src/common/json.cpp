@@ -3,56 +3,13 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace impress::common {
 
 namespace {
-
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-}
-
-// std::to_chars with an explicit precision is specified to produce what
-// printf does for the same conversion ("%.0f" / "%.17g"): documents are
-// byte-identical to printf formatting (Json.NumberRoundTripDumpMatchesPrintf)
-// at a fraction of its cost, with no locale or format string to parse.
-void dump_number(double d, std::string& out) {
-  if (!std::isfinite(d)) {
-    out += "null";  // JSON has no inf/nan
-    return;
-  }
-  char buf[40];
-  const bool integral = d == std::floor(d) && std::fabs(d) < 1e15;
-  const auto [end, ec] =
-      integral ? std::to_chars(buf, buf + sizeof buf, d,
-                               std::chars_format::fixed, 0)
-               : std::to_chars(buf, buf + sizeof buf, d,
-                               std::chars_format::general, 17);
-  out.append(buf, end);
-}
 
 class Parser {
  public:
@@ -139,11 +96,17 @@ class Parser {
     }
     for (;;) {
       skip_ws();
+      const std::size_t key_pos = pos_;
       std::string key = parse_string();
       skip_ws();
       expect(':');
       skip_ws();
-      obj.emplace(std::move(key), parse_value());
+      const auto [it, inserted] = obj.try_emplace(std::move(key));
+      if (!inserted) {
+        pos_ = key_pos;
+        fail("duplicate key \"" + it->first + "\"");
+      }
+      it->second = parse_value();
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -264,69 +227,189 @@ class Parser {
   int depth_ = 0;
 };
 
-void dump_impl(const Json& v, std::string& out, int indent, int depth);
-
-void dump_container_sep(std::string& out, int indent, int depth) {
-  if (indent > 0) {
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent * depth), ' ');
-  }
-}
-
-void dump_impl(const Json& v, std::string& out, int indent, int depth) {
-  if (v.is_null()) {
-    out += "null";
-  } else if (v.is_bool()) {
-    out += v.as_bool() ? "true" : "false";
-  } else if (v.is_number()) {
-    dump_number(v.as_number(), out);
-  } else if (v.is_string()) {
-    dump_string(v.as_string(), out);
-  } else if (v.is_array()) {
-    const auto& arr = v.as_array();
-    if (arr.empty()) {
-      out += "[]";
-      return;
-    }
-    out += '[';
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (i) out += ',';
-      dump_container_sep(out, indent, depth + 1);
-      dump_impl(arr[i], out, indent, depth + 1);
-    }
-    dump_container_sep(out, indent, depth);
-    out += ']';
-  } else {
-    const auto& obj = v.as_object();
-    if (obj.empty()) {
-      out += "{}";
-      return;
-    }
-    out += '{';
-    bool first = true;
-    for (const auto& [key, val] : obj) {
-      if (!first) out += ',';
-      first = false;
-      dump_container_sep(out, indent, depth + 1);
-      dump_string(key, out);
-      out += indent > 0 ? ": " : ":";
-      dump_impl(val, out, indent, depth + 1);
-    }
-    dump_container_sep(out, indent, depth);
-    out += '}';
-  }
-}
-
 }  // namespace
 
 std::string Json::dump(int indent) const {
-  std::string out;
-  dump_impl(*this, out, indent, 0);
-  return out;
+  JsonWriter w(indent);
+  w.value(*this);
+  return w.take();
 }
 
 Json Json::parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+// --- JsonWriter ---
+
+JsonWriter& JsonWriter::begin_object() { return open(true, '{'); }
+JsonWriter& JsonWriter::end_object() { return close(true, '}'); }
+JsonWriter& JsonWriter::begin_array() { return open(false, '['); }
+JsonWriter& JsonWriter::end_array() { return close(false, ']'); }
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  if (depth_ == 0 || !frames_[depth_ - 1].object || key_pending_)
+    throw std::logic_error("json writer: key outside an object member slot");
+  Frame& f = frames_[depth_ - 1];
+  if (!f.empty) {
+    if (k <= std::string_view(f.last_key))
+      throw std::logic_error("json writer: key \"" + std::string(k) +
+                             "\" does not sort after \"" + f.last_key + "\"");
+    out_ += ',';
+  }
+  f.empty = false;
+  f.last_key.assign(k);
+  newline(depth_);
+  write_string(k);
+  out_ += indent_ > 0 ? ": " : ":";
+  key_pending_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double d) {
+  before_value();
+  write_number(d);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) {
+  before_value();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  before_value();
+  write_string(s);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::nullptr_t) {
+  before_value();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const Json& v) {
+  if (v.is_null()) return value(nullptr);
+  if (v.is_bool()) return value(v.as_bool());
+  if (v.is_number()) return value(v.as_number());
+  if (v.is_string()) return value(std::string_view(v.as_string()));
+  if (v.is_array()) {
+    begin_array();
+    for (const Json& e : v.as_array()) value(e);
+    return end_array();
+  }
+  begin_object();
+  for (const auto& [k, e] : v.as_object()) key(k).value(e);
+  return end_object();
+}
+
+std::string JsonWriter::take() {
+  if (out_.empty() || depth_ != 0 || key_pending_)
+    throw std::logic_error("json writer: document is incomplete");
+  std::string out = std::move(out_);
+  out_.clear();
+  return out;
+}
+
+// A value takes the slot a key opened, or the next element of an array
+// (comma and line break before all but the first).
+void JsonWriter::before_value() {
+  if (depth_ == 0) {
+    if (!out_.empty())
+      throw std::logic_error("json writer: second top-level value");
+    return;
+  }
+  Frame& f = frames_[depth_ - 1];
+  if (f.object) {
+    if (!key_pending_)
+      throw std::logic_error("json writer: object member without a key");
+    key_pending_ = false;
+    return;
+  }
+  if (!f.empty) out_ += ',';
+  f.empty = false;
+  newline(depth_);
+}
+
+JsonWriter& JsonWriter::open(bool object, char bracket) {
+  before_value();
+  out_ += bracket;
+  if (depth_ == frames_.size()) frames_.emplace_back();
+  Frame& f = frames_[depth_++];
+  f.object = object;
+  f.empty = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(bool object, char bracket) {
+  if (depth_ == 0 || frames_[depth_ - 1].object != object || key_pending_)
+    throw std::logic_error("json writer: unbalanced end of container");
+  --depth_;
+  if (!frames_[depth_].empty) newline(depth_);
+  out_ += bracket;
+  return *this;
+}
+
+void JsonWriter::newline(std::size_t depth) {
+  if (indent_ <= 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+// Plain bytes are appended a run at a time; only quotes, backslashes and
+// control characters are escaped (UTF-8 passes through).
+void JsonWriter::write_string(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_ += '"';
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out_.append(esc, sizeof esc);
+      }
+    }
+  }
+  out_.append(s.data() + run, s.size() - run);
+  out_ += '"';
+}
+
+// std::to_chars is specified to print what printf prints for the same
+// conversion: integral values below 1e15 go through the integer overload
+// ("%.0f", with -0.0 kept as "-0"), everything else through "%.17g".
+// Documents are byte-identical to printf formatting
+// (Json.NumberRoundTripDumpMatchesPrintf) with no locale or format string
+// to parse.
+void JsonWriter::write_number(double d) {
+  char buf[40];
+  char* end = buf;
+  if (std::fabs(d) < 1e15) {  // false for NaN and the infinities
+    const auto n = static_cast<std::int64_t>(d);
+    if (static_cast<double>(n) == d) {
+      if (n == 0 && std::signbit(d)) *end++ = '-';
+      end = std::to_chars(end, buf + sizeof buf, n).ptr;
+      out_.append(buf, end);
+      return;
+    }
+  } else if (!std::isfinite(d)) {
+    out_ += "null";  // JSON has no inf/nan
+    return;
+  }
+  end = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17)
+            .ptr;
+  out_.append(buf, end);
 }
 
 }  // namespace impress::common

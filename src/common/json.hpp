@@ -1,12 +1,19 @@
-// Minimal JSON value type, serializer and parser.
+// Minimal JSON value type, streaming writer and parser.
 //
 // Backs the session-dump feature (core/session_dump.hpp): campaign
 // results are archived as JSON documents that external tooling — or a
 // later process — can read back. Deliberately small: UTF-8 passthrough,
 // doubles for all numbers, no comments, no trailing commas.
+//
+// JsonWriter is the one formatter: Json::dump walks its tree into one, and
+// large documents (campaign checkpoints) are written against one directly
+// without building a tree. Object keys must arrive in strictly increasing
+// byte order — the order a Json::Object (std::map) iterates — so a
+// streamed document is byte-identical to the dump of the equivalent tree.
 
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <initializer_list>
 #include <map>
@@ -85,13 +92,79 @@ class Json {
   [[nodiscard]] std::string dump(int indent = 0) const;
 
   /// Parse a JSON document; throws std::invalid_argument with a byte
-  /// offset on malformed input (including trailing garbage).
+  /// offset on malformed input (including trailing garbage and an object
+  /// key that repeats within one object).
   [[nodiscard]] static Json parse(std::string_view text);
 
   bool operator==(const Json&) const = default;
 
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
+};
+
+/// Streaming JSON formatter, compact or indented exactly like
+/// Json::dump(indent). Numbers print as integers when integral and below
+/// 1e15 in magnitude, otherwise with 17 significant digits (printf's
+/// "%.0f" / "%.17g", so every finite double round-trips through parse);
+/// non-finite numbers print as null. Misuse — a key outside an object, a
+/// value in an object without its key, an unbalanced end, a second
+/// top-level value — throws std::logic_error, as does a key that does not
+/// sort strictly after the previous key of the same object.
+class JsonWriter {
+ public:
+  /// `indent` > 0 pretty-prints with that many spaces per level.
+  explicit JsonWriter(int indent = 0) : indent_(indent) {}
+
+  JsonWriter& begin_object();
+  JsonWriter& end_object();
+  JsonWriter& begin_array();
+  JsonWriter& end_array();
+  /// Name the next member of the innermost open object.
+  JsonWriter& key(std::string_view k);
+
+  JsonWriter& value(double d);
+  /// Integers are numbers like any other (converted to double, as
+  /// Json(int) does).
+  template <std::integral I>
+    requires(!std::same_as<I, bool>)
+  JsonWriter& value(I n) {
+    return value(static_cast<double>(n));
+  }
+  JsonWriter& value(bool b);
+  JsonWriter& value(std::string_view s);
+  /// Exact matches: a std::string would be ambiguous between string_view
+  /// and Json, and a string literal would convert to bool.
+  JsonWriter& value(const std::string& s) { return value(std::string_view(s)); }
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(std::nullptr_t);
+  /// Write a whole tree (objects iterate in key order).
+  JsonWriter& value(const Json& v);
+
+  /// The finished document; throws std::logic_error when no value was
+  /// written or a container is still open. Leaves the writer empty.
+  [[nodiscard]] std::string take();
+
+ private:
+  struct Frame {
+    bool object = false;
+    bool empty = true;
+    std::string last_key;  ///< objects: the previous member's key
+  };
+
+  void before_value();
+  JsonWriter& open(bool object, char bracket);
+  JsonWriter& close(bool object, char bracket);
+  void newline(std::size_t depth);
+  void write_string(std::string_view s);
+  void write_number(double d);
+
+  std::string out_;
+  int indent_;
+  /// Open containers are frames_[0, depth_); deeper frames are kept so
+  /// their key buffers are reused by the next container at that depth.
+  std::vector<Frame> frames_;
+  std::size_t depth_ = 0;
+  bool key_pending_ = false;
 };
 
 }  // namespace impress::common

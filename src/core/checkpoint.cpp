@@ -18,10 +18,10 @@ constexpr std::string_view kKind = "impress.checkpoint";
 // --- uint64 <-> hex string (JSON numbers are doubles; exact bits matter
 // for rng states, cache keys, span ids and sequence numbers) ---
 
-common::Json hex_u64(std::uint64_t v) {
-  char buf[17];
+void write_hex(common::JsonWriter& w, std::uint64_t v) {
+  char buf[16];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v, 16);
-  return common::Json(std::string(buf, end));
+  w.value(std::string_view(buf, static_cast<std::size_t>(end - buf)));
 }
 
 std::uint64_t parse_hex_u64(const common::Json& j) {
@@ -36,14 +36,17 @@ std::uint64_t parse_hex_u64(const common::Json& j) {
 }
 
 // --- leaf types ---
+//
+// Writers emit each object's keys in sorted order (JsonWriter enforces it),
+// so the text equals the dump of the equivalent Json tree.
 
-common::Json rng_to_json(const common::Rng::State& s) {
-  common::Json::Object o;
-  o["state"] = hex_u64(s.state);
-  o["inc"] = hex_u64(s.inc);
-  o["cached_normal"] = s.cached_normal;
-  o["has_cached_normal"] = s.has_cached_normal;
-  return common::Json(std::move(o));
+void write_rng(common::JsonWriter& w, const common::Rng::State& s) {
+  w.begin_object();
+  w.key("cached_normal").value(s.cached_normal);
+  w.key("has_cached_normal").value(s.has_cached_normal);
+  write_hex(w.key("inc"), s.inc);
+  write_hex(w.key("state"), s.state);
+  w.end_object();
 }
 
 common::Rng::State rng_from_json(const common::Json& j) {
@@ -55,28 +58,25 @@ common::Rng::State rng_from_json(const common::Json& j) {
   return s;
 }
 
-common::Json structure_to_json(const protein::Structure& s) {
-  common::Json::Object o;
-  o["name"] = s.name();
-  common::Json::Array chains;
-  chains.reserve(s.chains().size());
+void write_structure(common::JsonWriter& w, const protein::Structure& s) {
+  w.begin_object();
+  w.key("chains").begin_array();
   for (const auto& chain : s.chains()) {
-    common::Json::Object c;
-    c["id"] = std::string(1, chain.id);
-    c["sequence"] = chain.sequence.to_string();
-    common::Json::Array ca;
-    ca.reserve(chain.ca.size());
+    w.begin_object();
+    w.key("ca").begin_array();
     for (const auto& v : chain.ca)
-      ca.emplace_back(common::Json::Array{v.x, v.y, v.z});
-    c["ca"] = common::Json(std::move(ca));
-    chains.emplace_back(std::move(c));
+      w.begin_array().value(v.x).value(v.y).value(v.z).end_array();
+    w.end_array();
+    w.key("id").value(std::string_view(&chain.id, 1));
+    w.key("sequence").value(chain.sequence.to_string());
+    w.end_object();
   }
-  o["chains"] = common::Json(std::move(chains));
-  common::Json::Array plddt;
-  plddt.reserve(s.plddt().size());
-  for (double p : s.plddt()) plddt.emplace_back(p);
-  o["plddt"] = common::Json(std::move(plddt));
-  return common::Json(std::move(o));
+  w.end_array();
+  w.key("name").value(s.name());
+  w.key("plddt").begin_array();
+  for (const double p : s.plddt()) w.value(p);
+  w.end_array();
+  w.end_object();
 }
 
 protein::Structure structure_from_json(const common::Json& j) {
@@ -103,20 +103,20 @@ protein::Structure structure_from_json(const common::Json& j) {
   return s;
 }
 
-common::Json complex_to_json(const protein::Complex& c) {
-  return structure_to_json(c.structure);
+void write_complex(common::JsonWriter& w, const protein::Complex& c) {
+  write_structure(w, c.structure);
 }
 
 protein::Complex complex_from_json(const common::Json& j) {
   return protein::Complex{structure_from_json(j)};
 }
 
-common::Json fold_metrics_to_json(const fold::FoldMetrics& m) {
-  common::Json::Object o;
-  o["plddt"] = m.plddt;
-  o["ptm"] = m.ptm;
-  o["ipae"] = m.ipae;
-  return common::Json(std::move(o));
+void write_fold_metrics(common::JsonWriter& w, const fold::FoldMetrics& m) {
+  w.begin_object();
+  w.key("ipae").value(m.ipae);
+  w.key("plddt").value(m.plddt);
+  w.key("ptm").value(m.ptm);
+  w.end_object();
 }
 
 fold::FoldMetrics fold_metrics_from_json(const common::Json& j) {
@@ -125,15 +125,15 @@ fold::FoldMetrics fold_metrics_from_json(const common::Json& j) {
                            .ipae = j.at("ipae").as_number()};
 }
 
-common::Json iteration_to_json(const IterationRecord& rec) {
-  common::Json::Object r;
-  r["cycle"] = rec.cycle;
-  r["metrics"] = fold_metrics_to_json(rec.metrics);
-  r["true_fitness"] = rec.true_fitness;
-  r["accepted"] = rec.accepted;
-  r["retries"] = rec.retries;
-  r["sequence"] = rec.sequence;
-  return common::Json(std::move(r));
+void write_iteration(common::JsonWriter& w, const IterationRecord& rec) {
+  w.begin_object();
+  w.key("accepted").value(rec.accepted);
+  w.key("cycle").value(rec.cycle);
+  write_fold_metrics(w.key("metrics"), rec.metrics);
+  w.key("retries").value(rec.retries);
+  w.key("sequence").value(rec.sequence);
+  w.key("true_fitness").value(rec.true_fitness);
+  w.end_object();
 }
 
 IterationRecord iteration_from_json(const common::Json& j) {
@@ -147,37 +147,34 @@ IterationRecord iteration_from_json(const common::Json& j) {
   return rec;
 }
 
-common::Json pipeline_to_json(const Pipeline::Snapshot& p) {
-  common::Json::Object o;
-  o["id"] = p.id;
-  o["target"] = p.target_name;
-  o["current"] = complex_to_json(p.current);
-  o["rng"] = rng_to_json(p.rng);
-  o["task_counter"] = hex_u64(p.task_counter);
-  o["state"] = p.state;
-  o["cycle"] = p.cycle;
-  o["is_sub"] = p.is_sub;
-  common::Json::Array candidates;
-  candidates.reserve(p.candidates.size());
-  for (const auto& c : p.candidates) {
-    common::Json::Object cand;
-    cand["sequence"] = c.sequence.to_string();
-    cand["log_likelihood"] = c.log_likelihood;
-    candidates.emplace_back(std::move(cand));
-  }
-  o["candidates"] = common::Json(std::move(candidates));
-  o["next_candidate"] = p.next_candidate;
-  o["pending_candidate"] = p.pending_candidate;
-  o["pending_reuse_features"] = p.pending_reuse_features;
-  o["retries_this_cycle"] = p.retries_this_cycle;
-  o["total_retries"] = p.total_retries;
-  if (p.last_metrics) o["last_metrics"] = fold_metrics_to_json(*p.last_metrics);
-  common::Json::Array history;
-  history.reserve(p.history.size());
-  for (const auto& rec : p.history)
-    history.emplace_back(iteration_to_json(rec));
-  o["history"] = common::Json(std::move(history));
-  return common::Json(std::move(o));
+void write_pipeline(common::JsonWriter& w, const Pipeline::Snapshot& p) {
+  w.begin_object();
+  w.key("candidates").begin_array();
+  for (const auto& c : p.candidates)
+    w.begin_object()
+        .key("log_likelihood").value(c.log_likelihood)
+        .key("sequence").value(c.sequence.to_string())
+        .end_object();
+  w.end_array();
+  write_complex(w.key("current"), p.current);
+  w.key("cycle").value(p.cycle);
+  w.key("history").begin_array();
+  for (const auto& rec : p.history) write_iteration(w, rec);
+  w.end_array();
+  w.key("id").value(p.id);
+  w.key("is_sub").value(p.is_sub);
+  if (p.last_metrics)
+    write_fold_metrics(w.key("last_metrics"), *p.last_metrics);
+  w.key("next_candidate").value(p.next_candidate);
+  w.key("pending_candidate").value(p.pending_candidate);
+  w.key("pending_reuse_features").value(p.pending_reuse_features);
+  w.key("retries_this_cycle").value(p.retries_this_cycle);
+  write_rng(w.key("rng"), p.rng);
+  w.key("state").value(p.state);
+  w.key("target").value(p.target_name);
+  write_hex(w.key("task_counter"), p.task_counter);
+  w.key("total_retries").value(p.total_retries);
+  w.end_object();
 }
 
 Pipeline::Snapshot pipeline_from_json(const common::Json& j) {
@@ -209,38 +206,37 @@ Pipeline::Snapshot pipeline_from_json(const common::Json& j) {
   return p;
 }
 
-common::Json coordinator_to_json(const CoordinatorCheckpoint& c) {
-  common::Json::Object o;
-  common::Json::Array pipelines;
-  pipelines.reserve(c.pipelines.size());
-  for (const auto& p : c.pipelines) pipelines.emplace_back(pipeline_to_json(p));
-  o["pipelines"] = common::Json(std::move(pipelines));
-  common::Json::Array parked;
-  parked.reserve(c.parked.size());
+void write_coordinator(common::JsonWriter& w, const CoordinatorCheckpoint& c) {
+  w.begin_object();
+  write_hex(w.key("failed_tasks"), c.failed_tasks);
+  write_hex(w.key("fold_retries"), c.fold_retries);
+  write_hex(w.key("fold_tasks"), c.fold_tasks);
+  write_hex(w.key("generator_tasks"), c.generator_tasks);
+  w.key("parked").begin_array();
   for (const auto& pa : c.parked) {
-    common::Json::Object a;
-    a["pipeline"] = pa.pipeline_id;
-    a["kind"] = pa.kind;
-    if (pa.fold_input) a["fold_input"] = complex_to_json(*pa.fold_input);
-    a["reuse_features"] = pa.reuse_features;
-    a["refined"] = pa.refined;
-    parked.emplace_back(std::move(a));
+    w.begin_object();
+    if (pa.fold_input) write_complex(w.key("fold_input"), *pa.fold_input);
+    w.key("kind").value(pa.kind);
+    w.key("pipeline").value(pa.pipeline_id);
+    w.key("refined").value(pa.refined);
+    w.key("reuse_features").value(pa.reuse_features);
+    w.end_object();
   }
-  o["parked"] = common::Json(std::move(parked));
-  common::Json::Object subs;
-  for (const auto& [name, count] : c.subpipeline_count) subs[name] = count;
-  o["subpipeline_count"] = common::Json(std::move(subs));
-  common::Json::Object spans;
-  for (const auto& [id, span] : c.pipeline_spans) spans[id] = hex_u64(span);
-  o["pipeline_spans"] = common::Json(std::move(spans));
-  o["root_pipelines"] = hex_u64(c.root_pipelines);
-  o["subpipelines"] = hex_u64(c.subpipelines);
-  o["generator_tasks"] = hex_u64(c.generator_tasks);
-  o["refine_tasks"] = hex_u64(c.refine_tasks);
-  o["fold_tasks"] = hex_u64(c.fold_tasks);
-  o["fold_retries"] = hex_u64(c.fold_retries);
-  o["failed_tasks"] = hex_u64(c.failed_tasks);
-  return common::Json(std::move(o));
+  w.end_array();
+  w.key("pipeline_spans").begin_object();
+  for (const auto& [id, span] : c.pipeline_spans) write_hex(w.key(id), span);
+  w.end_object();
+  w.key("pipelines").begin_array();
+  for (const auto& p : c.pipelines) write_pipeline(w, p);
+  w.end_array();
+  write_hex(w.key("refine_tasks"), c.refine_tasks);
+  write_hex(w.key("root_pipelines"), c.root_pipelines);
+  w.key("subpipeline_count").begin_object();
+  for (const auto& [name, count] : c.subpipeline_count)
+    w.key(name).value(count);
+  w.end_object();
+  write_hex(w.key("subpipelines"), c.subpipelines);
+  w.end_object();
 }
 
 CoordinatorCheckpoint coordinator_from_json(const common::Json& j) {
@@ -271,22 +267,20 @@ CoordinatorCheckpoint coordinator_from_json(const common::Json& j) {
   return c;
 }
 
-common::Json cache_to_json(const fold::FoldCache::Snapshot& s) {
-  common::Json::Object o;
-  common::Json::Array shards;
-  shards.reserve(s.shards.size());
+void write_cache(common::JsonWriter& w, const fold::FoldCache::Snapshot& s) {
+  w.begin_object();
+  write_hex(w.key("duplicate_discards"), s.duplicate_discards);
+  write_hex(w.key("evictions"), s.evictions);
+  write_hex(w.key("hits"), s.hits);
+  write_hex(w.key("misses"), s.misses);
+  w.key("shards").begin_array();
   for (const auto& shard : s.shards) {
-    common::Json::Array keys;
-    keys.reserve(shard.size());
-    for (const std::uint64_t key : shard) keys.push_back(hex_u64(key));
-    shards.emplace_back(std::move(keys));
+    w.begin_array();
+    for (const std::uint64_t key : shard) write_hex(w, key);
+    w.end_array();
   }
-  o["shards"] = common::Json(std::move(shards));
-  o["hits"] = hex_u64(s.hits);
-  o["misses"] = hex_u64(s.misses);
-  o["evictions"] = hex_u64(s.evictions);
-  o["duplicate_discards"] = hex_u64(s.duplicate_discards);
-  return common::Json(std::move(o));
+  w.end_array();
+  w.end_object();
 }
 
 fold::FoldCache::Snapshot cache_from_json(const common::Json& j) {
@@ -304,26 +298,25 @@ fold::FoldCache::Snapshot cache_from_json(const common::Json& j) {
   return s;
 }
 
-common::Json pilot_to_json(const rp::PilotRestore& p) {
-  common::Json::Object o;
-  o["uid"] = p.uid;
-  o["failed"] = p.failed;
-  o["executor_rng"] = rng_to_json(p.executor_rng);
-  common::Json::Array intervals;
-  intervals.reserve(p.intervals.size());
+void write_pilot(common::JsonWriter& w, const rp::PilotRestore& p) {
+  w.begin_object();
+  write_rng(w.key("executor_rng"), p.executor_rng);
+  w.key("failed").value(p.failed);
+  w.key("intervals").begin_array();
   for (const auto& iv : p.intervals) {
-    common::Json::Object i;
-    i["start"] = iv.start;
-    i["end"] = iv.end;
-    i["cores"] = static_cast<double>(iv.cores);
-    i["gpus"] = static_cast<double>(iv.gpus);
-    i["cpu_intensity"] = iv.cpu_intensity;
-    i["gpu_intensity"] = iv.gpu_intensity;
-    i["task_uid"] = iv.task_uid;
-    intervals.emplace_back(std::move(i));
+    w.begin_object();
+    w.key("cores").value(iv.cores);
+    w.key("cpu_intensity").value(iv.cpu_intensity);
+    w.key("end").value(iv.end);
+    w.key("gpu_intensity").value(iv.gpu_intensity);
+    w.key("gpus").value(iv.gpus);
+    w.key("start").value(iv.start);
+    w.key("task_uid").value(iv.task_uid);
+    w.end_object();
   }
-  o["intervals"] = common::Json(std::move(intervals));
-  return common::Json(std::move(o));
+  w.end_array();
+  w.key("uid").value(p.uid);
+  w.end_object();
 }
 
 rp::PilotRestore pilot_from_json(const common::Json& j) {
@@ -345,57 +338,59 @@ rp::PilotRestore pilot_from_json(const common::Json& j) {
 
 }  // namespace
 
-common::Json to_json(const CampaignCheckpoint& checkpoint) {
-  common::Json::Object doc;
-  doc["schema_version"] = kSchemaVersion;
-  doc["kind"] = std::string(kKind);
-  doc["campaign"] = checkpoint.campaign_name;
-  doc["seed"] = hex_u64(checkpoint.seed);
-  doc["targets"] = checkpoint.targets;
-  doc["ordinal"] = hex_u64(checkpoint.ordinal);
-
-  doc["now"] = checkpoint.now;
-  common::Json::Array events;
-  events.reserve(checkpoint.profiler_events.size());
-  for (const auto& e : checkpoint.profiler_events) {
-    common::Json::Object ev;
-    ev["time"] = e.time;
-    ev["entity"] = e.entity;
-    ev["event"] = e.event;
-    ev["info"] = e.info;
-    events.emplace_back(std::move(ev));
-  }
-  doc["profiler_events"] = common::Json(std::move(events));
-  if (!checkpoint.trace.empty())
-    doc["trace"] = obs::spans_to_json(checkpoint.trace);
-  doc["trace_next_seq"] = hex_u64(checkpoint.trace_next_seq);
-  doc["campaign_span"] = hex_u64(checkpoint.campaign_span);
-  if (!checkpoint.metrics.empty())
-    doc["metrics"] = obs::metrics_to_json(checkpoint.metrics);
-  common::Json::Object uids;
-  for (const auto& [name, count] : checkpoint.uid_counters)
-    uids[name] = hex_u64(count);
-  doc["uid_counters"] = common::Json(std::move(uids));
-  common::Json::Object tasks;
-  tasks["submitted"] = hex_u64(checkpoint.task_counters.submitted);
-  tasks["done"] = hex_u64(checkpoint.task_counters.done);
-  tasks["failed"] = hex_u64(checkpoint.task_counters.failed);
-  tasks["cancelled"] = hex_u64(checkpoint.task_counters.cancelled);
-  tasks["retried"] = hex_u64(checkpoint.task_counters.retried);
-  tasks["timed_out"] = hex_u64(checkpoint.task_counters.timed_out);
-  tasks["requeued"] = hex_u64(checkpoint.task_counters.requeued);
-  doc["task_counters"] = common::Json(std::move(tasks));
-  common::Json::Array pilots;
-  pilots.reserve(checkpoint.pilots.size());
-  for (const auto& p : checkpoint.pilots) pilots.emplace_back(pilot_to_json(p));
-  doc["pilots"] = common::Json(std::move(pilots));
-
-  doc["coordinator"] = coordinator_to_json(checkpoint.coordinator);
+std::string checkpoint_text(const CampaignCheckpoint& checkpoint) {
+  common::JsonWriter w;
+  w.begin_object();
+  w.key("campaign").value(checkpoint.campaign_name);
+  write_hex(w.key("campaign_span"), checkpoint.campaign_span);
+  write_coordinator(w.key("coordinator"), checkpoint.coordinator);
   if (checkpoint.fold_cache)
-    doc["fold_cache"] = cache_to_json(*checkpoint.fold_cache);
+    write_cache(w.key("fold_cache"), *checkpoint.fold_cache);
   if (!checkpoint.generator_state.is_null())
-    doc["generator_state"] = checkpoint.generator_state;
-  return common::Json(std::move(doc));
+    w.key("generator_state").value(checkpoint.generator_state);
+  w.key("kind").value(kKind);
+  if (!checkpoint.metrics.empty())
+    obs::write_metrics(w.key("metrics"), checkpoint.metrics);
+  w.key("now").value(checkpoint.now);
+  write_hex(w.key("ordinal"), checkpoint.ordinal);
+  w.key("pilots").begin_array();
+  for (const auto& p : checkpoint.pilots) write_pilot(w, p);
+  w.end_array();
+  w.key("profiler_events").begin_array();
+  for (const auto& e : checkpoint.profiler_events)
+    w.begin_object()
+        .key("entity").value(e.entity)
+        .key("event").value(e.event)
+        .key("info").value(e.info)
+        .key("time").value(e.time)
+        .end_object();
+  w.end_array();
+  w.key("schema_version").value(kSchemaVersion);
+  write_hex(w.key("seed"), checkpoint.seed);
+  w.key("targets").value(checkpoint.targets);
+  const auto& tasks = checkpoint.task_counters;
+  w.key("task_counters").begin_object();
+  write_hex(w.key("cancelled"), tasks.cancelled);
+  write_hex(w.key("done"), tasks.done);
+  write_hex(w.key("failed"), tasks.failed);
+  write_hex(w.key("requeued"), tasks.requeued);
+  write_hex(w.key("retried"), tasks.retried);
+  write_hex(w.key("submitted"), tasks.submitted);
+  write_hex(w.key("timed_out"), tasks.timed_out);
+  w.end_object();
+  if (!checkpoint.trace.empty())
+    obs::write_spans(w.key("trace"), checkpoint.trace);
+  write_hex(w.key("trace_next_seq"), checkpoint.trace_next_seq);
+  w.key("uid_counters").begin_object();
+  for (const auto& [name, count] : checkpoint.uid_counters)
+    write_hex(w.key(name), count);
+  w.end_object();
+  w.end_object();
+  return w.take();
+}
+
+common::Json to_json(const CampaignCheckpoint& checkpoint) {
+  return common::Json::parse(checkpoint_text(checkpoint));
 }
 
 CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
@@ -445,7 +440,9 @@ CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
 
 void save_checkpoint(const CampaignCheckpoint& checkpoint,
                      const std::string& path) {
-  common::write_file_atomic(path, to_json(checkpoint).dump() + "\n");
+  std::string text = checkpoint_text(checkpoint);
+  text += '\n';
+  common::write_file_atomic(path, text);
 }
 
 CampaignCheckpoint load_checkpoint(const std::string& path) {

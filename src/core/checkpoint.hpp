@@ -56,8 +56,14 @@ struct CampaignCheckpoint : rp::SessionRestore {
 };
 
 /// Serialize (schema kind "impress.checkpoint", version 3 — version 1 is
-/// the finished-campaign session dump). The fold memo section holds keys
-/// and counters only; see fold::FoldCache::Snapshot.
+/// the finished-campaign session dump) straight to compact JSON text, keys
+/// in sorted order: the bytes save_checkpoint writes (less the trailing
+/// newline) and fabric workers ship. The fold memo section holds keys and
+/// counters only; see fold::FoldCache::Snapshot.
+[[nodiscard]] std::string checkpoint_text(const CampaignCheckpoint& checkpoint);
+
+/// The same document as a tree (Json::parse of checkpoint_text), for
+/// callers that inspect sections; its dump() equals checkpoint_text.
 [[nodiscard]] common::Json to_json(const CampaignCheckpoint& checkpoint);
 
 /// Rebuild from a document. Throws std::invalid_argument on kind/version
@@ -65,9 +71,9 @@ struct CampaignCheckpoint : rp::SessionRestore {
 [[nodiscard]] CampaignCheckpoint campaign_checkpoint_from_json(
     const common::Json& doc);
 
-/// Write the checkpoint crash-consistently (common::write_file_atomic:
-/// temp file + fsync + rename) so an interrupted write leaves the
-/// previous checkpoint intact and loadable.
+/// Write checkpoint_text plus a newline crash-consistently
+/// (common::write_file_atomic: temp file + fsync + rename) so an
+/// interrupted write leaves the previous checkpoint intact and loadable.
 void save_checkpoint(const CampaignCheckpoint& checkpoint,
                      const std::string& path);
 [[nodiscard]] CampaignCheckpoint load_checkpoint(const std::string& path);

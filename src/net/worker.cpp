@@ -105,10 +105,11 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
           if (fatal && !config_.kill.ship_final) {
             return;  // crash before the document leaves the process
           }
-          send(CheckpointShardMsg{.shard_id = assign.shard_id,
-                                  .epoch = assign.epoch,
-                                  .ordinal = doc.ordinal,
-                                  .checkpoint_json = to_json(doc).dump()});
+          send(CheckpointShardMsg{
+              .shard_id = assign.shard_id,
+              .epoch = assign.epoch,
+              .ordinal = doc.ordinal,
+              .checkpoint_json = core::checkpoint_text(doc)});
         };
     if (config_.kill.die_at_checkpoint > 0 &&
         shard_config.checkpoint.every_n_completions == 0) {

@@ -118,28 +118,33 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-common::Json spans_to_json(const std::vector<SpanRecord>& spans) {
-  Json::Array out;
-  out.reserve(spans.size());
+void write_spans(common::JsonWriter& w, const std::vector<SpanRecord>& spans) {
+  w.begin_array();
   for (const auto& s : spans) {
-    Json::Object o;
-    o["id"] = static_cast<double>(s.id);
-    o["parent"] = static_cast<double>(s.parent);
-    o["name"] = s.name;
-    o["category"] = s.category;
-    o["start"] = s.start;
-    o["end"] = s.end;
-    o["open_seq"] = static_cast<double>(s.open_seq);
-    o["close_seq"] = static_cast<double>(s.close_seq);
+    w.begin_object();
     if (!s.attrs.empty()) {
-      Json::Array attrs;
+      w.key("attrs").begin_array();
       for (const auto& [k, v] : s.attrs)
-        attrs.push_back(Json::Array{k, v});
-      o["attrs"] = std::move(attrs);
+        w.begin_array().value(k).value(v).end_array();
+      w.end_array();
     }
-    out.push_back(std::move(o));
+    w.key("category").value(s.category);
+    w.key("close_seq").value(s.close_seq);
+    w.key("end").value(s.end);
+    w.key("id").value(s.id);
+    w.key("name").value(s.name);
+    w.key("open_seq").value(s.open_seq);
+    w.key("parent").value(s.parent);
+    w.key("start").value(s.start);
+    w.end_object();
   }
-  return out;
+  w.end_array();
+}
+
+common::Json spans_to_json(const std::vector<SpanRecord>& spans) {
+  common::JsonWriter w;
+  write_spans(w, spans);
+  return Json::parse(w.take());
 }
 
 std::vector<SpanRecord> spans_from_json(const common::Json& doc) {
@@ -163,32 +168,40 @@ std::vector<SpanRecord> spans_from_json(const common::Json& doc) {
   return out;
 }
 
-common::Json metrics_to_json(const MetricsSnapshot& snapshot) {
-  Json::Array counters;
+void write_metrics(common::JsonWriter& w, const MetricsSnapshot& snapshot) {
+  w.begin_object();
+  w.key("counters").begin_array();
   for (const auto& c : snapshot.counters)
-    counters.push_back(Json::Object{{"name", c.name},
-                                    {"value", static_cast<double>(c.value)}});
-  Json::Array gauges;
+    w.begin_object().key("name").value(c.name).key("value").value(c.value)
+        .end_object();
+  w.end_array();
+  w.key("gauges").begin_array();
   for (const auto& g : snapshot.gauges)
-    gauges.push_back(Json::Object{{"name", g.name}, {"value", g.value}});
-  Json::Array histograms;
+    w.begin_object().key("name").value(g.name).key("value").value(g.value)
+        .end_object();
+  w.end_array();
+  w.key("histograms").begin_array();
   for (const auto& h : snapshot.histograms) {
-    Json::Array bounds;
-    for (double b : h.bounds) bounds.push_back(b);
-    Json::Array buckets;
-    for (std::uint64_t b : h.buckets)
-      buckets.push_back(static_cast<double>(b));
-    histograms.push_back(Json::Object{
-        {"name", h.name},
-        {"bounds", std::move(bounds)},
-        {"buckets", std::move(buckets)},
-        {"count", static_cast<double>(h.count)},
-        {"sum", h.sum},
-    });
+    w.begin_object();
+    w.key("bounds").begin_array();
+    for (const double b : h.bounds) w.value(b);
+    w.end_array();
+    w.key("buckets").begin_array();
+    for (const std::uint64_t b : h.buckets) w.value(b);
+    w.end_array();
+    w.key("count").value(h.count);
+    w.key("name").value(h.name);
+    w.key("sum").value(h.sum);
+    w.end_object();
   }
-  return Json::Object{{"counters", std::move(counters)},
-                      {"gauges", std::move(gauges)},
-                      {"histograms", std::move(histograms)}};
+  w.end_array();
+  w.end_object();
+}
+
+common::Json metrics_to_json(const MetricsSnapshot& snapshot) {
+  common::JsonWriter w;
+  write_metrics(w, snapshot);
+  return Json::parse(w.take());
 }
 
 MetricsSnapshot metrics_from_json(const common::Json& doc) {

@@ -34,10 +34,14 @@ namespace impress::obs {
 /// _sum and _count.
 [[nodiscard]] std::string prometheus_text(const MetricsSnapshot& snapshot);
 
-/// (De)serialize span/metrics snapshots for session dumps
-/// (core/session_dump.hpp embeds these under "trace" / "metrics").
+/// (De)serialize span/metrics snapshots for session dumps and checkpoints
+/// (core/session_dump.hpp and core/checkpoint.hpp embed these under
+/// "trace" / "metrics"). The write_* functions are the serializers; the
+/// *_to_json forms return the tree their text parses to.
+void write_spans(common::JsonWriter& w, const std::vector<SpanRecord>& spans);
 [[nodiscard]] common::Json spans_to_json(const std::vector<SpanRecord>& spans);
 [[nodiscard]] std::vector<SpanRecord> spans_from_json(const common::Json& doc);
+void write_metrics(common::JsonWriter& w, const MetricsSnapshot& snapshot);
 [[nodiscard]] common::Json metrics_to_json(const MetricsSnapshot& snapshot);
 [[nodiscard]] MetricsSnapshot metrics_from_json(const common::Json& doc);
 

@@ -100,6 +100,18 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW((void)Json::parse("1 2"), std::invalid_argument);  // trailing
   EXPECT_THROW((void)Json::parse("{\"a\" 1}"), std::invalid_argument);
   EXPECT_THROW((void)Json::parse("01x"), std::invalid_argument);
+  // A repeated key would silently drop a value.
+  EXPECT_THROW((void)Json::parse(R"({"a":1,"a":2})"), std::invalid_argument);
+  EXPECT_THROW((void)Json::parse(R"({"o":{"k":1,"j":2,"k":3}})"),
+               std::invalid_argument);
+  try {
+    (void)Json::parse(R"({"a":1, "a":2})");
+    ADD_FAILURE() << "duplicate key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 8"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW((void)Json::parse(R"([{"a":1},{"a":2}])"));
 }
 
 TEST(Json, TypeMismatchThrows) {
@@ -300,6 +312,43 @@ TEST(Json, NumberRoundTripDumpMatchesPrintf) {
                     << ": dump " << got << ", printf " << printf_number(x);
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonWriter, KeysMustIncreaseWithinAnObject) {
+  JsonWriter w;
+  w.begin_object().key("b").value(1);
+  EXPECT_THROW(w.key("b"), std::logic_error);  // equal
+  EXPECT_THROW(w.key("a"), std::logic_error);  // smaller
+  // "b" < "b_x" < "ba": byte order, as std::map sorts.
+  w.key("b_x").begin_array();
+  // Sibling objects each start their own key sequence.
+  w.begin_object().key("k").value(true).end_object();
+  w.begin_object().key("k").value(false).end_object();
+  w.end_array();
+  w.key("ba").begin_object().key("b").value(nullptr).end_object();
+  w.end_object();
+  EXPECT_EQ(w.take(),
+            R"({"b":1,"b_x":[{"k":true},{"k":false}],"ba":{"b":null}})");
+}
+
+TEST(JsonWriter, MisuseThrows) {
+  {
+    JsonWriter w;
+    EXPECT_THROW(w.key("a"), std::logic_error);  // not in an object
+    w.begin_object();
+    EXPECT_THROW(w.value(1), std::logic_error);  // member without a key
+    EXPECT_THROW(w.end_array(), std::logic_error);
+    w.key("a");
+    EXPECT_THROW(w.key("b"), std::logic_error);  // key where a value goes
+    EXPECT_THROW(w.end_object(), std::logic_error);
+    EXPECT_THROW((void)w.take(), std::logic_error);  // still open
+    w.value("x").end_object();
+    EXPECT_THROW(w.value(2), std::logic_error);  // second top-level value
+    EXPECT_EQ(w.take(), R"({"a":"x"})");
+  }
+  JsonWriter w;
+  EXPECT_THROW((void)w.take(), std::logic_error);  // nothing written
+  EXPECT_THROW(w.end_object(), std::logic_error);
 }
 
 TEST(Json, EqualityIsDeep) {

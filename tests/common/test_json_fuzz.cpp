@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <random>
 #include <string>
 
@@ -75,6 +77,117 @@ TEST(JsonFuzz, RandomDocumentsRoundTripIndented) {
     const Json doc = random_json(rng, 4);
     EXPECT_EQ(Json::parse(doc.dump(2)), doc);
     EXPECT_EQ(Json::parse(doc.dump(7)), doc);
+  }
+}
+
+// The tree formatter Json::dump used before JsonWriter, kept here as the
+// reference the writer must reproduce byte for byte (compact and indented).
+namespace reference {
+
+void dump_string(const std::string& s, std::string& out) {
+  out += '"';
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  out += '"';
+}
+
+void dump_number(double d, std::string& out) {
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
+  char buf[40];
+  const bool integral = d == std::floor(d) && std::fabs(d) < 1e15;
+  const auto [end, ec] =
+      integral ? std::to_chars(buf, buf + sizeof buf, d,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof buf, d,
+                               std::chars_format::general, 17);
+  out.append(buf, end);
+}
+
+void container_sep(std::string& out, int indent, int depth) {
+  if (indent > 0) {
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent * depth), ' ');
+  }
+}
+
+void dump_impl(const Json& v, std::string& out, int indent, int depth) {
+  if (v.is_null()) {
+    out += "null";
+  } else if (v.is_bool()) {
+    out += v.as_bool() ? "true" : "false";
+  } else if (v.is_number()) {
+    dump_number(v.as_number(), out);
+  } else if (v.is_string()) {
+    dump_string(v.as_string(), out);
+  } else if (v.is_array()) {
+    const auto& arr = v.as_array();
+    if (arr.empty()) {
+      out += "[]";
+      return;
+    }
+    out += '[';
+    for (std::size_t i = 0; i < arr.size(); ++i) {
+      if (i) out += ',';
+      container_sep(out, indent, depth + 1);
+      dump_impl(arr[i], out, indent, depth + 1);
+    }
+    container_sep(out, indent, depth);
+    out += ']';
+  } else {
+    const auto& obj = v.as_object();
+    if (obj.empty()) {
+      out += "{}";
+      return;
+    }
+    out += '{';
+    bool first = true;
+    for (const auto& [key, val] : obj) {
+      if (!first) out += ',';
+      first = false;
+      container_sep(out, indent, depth + 1);
+      dump_string(key, out);
+      out += indent > 0 ? ": " : ":";
+      dump_impl(val, out, indent, depth + 1);
+    }
+    container_sep(out, indent, depth);
+    out += '}';
+  }
+}
+
+std::string dump(const Json& v, int indent) {
+  std::string out;
+  dump_impl(v, out, indent, 0);
+  return out;
+}
+
+}  // namespace reference
+
+TEST(JsonFuzz, DumpMatchesReferenceFormatter) {
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 300; ++i) {
+    const Json doc = random_json(rng, 5);
+    EXPECT_EQ(doc.dump(), reference::dump(doc, 0));
+    EXPECT_EQ(doc.dump(2), reference::dump(doc, 2));
   }
 }
 

@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
+#include "core/dpo_generator.hpp"
 #include "protein/datasets.hpp"
 
 namespace impress::core {
@@ -96,6 +98,54 @@ TEST_F(CheckpointDoc, SaveLoadPreservesDocument) {
   save_checkpoint(checkpoint, p);
   const auto loaded = load_checkpoint(p);
   EXPECT_EQ(to_json(checkpoint).dump(), to_json(loaded).dump());
+}
+
+TEST_F(CheckpointDoc, StreamedTextIsTheTreeDumpWithEveryOptionalMember) {
+  // A real DPO-driven, traced and metered cut, then every optional member
+  // forced present and strings that need escaping.
+  auto cfg = im_rp_campaign(42);
+  cfg.generator = std::make_shared<DpoGenerator>();
+  cfg.checkpoint.directory = dir_.string();
+  cfg.checkpoint.every_n_completions = 3;
+  cfg.session.enable_tracing = true;
+  cfg.session.enable_metrics = true;
+  (void)Campaign(cfg).run(targets2());
+  auto doc = load_checkpoint(path());
+  ASSERT_TRUE(doc.generator_state.is_object());
+  ASSERT_TRUE(doc.fold_cache.has_value());
+  ASSERT_FALSE(doc.trace.empty());
+  ASSERT_GE(doc.coordinator.pipelines.size(), 2u);
+
+  const std::string odd = "say \"hi\"\\ \n\t\x01\x1f \xc3\xa9";
+  doc.campaign_name += odd;
+  auto& pipelines = doc.coordinator.pipelines;
+  pipelines[0].last_metrics =
+      fold::FoldMetrics{.plddt = 81.5, .ptm = 0.75, .ipae = 9.125};
+  pipelines[1].last_metrics.reset();
+  doc.coordinator.parked.push_back(CoordinatorCheckpoint::ParkedAction{
+      .pipeline_id = pipelines[0].id,
+      .kind = 1,
+      .fold_input = pipelines[0].current,
+      .reuse_features = true,
+      .refined = false});
+  doc.trace.front().attrs.emplace_back("note", odd);
+  doc.profiler_events.push_back(
+      obs::Mark{.time = 1.5, .entity = odd, .event = "e", .info = odd});
+  doc.uid_counters[odd] = 7;
+  doc.metrics.histograms.push_back(obs::HistogramSample{
+      .name = "h", .bounds = {0.5, 1.0}, .buckets = {1, 2, 3}, .count = 6,
+      .sum = 4.25});
+
+  const std::string text = checkpoint_text(doc);
+  EXPECT_EQ(text, to_json(doc).dump());
+  for (const char* member : {"fold_input", "last_metrics", "attrs", "bounds",
+                             "fold_cache", "generator_state", "policy"})
+    EXPECT_NE(text.find(std::string("\"") + member + "\":"), std::string::npos)
+        << member;
+  const auto parsed = campaign_checkpoint_from_json(common::Json::parse(text));
+  EXPECT_EQ(checkpoint_text(parsed), text);
+  save_checkpoint(doc, path());
+  EXPECT_EQ(checkpoint_text(load_checkpoint(path())), text);
 }
 
 TEST_F(CheckpointDoc, LoaderRejectsWrongKindAndVersion) {

@@ -3,8 +3,12 @@
 // in EXPERIMENTS.md regenerable bit-for-bit.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -263,20 +267,37 @@ TEST(Determinism, SessionDumpDigestsAtSeed5) {
   EXPECT_EQ(dump_digest(contv_70), 0x67b66f9fd9810fe0ULL);
 
   // Traced and metered, with a checkpoint cut every 20 completions: pins
-  // the span, metric and checkpoint bytes next to the untraced dumps.
+  // the span, metric and checkpoint bytes next to the untraced dumps. The
+  // sink runs right after save_checkpoint, so it digests both the tree
+  // and the file the campaign wrote (less its trailing newline). One
+  // directory per process: ctest runs tests as parallel processes.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("impress_determinism_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
   auto observed = im_rp_campaign(5);
   observed.session.enable_tracing = true;
   observed.session.enable_metrics = true;
+  observed.checkpoint.directory = dir.string();
   observed.checkpoint.every_n_completions = 20;
   std::vector<std::uint64_t> cuts;
-  observed.checkpoint.sink = [&cuts](const CampaignCheckpoint& doc) {
+  std::vector<std::uint64_t> files;
+  observed.checkpoint.sink = [&cuts, &files, path = observed.checkpoint.path()](
+                                 const CampaignCheckpoint& doc) {
     cuts.push_back(fnv1a(to_json(doc).dump()));
+    std::ifstream is(path, std::ios::binary);
+    std::string text{std::istreambuf_iterator<char>(is), {}};
+    EXPECT_TRUE(!text.empty() && text.back() == '\n');
+    if (!text.empty()) text.pop_back();
+    files.push_back(fnv1a(text));
   };
   const auto observed_8 = Campaign(observed).run(protein::pdz_benchmark(8));
+  std::filesystem::remove_all(dir);
   EXPECT_EQ(observed_8.fold_tasks, 90u);
   EXPECT_EQ(dump_digest(observed_8), 0xd90040aef20da009ULL);
   ASSERT_EQ(cuts.size(), 5u);
+  ASSERT_EQ(files.size(), 5u);
   EXPECT_EQ(cuts[2], 0x8486f55d8fbf943fULL);  // the middle cut
+  EXPECT_EQ(files[2], 0x8486f55d8fbf943fULL);
 }
 
 }  // namespace
