@@ -18,10 +18,11 @@ using namespace impress;
 namespace {
 
 void BM_TracerMark(benchmark::State& state) {
-  // Hot-path cost of one lifecycle mark. The per-thread buffers mean the
-  // multi-threaded variants should scale instead of serializing on a
-  // global mutex. Iterations are pinned so the retained mark log stays
-  // bounded; the buffers are drained between runs.
+  // Hot-path cost of one lifecycle mark: three string copies and one
+  // append under the tracer's lock. The multi-threaded variants show what
+  // back-to-back marking from several threads costs when they serialize
+  // on that lock. Iterations are pinned so the retained mark log stays
+  // bounded; the log is cleared between runs.
   static obs::Tracer tracer;
   if (state.thread_index() == 0) tracer.clear();
   double t = 0.0;

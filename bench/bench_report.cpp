@@ -5,7 +5,8 @@
 // each kernel it reports ns/op; for each optimized kernel it also reports
 // the speedup over the naive implementation it replaced, which is what
 // the regression check gates on (ratios are stable across machines in a
-// way raw nanoseconds are not).
+// way raw nanoseconds are not). The lifecycle-mark kernel has no naive
+// twin and reports ns/op only.
 //
 // Modes:
 //   bench_report [--out FILE]          full run, writes FILE (default
@@ -77,25 +78,6 @@ double time_threaded(int threads, std::size_t per_thread,
       std::chrono::duration<double, std::nano>(clock::now() - start).count();
   return ns / (static_cast<double>(threads) * static_cast<double>(per_thread));
 }
-
-/// A global-mutex mark recorder: the contention baseline for the
-/// tracer's per-thread buffers.
-class NaiveRecorder {
- public:
-  void record(double time, std::string_view entity, std::string_view event) {
-    std::lock_guard lock(mutex_);
-    marks_.push_back(
-        obs::Mark{time, std::string(entity), std::string(event), {}});
-  }
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return marks_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<obs::Mark> marks_;
-};
 
 struct Options {
   std::string out = "BENCH_kernels.json";
@@ -265,47 +247,27 @@ int main(int argc, char** argv) {
     std::cout << "fold_cache workload hit_rate: " << stats.hit_rate() << "\n";
   }
 
-  // --- Lifecycle mark: the tracer's per-thread buffers vs the global-mutex
-  // recorder (kernel keys keep their profiler_record names so results stay
-  // comparable across BENCH_kernels.json revisions).
-  const int threads = 4;
-  const std::size_t per_thread = opt.smoke ? 4096 : 65536;
-  double prof_naive_ns = 0.0;
-  double prof_sharded_ns = 0.0;
+  // --- Lifecycle mark: four threads marking one tracer back to back (the
+  // kernel keeps its profiler_record name so results stay comparable
+  // across BENCH_kernels.json revisions).
   {
-    NaiveRecorder naive;
-    prof_naive_ns = time_threaded(threads, per_thread, [&](int t, std::size_t i) {
-      naive.record(static_cast<double>(i), "task.000001",
-                   t % 2 == 0 ? "exec_start" : "exec_stop");
-    });
-    if (naive.size() != static_cast<std::size_t>(threads) * per_thread)
-      std::cerr << "warning: naive recorder lost events\n";
-  }
-  {
+    const int threads = 4;
+    const std::size_t per_thread = opt.smoke ? 4096 : 65536;
     obs::Tracer tracer;
-    prof_sharded_ns =
-        time_threaded(threads, per_thread, [&](int t, std::size_t i) {
-          tracer.mark(static_cast<double>(i), "task.000001",
-                      t % 2 == 0 ? "exec_start" : "exec_stop");
-        });
+    add_kernel("profiler_record",
+               time_threaded(threads, per_thread, [&](int t, std::size_t i) {
+                 tracer.mark(static_cast<double>(i), "task.000001",
+                             t % 2 == 0 ? "exec_start" : "exec_stop");
+               }));
     if (tracer.marks().size() !=
         static_cast<std::size_t>(threads) * per_thread)
       std::cerr << "warning: tracer lost marks\n";
   }
-  add_kernel("profiler_record_naive", prof_naive_ns);
-  add_kernel("profiler_record", prof_sharded_ns);
 
-  common::Json::Object speedups{
+  const common::Json::Object speedups{
       {"mutation_score", naive_ns / incr_ns},
       {"residue_similarity", sim_direct_ns / sim_table_ns},
   };
-  // The profiler ratio measures mutex-contention relief. A single-core
-  // runner has no contention to relieve, so the sharded recorder's extra
-  // bookkeeping reads as a bogus sub-1x "slowdown" there — report the
-  // ratio only where it means something. (Both raw timings are always in
-  // `kernels` for cross-machine comparison.)
-  if (std::thread::hardware_concurrency() > 1)
-    speedups["profiler_record"] = prof_naive_ns / prof_sharded_ns;
   for (const auto& [name, value] : speedups)
     std::cout << "speedup " << name << ": " << value.as_number() << "x\n";
 
@@ -341,9 +303,6 @@ int main(int argc, char** argv) {
   const auto baseline = common::Json::parse(buf.str());
   int failures = 0;
   constexpr double kRegressionFloor = 0.8;  // keep >= 80% of baseline speedup
-  // Only the compute-bound ratios are gated: the profiler_record ratio
-  // measures lock contention, which single-core CI runners cannot
-  // reproduce (it is still reported for machines that can).
   const std::vector<std::string> gated{"mutation_score", "residue_similarity"};
   for (const auto& name : gated) {
     if (!speedups.contains(name) ||

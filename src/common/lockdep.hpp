@@ -37,9 +37,9 @@
 // drop Pilot::mutex_ before calling back into the executor or the
 // TaskManager (requeue/terminal handlers), and TaskManager::finalize()
 // invokes user callbacks outside mutex_ — both prevent the reverse edges
-// that would close a cycle. obs::Tracer's internal locks (buffer registry,
-// per-thread buffers) are an untracked leaf: every lifecycle mark takes
-// them, under Pilot::mutex_ among others, and they call out to nothing.
+// that would close a cycle. obs::Tracer's one log lock is an untracked
+// leaf: every lifecycle mark and span call takes it, under Pilot::mutex_
+// among others, and it calls out to nothing.
 // ---------------------------------------------------------------------------
 
 #pragma once

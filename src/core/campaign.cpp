@@ -277,8 +277,8 @@ CampaignResult Campaign::execute(
     }
   }
   {
-    // One merge of the tracer's per-thread buffers feeds every mark
-    // harvest; the copy is freed before the obs snapshot.
+    // One copy of the tracer's mark log feeds every mark harvest; it is
+    // freed before the obs snapshot.
     const std::vector<obs::Mark> marks = ob.tracer().marks();
     for (const auto& [phase, seconds] : hpc::phase_durations(marks))
       r.phase_hours[phase] = common::seconds_to_hours(seconds);

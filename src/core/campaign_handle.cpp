@@ -1,12 +1,9 @@
 #include "core/campaign_handle.hpp"
 
 #include <algorithm>
-#include <string>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "core/calibration.hpp"
-#include "protein/datasets.hpp"
 
 namespace impress::core {
 
@@ -40,23 +37,6 @@ CampaignExecutionModel::Sample CampaignExecutionModel::sample(
                    0.05 * rng.normal();
   s.quality = std::clamp(q, 0.05, 0.99);
   return s;
-}
-
-CampaignResult run_service_campaign(const ServiceCampaignSpec& spec) {
-  CampaignConfig cfg = im_rp_campaign(spec.seed);
-  cfg.protocol.cycles = std::max(spec.shape.cycles, 1);
-  cfg.protocol.sequences_per_structure =
-      std::max<std::size_t>(spec.shape.sequences_per_structure, 1);
-  cfg.protocol.max_retries = 2;
-
-  std::vector<protein::DesignTarget> targets;
-  targets.reserve(spec.shape.targets);
-  for (std::size_t i = 0; i < std::max<std::size_t>(spec.shape.targets, 1); ++i)
-    targets.push_back(protein::make_target("SVC-" + std::to_string(i),
-                                           80 + 2 * i,
-                                           protein::alpha_synuclein().tail(4)));
-  Campaign campaign(cfg);
-  return campaign.run(targets);
 }
 
 }  // namespace impress::core

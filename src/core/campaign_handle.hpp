@@ -2,22 +2,17 @@
 // (src/service): what the front-end drives when it dispatches an admitted
 // submission.
 //
-// Two forms, one contract (deterministic in the seed):
-//  * CampaignExecutionModel — the closed-form cost/quality model of one
-//    campaign execution, distilled from the calibration duration models
-//    (core/calibration.hpp). The service's simulated backend and the
-//    bench_service load generator sample thousands of campaign handles
-//    per second through this without paying for full pipelines.
-//  * run_service_campaign — the real thing: builds and runs an actual
-//    core::Campaign from a service submission spec. The integration test
-//    drives one service submission end-to-end through it to prove the
-//    model and the campaign agree on the interface.
+// CampaignExecutionModel is the closed-form cost/quality model of one
+// campaign execution, distilled from the calibration duration models
+// (core/calibration.hpp) and deterministic in the seed. The service's
+// simulated backend and the bench_service load generator sample thousands
+// of campaign handles per second through it without paying for full
+// pipelines.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "core/campaign.hpp"
 
 namespace impress::core {
 
@@ -54,16 +49,5 @@ class CampaignExecutionModel {
   double first_base_s_;  ///< bootstrap + MPNN + AF features + AF inference
   double step_base_s_;   ///< one cycle-step (MPNN + full AlphaFold)
 };
-
-/// Spec for running a real campaign on behalf of a service submission.
-struct ServiceCampaignSpec {
-  std::uint64_t seed = 42;
-  CampaignShape shape{.targets = 1, .cycles = 1, .sequences_per_structure = 4};
-};
-
-/// Build and run an actual IM-RP campaign for `spec` (simulated runtime,
-/// virtual clock — milliseconds of wall time). Deterministic in the seed.
-[[nodiscard]] CampaignResult run_service_campaign(
-    const ServiceCampaignSpec& spec);
 
 }  // namespace impress::core

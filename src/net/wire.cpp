@@ -205,8 +205,7 @@ TaskSubmitMsg decode_submit(WireReader& r) {
   m.epoch = r.u32();
   m.task_seq = r.u64();
   const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(TaskSubmitMsg::Kind::kRunShard) &&
-      kind != static_cast<std::uint8_t>(TaskSubmitMsg::Kind::kRemoteTask))
+  if (kind != static_cast<std::uint8_t>(TaskSubmitMsg::Kind::kRunShard))
     throw WireError("TASK_SUBMIT carries an unknown kind");
   m.kind = static_cast<TaskSubmitMsg::Kind>(kind);
   m.payload = r.str();

@@ -151,14 +151,13 @@ struct AssignShardMsg {
 
 struct TaskSubmitMsg {
   enum class Kind : std::uint8_t {
-    kRunShard = 1,    ///< execute the assigned shard campaign to completion
-    kRemoteTask = 2,  ///< execute the serialized task spec in `payload`
+    kRunShard = 1,  ///< execute the assigned shard campaign to completion
   };
   std::uint32_t shard_id = 0;
   std::uint32_t epoch = 0;
   std::uint64_t task_seq = 0;  ///< conservation accounting key
   Kind kind = Kind::kRunShard;
-  std::string payload;  ///< kRemoteTask: rp::RemoteTaskSpec JSON
+  std::string payload;  ///< opaque; empty for kRunShard
 
   bool operator==(const TaskSubmitMsg&) const = default;
 };
@@ -169,8 +168,8 @@ struct TaskResultMsg {
   std::uint32_t epoch = 0;
   std::uint64_t task_seq = 0;
   Status status = Status::kOk;
-  /// kOk: session-dump JSON of the shard CampaignResult (kRunShard) or
-  /// rp::RemoteTaskResult JSON (kRemoteTask); kError: error text.
+  /// kOk: session-dump JSON of the shard CampaignResult; kError: error
+  /// text.
   std::string payload;
 
   bool operator==(const TaskResultMsg&) const = default;

@@ -6,7 +6,6 @@
 #include "core/checkpoint.hpp"
 #include "core/session_dump.hpp"
 #include "core/shard.hpp"
-#include "runtime/remote_task.hpp"
 
 namespace impress::net {
 
@@ -51,11 +50,7 @@ void WorkerNode::handle(const Message& m) {
     return;
   }
   if (const auto* submit = std::get_if<TaskSubmitMsg>(&m)) {
-    if (submit->kind == TaskSubmitMsg::Kind::kRunShard) {
-      run_shard(*submit);
-    } else {
-      run_remote(*submit);
-    }
+    run_shard(*submit);
     return;
   }
   if (std::get_if<WorkerDeadMsg>(&m) != nullptr) {
@@ -163,35 +158,6 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
   }
   result_cache_[key] = result;
   assignment_.reset();
-  send(result);
-}
-
-void WorkerNode::run_remote(const TaskSubmitMsg& submit) {
-  if (const auto it = remote_cache_.find(submit.task_seq);
-      it != remote_cache_.end()) {
-    send(it->second);
-    return;
-  }
-  TaskResultMsg result;
-  result.shard_id = submit.shard_id;
-  result.epoch = submit.epoch;
-  result.task_seq = submit.task_seq;
-  try {
-    const rp::RemoteTaskSpec spec =
-        rp::remote_task_spec_from_json(common::Json::parse(submit.payload));
-    // Each remote task runs in its own session: deterministic (same seed,
-    // same spec => same outcome) and fully isolated from shard runs.
-    rp::Session session(config_.campaign.session);
-    session.submit_pilot(config_.campaign.pilot);
-    const rp::RemoteTaskOutcome outcome = rp::run_remote_task(session, spec);
-    result.status = outcome.ok() ? TaskResultMsg::Status::kOk
-                                 : TaskResultMsg::Status::kError;
-    result.payload = to_json(outcome).dump();
-  } catch (const std::exception& e) {
-    result.status = TaskResultMsg::Status::kError;
-    result.payload = e.what();
-  }
-  remote_cache_[submit.task_seq] = result;
   send(result);
 }
 

@@ -82,7 +82,6 @@ class WorkerNode {
  private:
   void handle(const Message& m);
   void run_shard(const TaskSubmitMsg& submit);
-  void run_remote(const TaskSubmitMsg& submit);
   void send(const Message& m);
 
   WorkerConfig config_;
@@ -96,9 +95,6 @@ class WorkerNode {
   /// Last terminal result per (shard, epoch), for idempotent resubmits.
   std::map<std::pair<std::uint32_t, std::uint32_t>, TaskResultMsg>
       result_cache_;
-  /// Same, for kRemoteTask submits (keyed by task_seq — remote tasks are
-  /// not shard-scoped).
-  std::map<std::uint64_t, TaskResultMsg> remote_cache_;
 };
 
 }  // namespace impress::net

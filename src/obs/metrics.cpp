@@ -4,24 +4,11 @@
 
 namespace impress::obs {
 
-namespace detail {
-
-std::size_t stripe_index() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t index =
-      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return index;
-}
-
-}  // namespace detail
-
 Histogram::Histogram(bool enabled, std::vector<double> bounds)
     : enabled_(enabled), bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  stripes_.reserve(detail::kStripes);
-  for (std::size_t i = 0; i < detail::kStripes; ++i)
-    stripes_.push_back(std::make_unique<Stripe>(bounds_.size() + 1));
+  buckets_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
 }
 
 void Histogram::observe(double v) noexcept {
@@ -33,43 +20,35 @@ void Histogram::observe(double v) noexcept {
       break;
     }
   }
-  Stripe& s = *stripes_[detail::stripe_index()];
-  s.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  detail::atomic_add(s.sum, v);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  detail::atomic_add(sum_, v);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1, 0);
-  for (const auto& s : stripes_)
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] += s->buckets[i].load(std::memory_order_relaxed);
+  std::vector<std::uint64_t> out;
+  out.reserve(buckets_.size());
+  for (const auto& b : buckets_)
+    out.push_back(b.load(std::memory_order_relaxed));
   return out;
 }
 
 std::uint64_t Histogram::count() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : stripes_)
-    total += s->count.load(std::memory_order_relaxed);
-  return total;
+  return count_.load(std::memory_order_relaxed);
 }
 
 double Histogram::sum() const noexcept {
-  double total = 0.0;
-  for (const auto& s : stripes_)
-    total += s->sum.load(std::memory_order_relaxed);
-  return total;
+  return sum_.load(std::memory_order_relaxed);
 }
 
 void Histogram::preload(const std::vector<std::uint64_t>& buckets,
                         std::uint64_t count, double sum) noexcept {
   if (!enabled_) return;
-  Stripe& s = *stripes_[0];
-  const std::size_t n = std::min(buckets.size(), s.buckets.size());
+  const std::size_t n = std::min(buckets.size(), buckets_.size());
   for (std::size_t i = 0; i < n; ++i)
-    s.buckets[i].store(buckets[i], std::memory_order_relaxed);
-  s.count.store(count, std::memory_order_relaxed);
-  s.sum.store(sum, std::memory_order_relaxed);
+    buckets_[i].store(buckets[i], std::memory_order_relaxed);
+  count_.store(count, std::memory_order_relaxed);
+  sum_.store(sum, std::memory_order_relaxed);
 }
 
 std::vector<double> Histogram::default_seconds_bounds() {

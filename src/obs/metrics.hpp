@@ -9,17 +9,17 @@
 //
 // Hot-path cost:
 //   * disabled registry (the default): one predictable branch per call;
-//   * Counter::add — one relaxed fetch_add on a per-thread-striped,
-//     cache-line-aligned cell (no sharing between concurrently-writing
-//     threads in steady state);
+//   * Counter::add — one relaxed fetch_add on the counter's one cell;
 //   * Histogram::observe — branchless-ish bucket scan over <=16 bounds +
-//     two relaxed atomics on the thread's stripe, plus a CAS-loop add for
-//     the running sum.
+//     two relaxed atomics, plus a CAS-loop add for the running sum.
 //
-// Reads (value()/snapshot()) sum the stripes; they are racy-by-design
-// point-in-time sums, exact once writers have quiesced — the campaign
-// harvests its MetricsSnapshot after the session has drained, where
-// totals are provably exact (pinned by tests/obs/test_metrics.cpp and the
+// Each instrument is one set of cells, so a checkpoint's preloaded totals
+// and every later observation land on the same cells in record order: a
+// resumed campaign's histogram sums are bit-identical to the
+// uninterrupted run's, whichever thread records. Reads (value()/
+// snapshot()) are racy-by-design point-in-time loads, exact once writers
+// have quiesced — the campaign harvests its MetricsSnapshot after the
+// session has drained (pinned by tests/obs/test_metrics.cpp and the
 // stress hammer).
 
 #pragma once
@@ -37,14 +37,6 @@ namespace impress::obs {
 
 namespace detail {
 
-/// Number of independent cells a counter/histogram spreads its writers
-/// over. Threads hash to a cell via a round-robin thread index, so with
-/// <= kStripes concurrent writers there is no cache-line ping-pong.
-inline constexpr std::size_t kStripes = 16;
-
-/// Index of the calling thread's stripe (stable for the thread's life).
-[[nodiscard]] std::size_t stripe_index() noexcept;
-
 /// Portable atomic add for doubles (CAS loop, relaxed).
 inline void atomic_add(std::atomic<double>& cell, double delta) noexcept {
   double cur = cell.load(std::memory_order_relaxed);
@@ -52,14 +44,6 @@ inline void atomic_add(std::atomic<double>& cell, double delta) noexcept {
                                      std::memory_order_relaxed))
     ;
 }
-
-struct alignas(64) CounterCell {
-  std::atomic<std::uint64_t> value{0};
-};
-
-struct alignas(64) SumCell {
-  std::atomic<double> value{0.0};
-};
 
 }  // namespace detail
 
@@ -72,26 +56,21 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void add(std::uint64_t delta = 1) noexcept {
-    if (!enabled_) return;
-    cells_[detail::stripe_index()].value.fetch_add(delta,
-                                                   std::memory_order_relaxed);
+    if (enabled_) value_.fetch_add(delta, std::memory_order_relaxed);
   }
   void inc() noexcept { add(1); }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& c : cells_) total += c.value.load(std::memory_order_relaxed);
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
 
  private:
   const bool enabled_;
-  detail::CounterCell cells_[detail::kStripes];
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-write-wins instantaneous value with add/sub (e.g. tasks in
-/// flight). Single atomic — gauges are not hot enough to stripe, and
-/// set() semantics would be ambiguous across stripes.
+/// flight). One atomic, like a counter.
 class Gauge {
  public:
   explicit Gauge(bool enabled) : enabled_(enabled) {}
@@ -117,7 +96,7 @@ class Gauge {
 
 /// Fixed-bucket histogram: `bounds` are ascending upper edges; an
 /// observation lands in the first bucket whose bound is >= it, else in
-/// the implicit +Inf bucket. Per-stripe bucket counts, count and sum.
+/// the implicit +Inf bucket. One set of bucket, count and sum cells.
 class Histogram {
  public:
   Histogram(bool enabled, std::vector<double> bounds);
@@ -137,23 +116,18 @@ class Histogram {
   /// Default latency edges (seconds), log-ish spaced.
   [[nodiscard]] static std::vector<double> default_seconds_bounds();
 
-  /// Checkpoint restore: load `buckets`/`count`/`sum` into stripe 0 of an
+  /// Checkpoint restore: load `buckets`/`count`/`sum` into the cells of an
   /// untouched histogram (post-resume observes add on top). Bucket counts
   /// beyond bounds().size()+1 are ignored.
   void preload(const std::vector<std::uint64_t>& buckets, std::uint64_t count,
                double sum) noexcept;
 
  private:
-  struct alignas(64) Stripe {
-    std::vector<std::atomic<std::uint64_t>> buckets;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    explicit Stripe(std::size_t n) : buckets(n) {}
-  };
-
   const bool enabled_;
   std::vector<double> bounds_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  std::vector<std::atomic<std::uint64_t>> buckets_;  ///< bounds_.size()+1
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
 };
 
 // --- campaign-end snapshot (plain data, serializable) ---

@@ -1,5 +1,5 @@
 // The runtime's one event recorder: always-on lifecycle marks plus
-// optional structured spans, both kept in thread-safe per-thread buffers.
+// optional structured spans, kept in one mutex-guarded log in record order.
 //
 // Marks are RADICAL-Pilot's profiler records: every runtime state
 // transition (submit, schedule, exec_start, ...; names in hpc/analytics.hpp
@@ -15,9 +15,12 @@
 // retry shows up as a sibling "attempt" span under its task, inside its
 // pipeline-iteration stage span.
 //
-// Marks and spans share the per-thread buffers but are numbered by
-// separate relaxed counters, so span ids and ordinals do not depend on how
-// many marks were recorded.
+// Every span call (begin, end, attr) takes the next number from one
+// counter under the log's lock: a begin's number is its span's id and open
+// ordinal, an end's is the close ordinal, and an ignored call (a second
+// close, an attr on an unknown id) still consumes one. Marks take no
+// number, so span ids and ordinals do not depend on how many marks were
+// recorded. spans(), marks() and size() read the log as it stands.
 //
 // Determinism contract (pinned by tests/obs/test_golden_trace.cpp and the
 // Determinism suite): recording never draws from any rng and never feeds
@@ -27,14 +30,18 @@
 // a pure function of the seed.
 //
 // Cost model: with spans disabled (the default) a span call site costs one
-// branch and no span event is buffered; a mark costs one buffered record.
+// branch and records nothing; a mark costs one appended record. The lock
+// is an untracked leaf: it is taken under runtime locks (Pilot::mutex_
+// among others) and calls out to nothing while held. It is not
+// contended: the benchmark workloads record from one thread, and the
+// busiest threaded campaign makes about 10,000 calls a second
+// (docs/performance.md §4).
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -112,21 +119,24 @@ class Tracer {
   SpanId instant(double time, std::string_view name,
                  std::string_view category, SpanId parent = 0);
 
-  /// All spans, ordered by open ordinal, with attributes and close times
-  /// merged in. Thread-safe snapshot.
+  /// All spans, ordered by open ordinal, with their attributes and close
+  /// times. Thread-safe snapshot.
   [[nodiscard]] std::vector<SpanRecord> spans() const;
   /// Number of spans opened so far.
   [[nodiscard]] std::size_t size() const;
   /// Drop every mark and span, preloaded ones included.
   void clear();
 
-  /// Checkpoint restore: seed the tracer with the marks and spans recorded
-  /// before the cut; later marks sort after the preloaded ones. Span
-  /// numbering continues at `next_seq` (the value checkpointed from the
-  /// original run, so post-resume seqs match the uninterrupted run's), and
-  /// post-resume end()/attr() calls on a preloaded span id merge into its
-  /// record. Spans and `next_seq` are ignored when spans are disabled.
-  /// Call once, before any concurrent use.
+  /// Checkpoint restore: seed the log with the marks and spans recorded
+  /// before the cut; later records follow them. Span numbering continues
+  /// at `next_seq` (the value checkpointed from the original run, so
+  /// post-resume seqs match the uninterrupted run's), and post-resume
+  /// end()/attr() calls on a preloaded span id update its record. Spans
+  /// and `next_seq` are ignored when spans are disabled. Throws
+  /// std::invalid_argument (and keeps nothing) unless the span ids are
+  /// strictly increasing and below `next_seq`, as a tracer records them.
+  /// Call once, on a tracer that has recorded nothing, before any
+  /// concurrent use.
   void preload(std::vector<Mark> marks, std::vector<SpanRecord> spans,
                std::uint64_t next_seq);
   /// Next seq the tracer will assign (checkpointed alongside spans()).
@@ -135,47 +145,19 @@ class Tracer {
   }
 
  private:
-  enum class Kind : std::uint8_t { kOpen, kClose, kAttr };
-  struct Event {
-    Kind kind = Kind::kOpen;
-    std::uint64_t seq = 0;
-    SpanId id = 0;
-    SpanId parent = 0;
-    double time = 0.0;
-    std::string name;      ///< span name (kOpen) or attr key (kAttr)
-    std::string category;  ///< span category (kOpen) or attr value (kAttr)
-  };
-  struct MarkEntry {
-    std::uint64_t seq = 0;
-    Mark mark;
-  };
-  struct Buffer {
-    std::mutex mutex;  // writer vs concurrent snapshot reader
-    std::vector<Event> events;
-    std::vector<MarkEntry> marks;
-  };
+  /// The record of span `id`, or nullptr when no span has that id. Call
+  /// with mutex_ held.
+  [[nodiscard]] SpanRecord* find(SpanId id);
 
-  /// This thread's buffer for this tracer, creating and registering it on
-  /// first use. Buffers live until the tracer is destroyed.
-  [[nodiscard]] Buffer& local_buffer();
-  void record(Event event);
-  /// Every buffer's `items`, merged and sorted by seq.
-  template <typename T>
-  [[nodiscard]] std::vector<T> merged(std::vector<T> Buffer::*items) const;
-
-  const std::uint64_t id_;  ///< process-unique; keys the thread-local cache
   const bool enabled_;
   std::function<double()> clock_;
-  /// Seqs double as span ids (an open's seq is its span's id); starts at 1
-  /// so id 0 stays "no span".
+  /// Seqs double as span ids (a begin's seq is its span's id); starts at 1
+  /// so id 0 stays "no span". Taken under mutex_, so spans_ is ordered by
+  /// id and open ordinal.
   std::atomic<std::uint64_t> next_seq_{1};
-  std::atomic<std::uint64_t> next_mark_seq_{0};
-  mutable std::mutex registry_mutex_;  // guards buffers_ and the preloads
-  std::vector<std::unique_ptr<Buffer>> buffers_;
-  /// Records restored from a checkpoint (see preload). They precede every
-  /// live record: preloaded span ids are all below the restored next_seq_.
-  std::vector<Mark> preloaded_marks_;
-  std::vector<SpanRecord> preloaded_spans_;
+  mutable std::mutex mutex_;  // guards marks_ and spans_
+  std::vector<Mark> marks_;
+  std::vector<SpanRecord> spans_;
 };
 
 /// RAII span: opens on construction using the tracer's clock, closes on

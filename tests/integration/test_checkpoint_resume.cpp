@@ -9,14 +9,18 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <iomanip>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/fs.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/session_dump.hpp"
+#include "obs/metrics.hpp"
 #include "protein/datasets.hpp"
 
 namespace impress::core {
@@ -197,6 +201,41 @@ TEST_F(CheckpointResume, DeterminismObservabilityContinuesSeamlessly) {
                                        .every_n_pipelines = 0,
                                        .halt_after = 2},
                   dir("ref"), dir("kill"), /*observability=*/true);
+}
+
+TEST_F(CheckpointResume, DeterminismMetricsWhenAnotherThreadRecordedFirst) {
+  // Restored metric totals and the observations made after the cut must
+  // add up in the uninterrupted run's order whichever thread of the
+  // process recorded a metric first: here a helper thread does, before
+  // either campaign runs.
+  obs::MetricsRegistry warmup(/*enabled=*/true);
+  std::thread([&warmup] { warmup.counter("warmup")->inc(); }).join();
+
+  const auto targets = targets2();
+  auto cfg = im_rp_campaign(42);
+  cfg.session.enable_metrics = true;
+  cfg.checkpoint.every_n_completions = 5;
+  std::vector<CampaignCheckpoint> cuts;
+  auto reference_cfg = cfg;
+  reference_cfg.checkpoint.sink = [&cuts](const CampaignCheckpoint& doc) {
+    cuts.push_back(doc);
+  };
+  const auto reference = Campaign(reference_cfg).run(targets);
+  ASSERT_GE(cuts.size(), 3u);
+
+  cfg.checkpoint.sink = [](const CampaignCheckpoint&) {};
+  const auto resumed = Campaign(cfg).resume(targets, cuts[cuts.size() / 2]);
+  ASSERT_FALSE(reference.metrics.histograms.empty());
+  ASSERT_EQ(resumed.metrics.histograms.size(),
+            reference.metrics.histograms.size());
+  for (std::size_t i = 0; i < reference.metrics.histograms.size(); ++i) {
+    const auto& want = reference.metrics.histograms[i];
+    const auto& got = resumed.metrics.histograms[i];
+    EXPECT_EQ(got.sum, want.sum) << want.name << std::setprecision(17)
+                                 << ": resumed " << got.sum
+                                 << ", uninterrupted " << want.sum;
+  }
+  EXPECT_EQ(resumed.metrics, reference.metrics);
 }
 
 TEST_F(CheckpointResume, DeterminismFoldCacheHitsAfterResume) {

@@ -61,9 +61,25 @@ TEST(Wire, TaskSubmitRoundTrip) {
   m.shard_id = 1;
   m.epoch = 2;
   m.task_seq = 42;
-  m.kind = TaskSubmitMsg::Kind::kRemoteTask;
+  m.kind = TaskSubmitMsg::Kind::kRunShard;
   m.payload = std::string("spec\0with\x01nul", 13);
   EXPECT_EQ(std::get<TaskSubmitMsg>(decode_frame(encode_frame(m))), m);
+}
+
+TEST(Wire, TaskSubmitRejectsUnknownKind) {
+  // kRunShard (1) is the only kind; every other byte is unknown. The
+  // kind byte follows the frame header and the shard_id/epoch/task_seq
+  // fields (4 + 4 + 8 bytes).
+  const std::vector<std::uint8_t> frame = encode_frame(TaskSubmitMsg{});
+  constexpr std::size_t kKindOffset = kHeaderSize + 4 + 4 + 8;
+  ASSERT_GT(frame.size(), kKindOffset);
+  ASSERT_EQ(frame[kKindOffset],
+            static_cast<std::uint8_t>(TaskSubmitMsg::Kind::kRunShard));
+  for (const int kind : {0, 2, 255}) {
+    std::vector<std::uint8_t> bad = frame;
+    bad[kKindOffset] = static_cast<std::uint8_t>(kind);
+    EXPECT_THROW((void)decode_frame(bad), WireError) << "kind " << kind;
+  }
 }
 
 TEST(Wire, TaskResultRoundTrip) {

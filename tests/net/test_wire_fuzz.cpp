@@ -60,8 +60,7 @@ Message random_message(std::mt19937_64& rng) {
       m.shard_id = static_cast<std::uint32_t>(rng());
       m.epoch = static_cast<std::uint32_t>(rng());
       m.task_seq = rng();
-      m.kind = rng() % 2 == 0 ? TaskSubmitMsg::Kind::kRunShard
-                              : TaskSubmitMsg::Kind::kRemoteTask;
+      m.kind = TaskSubmitMsg::Kind::kRunShard;
       m.payload = random_string(rng, 100);
       return m;
     }

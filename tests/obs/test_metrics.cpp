@@ -1,6 +1,7 @@
-// Metrics property tests: striped counters and histograms must aggregate
-// to exactly what a single-threaded reference computes, the registry must
-// be idempotent by name, and disabled instruments must observe nothing.
+// Metrics property tests: counters and histograms written from many
+// threads must aggregate to exactly what a single-threaded reference
+// computes, the registry must be idempotent by name, and disabled
+// instruments must observe nothing.
 
 #include <gtest/gtest.h>
 
@@ -87,7 +88,7 @@ TEST(Histogram, BoundsAreSortedAndDeduplicated) {
 }
 
 TEST(Histogram, ConcurrentObservationsMatchSingleThreadedReference) {
-  // Property: merging per-thread striped observations must equal a
+  // Property: observations from many threads must equal a
   // single-threaded run over the same multiset of values. Integer-valued
   // observations keep the double sum associative, so equality is exact.
   const auto bounds = Histogram::default_seconds_bounds();
@@ -104,11 +105,11 @@ TEST(Histogram, ConcurrentObservationsMatchSingleThreadedReference) {
   }
 
   MetricsRegistry registry(true);
-  Histogram* striped = registry.histogram("striped", bounds);
+  Histogram* concurrent = registry.histogram("concurrent", bounds);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i)
-    threads.emplace_back([striped, &streams, i] {
-      for (double v : streams[i]) striped->observe(v);
+    threads.emplace_back([concurrent, &streams, i] {
+      for (double v : streams[i]) concurrent->observe(v);
     });
   for (auto& t : threads) t.join();
 
@@ -116,9 +117,9 @@ TEST(Histogram, ConcurrentObservationsMatchSingleThreadedReference) {
   for (const auto& stream : streams)
     for (double v : stream) reference->observe(v);
 
-  EXPECT_EQ(striped->bucket_counts(), reference->bucket_counts());
-  EXPECT_EQ(striped->count(), reference->count());
-  EXPECT_DOUBLE_EQ(striped->sum(), reference->sum());
+  EXPECT_EQ(concurrent->bucket_counts(), reference->bucket_counts());
+  EXPECT_EQ(concurrent->count(), reference->count());
+  EXPECT_DOUBLE_EQ(concurrent->sum(), reference->sum());
 }
 
 TEST(Registry, RegistrationIsIdempotentByName) {

@@ -1,9 +1,11 @@
 // Tracer unit tests: lifecycle marks, span lifecycle, nesting, attributes,
-// the ambient context, thread-safety of the per-thread buffers, and the
-// disabled / no-op span paths that back the zero-cost-when-off contract.
+// span numbering, checkpoint preload, the ambient context, thread-safety
+// of the one record log, and the disabled / no-op span paths that back the
+// zero-cost-when-off contract.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -61,11 +63,19 @@ TEST(Tracer, UnclosedSpanIsVisibleAsUnclosed) {
 TEST(Tracer, DoubleCloseKeepsFirstEnd) {
   Tracer tracer(true);
   const SpanId id = tracer.begin(0.0, "x", categories::kWork);
+  EXPECT_EQ(id, 1u);
   tracer.end(id, 1.0);
   tracer.end(id, 9.0);
+  tracer.attr(99, "k", "v");  // never opened
   const auto spans = tracer.spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_DOUBLE_EQ(spans[0].end, 1.0);
+  EXPECT_TRUE(spans[0].attrs.empty());
+  // Every span call takes a number, the ignored second close and the attr
+  // on an unknown id included, so later ids match the traced run's.
+  EXPECT_EQ(spans[0].close_seq, 2u);
+  EXPECT_EQ(tracer.next_seq(), 5u);
+  EXPECT_EQ(tracer.begin(2.0, "y", categories::kWork), 5u);
 }
 
 TEST(Tracer, InstantIsZeroDuration) {
@@ -116,7 +126,7 @@ TEST(Tracer, ClearDropsEverything) {
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_TRUE(tracer.spans().empty());
 
-  // Preloaded records go too, not only the per-thread buffers.
+  // Preloaded records go too, not only the ones recorded live.
   Tracer restored(true);
   SpanRecord old;
   old.id = 1;
@@ -158,6 +168,39 @@ TEST(Tracer, PreloadedMarksComeFirst) {
   // Spans disabled: the preloaded spans and span numbering are ignored.
   EXPECT_TRUE(tracer.spans().empty());
   EXPECT_EQ(tracer.next_seq(), 1u);
+}
+
+TEST(Tracer, PreloadRejectsSpanIdsATracerCannotHaveRecorded) {
+  // Preloaded spans come from a checkpoint file: ids out of order,
+  // repeated, or at/after the restored next_seq are refused whole.
+  const auto span = [](SpanId id) {
+    SpanRecord r;
+    r.id = id;
+    r.open_seq = id;
+    return r;
+  };
+  Tracer tracer(true);
+  EXPECT_THROW(tracer.preload({}, {span(3), span(1)}, 6),
+               std::invalid_argument);
+  EXPECT_THROW(tracer.preload({}, {span(3), span(3)}, 6),
+               std::invalid_argument);
+  EXPECT_THROW(tracer.preload({}, {span(1), span(6)}, 6),
+               std::invalid_argument);
+  EXPECT_TRUE(tracer.spans().empty());
+  EXPECT_EQ(tracer.next_seq(), 1u);
+
+  // A valid trace: end()/attr() on a preloaded id update its record, and
+  // numbering continues at next_seq.
+  tracer.preload({}, {span(1), span(3)}, 6);
+  tracer.attr(3, "k", "v");
+  tracer.end(3, 4.0);
+  EXPECT_EQ(tracer.begin(5.0, "after.cut", categories::kWork), 8u);
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[1].close_seq, 7u);
+  EXPECT_DOUBLE_EQ(spans[1].end, 4.0);
+  EXPECT_EQ(spans[1].attrs.size(), 1u);
+  EXPECT_EQ(spans[2].id, 8u);
 }
 
 // Lifecycle marks are the runtime's profile (RADICAL-Pilot's profiler

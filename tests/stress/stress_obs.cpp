@@ -1,7 +1,7 @@
 // TSan-targeted stress tests for the observability layer: writer threads
 // hammering one Tracer / one MetricsRegistry while reader threads take
-// snapshots mid-flight. A real synchronization bug in the per-thread
-// buffers, the stripe cells or the registry maps shows up as a TSan
+// snapshots mid-flight. A real synchronization bug in the tracer's log,
+// the metric cells or the registry maps shows up as a TSan
 // report (run under `cmake --preset tsan`); the closing assertions pin
 // that no acknowledged write was lost once writers quiesce.
 

@@ -1,8 +1,9 @@
 // Interleaving-hostile hammering of two concurrent structures — the
-// sharded FoldCache and the Tracer's per-thread buffers, driven through
-// its always-on lifecycle marks. Designed to trip ThreadSanitizer on any
+// sharded FoldCache and the Tracer's record log, driven through its
+// always-on lifecycle marks. Designed to trip ThreadSanitizer on any
 // missing synchronization rather than flake: many writers over
-// overlapping keys, readers merging mid-write, and clear() racing mark().
+// overlapping keys, readers snapshotting mid-write, and clear() racing
+// mark().
 
 #include <gtest/gtest.h>
 
@@ -87,10 +88,9 @@ TEST(StressPerf, FoldCacheClearWhileHammered) {
 }
 
 TEST(StressPerf, ProfilerConcurrentRecordAndMerge) {
-  // 8 writer threads, each its own entity, with 2 readers merging the
-  // buffers concurrently (marks and spans). Afterwards: nothing lost, and
-  // each entity's marks appear in its own program order (encoded in the
-  // mark time).
+  // 8 writer threads, each its own entity, with 2 readers snapshotting
+  // the log concurrently. Afterwards: nothing lost, and each entity's
+  // marks appear in its own program order (encoded in the mark time).
   obs::Tracer tracer(true);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
@@ -101,7 +101,7 @@ TEST(StressPerf, ProfilerConcurrentRecordAndMerge) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         (void)tracer.size();
-        (void)tracer.marks();  // merge mid-write
+        (void)tracer.marks();  // snapshot mid-write
       }
     });
 
@@ -119,7 +119,7 @@ TEST(StressPerf, ProfilerConcurrentRecordAndMerge) {
   const auto marks = tracer.marks();
   ASSERT_EQ(marks.size(), static_cast<std::size_t>(kThreads) * kPerThread);
   EXPECT_EQ(tracer.size(), 0u);  // marks are not spans
-  // Per-entity program order survives the merge.
+  // Per-entity program order survives in the shared log.
   std::map<std::string, int> seen;  // entity -> marks read so far
   for (const auto& m : marks)
     ASSERT_DOUBLE_EQ(m.time, static_cast<double>(seen[m.entity]++));
@@ -143,16 +143,15 @@ TEST(StressPerf, ProfilerClearWhileRecording) {
   for (auto& w : writers) w.join();
   stop.store(true);
   clearer.join();
-  // Whatever survived the clears is still a well-formed merge.
+  // Whatever survived the clears is still a well-formed log.
   const auto marks = tracer.marks();
   EXPECT_LE(marks.size(), 4u * 20000u);
 }
 
 TEST(StressPerf, ManyProfilersAcrossThreads) {
-  // Exercises the bounded thread-local cache: more tracers than the TLS
-  // cap, touched from several threads, must still route every mark to the
-  // right tracer.
-  constexpr int kTracers = 80;  // > kTlsCacheCap (64)
+  // Many tracers touched from several threads: every mark must land in
+  // the tracer it was recorded on.
+  constexpr int kTracers = 80;
   std::vector<std::unique_ptr<obs::Tracer>> tracers;
   for (int i = 0; i < kTracers; ++i)
     tracers.push_back(std::make_unique<obs::Tracer>());
