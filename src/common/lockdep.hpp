@@ -39,7 +39,10 @@
 // invokes user callbacks outside mutex_ — both prevent the reverse edges
 // that would close a cycle. obs::Tracer's one log lock is an untracked
 // leaf: every lifecycle mark and span call takes it, under Pilot::mutex_
-// among others, and it calls out to nothing.
+// among others, and it calls out to nothing. So is the lock on
+// protein::ideal_trace's table of shared C-alpha traces: every
+// Complex::make takes it, on executor and coordinator threads, and it
+// calls out to nothing but ideal_helix's arithmetic.
 // ---------------------------------------------------------------------------
 
 #pragma once

@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <sstream>
@@ -12,7 +13,7 @@ namespace impress::core {
 
 namespace {
 
-constexpr int kSchemaVersion = 3;
+constexpr int kSchemaVersion = 4;
 constexpr std::string_view kKind = "impress.checkpoint";
 
 // --- uint64 <-> hex string (JSON numbers are doubles; exact bits matter
@@ -63,10 +64,18 @@ void write_structure(common::JsonWriter& w, const protein::Structure& s) {
   w.key("chains").begin_array();
   for (const auto& chain : s.chains()) {
     w.begin_object();
-    w.key("ca").begin_array();
-    for (const auto& v : chain.ca)
-      w.begin_array().value(v.x).value(v.y).value(v.z).end_array();
-    w.end_array();
+    // A trace ideal_trace built is named by its origin and rebuilt on load;
+    // any other trace (PDB input) is written out.
+    if (const auto origin = chain.ca.ideal_origin();
+        origin && chain.ca.size() == chain.sequence.size()) {
+      w.key("ca_origin").begin_array();
+      w.value(origin->x).value(origin->y).value(origin->z).end_array();
+    } else {
+      w.key("ca").begin_array();
+      for (const auto& v : chain.ca)
+        w.begin_array().value(v.x).value(v.y).value(v.z).end_array();
+      w.end_array();
+    }
     w.key("id").value(std::string_view(&chain.id, 1));
     w.key("sequence").value(chain.sequence.to_string());
     w.end_object();
@@ -89,10 +98,26 @@ protein::Structure structure_from_json(const common::Json& j) {
     chain.id = id[0];
     chain.sequence =
         protein::Sequence::from_string(c.at("sequence").as_string());
-    for (const auto& v : c.at("ca").as_array())
-      chain.ca.push_back(protein::Vec3{v.at(0).as_number(),
-                                       v.at(1).as_number(),
-                                       v.at(2).as_number()});
+    if (c.contains("ca") == c.contains("ca_origin"))
+      throw std::invalid_argument(
+          "checkpoint: a chain needs exactly one of ca and ca_origin");
+    if (c.contains("ca_origin")) {
+      const auto& o = c.at("ca_origin");
+      if (!o.is_array() || o.size() != 3 ||
+          !std::ranges::all_of(o.as_array(), &common::Json::is_number))
+        throw std::invalid_argument(
+            "checkpoint: ca_origin must be three numbers");
+      chain.ca = protein::ideal_trace(
+          chain.sequence.size(),
+          protein::Vec3{o.at(0).as_number(), o.at(1).as_number(),
+                        o.at(2).as_number()});
+    } else {
+      std::vector<protein::Vec3> ca;
+      for (const auto& v : c.at("ca").as_array())
+        ca.push_back(protein::Vec3{v.at(0).as_number(), v.at(1).as_number(),
+                                   v.at(2).as_number()});
+      chain.ca = protein::CaTrace(std::move(ca));
+    }
     chains.push_back(std::move(chain));
   }
   protein::Structure s(j.at("name").as_string(), std::move(chains));

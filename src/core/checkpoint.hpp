@@ -55,11 +55,13 @@ struct CampaignCheckpoint : rp::SessionRestore {
   common::Json generator_state;
 };
 
-/// Serialize (schema kind "impress.checkpoint", version 3 — version 1 is
+/// Serialize (schema kind "impress.checkpoint", version 4 — version 1 is
 /// the finished-campaign session dump) straight to compact JSON text, keys
 /// in sorted order: the bytes save_checkpoint writes (less the trailing
 /// newline) and fabric workers ship. The fold memo section holds keys and
-/// counters only; see fold::FoldCache::Snapshot.
+/// counters only; see fold::FoldCache::Snapshot. A chain whose trace
+/// protein::ideal_trace built carries its "ca_origin" instead of a "ca"
+/// array, and is rebuilt by ideal_trace on load.
 [[nodiscard]] std::string checkpoint_text(const CampaignCheckpoint& checkpoint);
 
 /// The same document as a tree (Json::parse of checkpoint_text), for

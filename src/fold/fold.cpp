@@ -51,6 +51,14 @@ Prediction AlphaFold::predict_untraced(
   const double noise_scale =
       config_.metric_noise * (1.0 + 1.5 * (1.0 - config_.msa_quality));
 
+  // Predicted coordinates: the idealized complex, one shared trace per chain
+  // for every model, with per-residue confidence tapering toward the chain
+  // termini as real pLDDT does.
+  const protein::Complex ideal = protein::Complex::make(
+      complex.structure.name(), complex.receptor().sequence,
+      complex.peptide().sequence);
+  const std::size_t n = ideal.structure.size();
+
   Prediction out;
   out.models.reserve(config_.num_models);
   for (std::size_t m = 0; m < config_.num_models; ++m) {
@@ -64,13 +72,6 @@ Prediction AlphaFold::predict_untraced(
     metrics.ipae =
         std::clamp(21.5 - 18.0 * fm + 0.8 * noise_scale * rng.normal(), 1.0, 30.0);
 
-    // Predicted coordinates: the idealized complex, with per-residue
-    // confidence tapering toward the chain termini as real pLDDT does.
-    protein::Complex predicted =
-        protein::Complex::make(complex.structure.name(),
-                               complex.receptor().sequence,
-                               complex.peptide().sequence);
-    const std::size_t n = predicted.structure.size();
     std::vector<double> plddt(n);
     for (std::size_t i = 0; i < n; ++i) {
       const double edge =
@@ -79,9 +80,9 @@ Prediction AlphaFold::predict_untraced(
                                 2.0 * rng.normal(),
                             0.0, 100.0);
     }
-    predicted.structure.set_plddt(std::move(plddt));
-    out.models.push_back(
-        ModelPrediction{metrics, std::move(predicted.structure)});
+    protein::Structure predicted = ideal.structure;
+    predicted.set_plddt(std::move(plddt));
+    out.models.push_back(ModelPrediction{metrics, std::move(predicted)});
   }
 
   // Stage 4: rank candidate models by pTM; best complex is returned.

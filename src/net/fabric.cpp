@@ -368,6 +368,13 @@ DistributedOutcome run_distributed(
 
   std::uint64_t tick = 0;
   if (config.threaded) {
+    // Every HELLO is on the wire before the first tick, so which workers
+    // register in time to take a shard does not hang on when the OS first
+    // runs each worker thread; a kill plan bound to a worker index always
+    // finds its worker holding a shard.
+    for (auto& worker : workers) {
+      worker->pump();
+    }
     std::atomic<bool> stop{false};
     std::vector<std::thread> threads;
     threads.reserve(workers.size());

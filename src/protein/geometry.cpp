@@ -1,7 +1,12 @@
 #include "protein/geometry.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
 
@@ -41,6 +46,36 @@ std::vector<Vec3> ideal_helix(std::size_t n, Vec3 origin) {
                        origin.z + kRise * static_cast<double>(i)});
   }
   return pts;
+}
+
+CaTrace::CaTrace(std::vector<Vec3> points)
+    : data_(std::make_shared<const Data>(
+          Data{std::move(points), std::nullopt})) {}
+
+bool operator==(const CaTrace& a, const CaTrace& b) noexcept {
+  return a.data_ == b.data_ || std::ranges::equal(a.span(), b.span());
+}
+
+CaTrace ideal_trace(std::size_t n, Vec3 origin) {
+  // Keyed by the origin's bits, so two origins share a trace exactly when
+  // ideal_helix would compute the same coordinates for them.
+  using Key = std::array<std::uint64_t, 4>;
+  struct Table {
+    // Untracked leaf, like obs::Tracer's log lock (common/lockdep.hpp):
+    // held only for the lookup and a first fill by ideal_helix.
+    std::mutex mutex;  // guards traces
+    std::map<Key, std::shared_ptr<const CaTrace::Data>> traces;
+  };
+  static Table table;
+  const Key key{n, std::bit_cast<std::uint64_t>(origin.x),
+                std::bit_cast<std::uint64_t>(origin.y),
+                std::bit_cast<std::uint64_t>(origin.z)};
+  const std::lock_guard lock(table.mutex);
+  auto& data = table.traces[key];
+  if (!data)
+    data = std::make_shared<const CaTrace::Data>(
+        CaTrace::Data{ideal_helix(n, origin), origin});
+  return CaTrace(data);
 }
 
 double rmsd_raw(std::span<const Vec3> a, std::span<const Vec3> b) {

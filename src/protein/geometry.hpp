@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,6 +35,54 @@ struct Vec3 {
 /// rise 1.5 A per residue along z, 100 degrees twist, 2.3 A radius. Used
 /// to give every generated structure physically plausible coordinates.
 [[nodiscard]] std::vector<Vec3> ideal_helix(std::size_t n, Vec3 origin = {});
+
+/// A C-alpha trace: immutable coordinates behind a shared pointer, so copies
+/// of a chain, a structure or a memoized prediction share one array. A trace
+/// built by ideal_trace() also records its helix origin, which lets a
+/// checkpoint name the trace instead of printing it.
+class CaTrace {
+ public:
+  CaTrace() = default;
+  /// An explicit trace (PDB input, hand-built geometry); records no origin.
+  explicit CaTrace(std::vector<Vec3> points);
+
+  [[nodiscard]] std::size_t size() const noexcept { return span().size(); }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] const Vec3& operator[](std::size_t i) const noexcept {
+    return data_->points[i];
+  }
+  [[nodiscard]] std::span<const Vec3> span() const noexcept {
+    if (!data_) return {};
+    return data_->points;
+  }
+  [[nodiscard]] auto begin() const noexcept { return span().begin(); }
+  [[nodiscard]] auto end() const noexcept { return span().end(); }
+
+  /// The origin ideal_trace() built this trace at; empty for any other trace.
+  [[nodiscard]] std::optional<Vec3> ideal_origin() const noexcept {
+    return data_ ? data_->ideal_origin : std::nullopt;
+  }
+
+  /// Content equality: the same coordinates, however the traces were built.
+  friend bool operator==(const CaTrace& a, const CaTrace& b) noexcept;
+
+ private:
+  struct Data {
+    std::vector<Vec3> points;
+    std::optional<Vec3> ideal_origin;
+  };
+  explicit CaTrace(std::shared_ptr<const Data> data) : data_(std::move(data)) {}
+  friend CaTrace ideal_trace(std::size_t n, Vec3 origin);
+
+  std::shared_ptr<const Data> data_;
+};
+
+/// ideal_helix(n, origin) as a shared trace. The helix is computed once per
+/// (n, origin bit pattern) per process and kept in a table that only grows:
+/// its size is the number of distinct (length, origin) pairs the process has
+/// asked for. A pdz_benchmark campaign asks for at most 37 (receptors of
+/// 80-115 residues at one origin, the peptide at another). Thread-safe.
+[[nodiscard]] CaTrace ideal_trace(std::size_t n, Vec3 origin = {});
 
 /// Root-mean-square deviation without superposition (same length required;
 /// throws std::invalid_argument otherwise).

@@ -1,7 +1,7 @@
 #include "protein/pdb.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,9 +37,14 @@ std::string to_pdb(const Structure& s) {
 }
 
 Structure from_pdb(const std::string& text, std::string name) {
-  // Preserve chain order of appearance.
-  std::vector<char> chain_order;
-  std::map<char, Chain> chains;
+  // Residues and coordinates per chain, in order of appearance; each Chain
+  // is built once at the end.
+  struct Records {
+    char id;
+    std::vector<AminoAcid> residues;
+    std::vector<Vec3> ca;
+  };
+  std::vector<Records> chains;
   std::vector<double> plddt;
 
   std::istringstream is(text);
@@ -74,22 +79,21 @@ Structure from_pdb(const std::string& text, std::string name) {
       }
     }
 
-    auto it = chains.find(chain_id);
-    if (it == chains.end()) {
-      it = chains.emplace(chain_id, Chain{}).first;
-      it->second.id = chain_id;
-      chain_order.push_back(chain_id);
-    }
-    auto residues = it->second.sequence.residues();
-    residues.push_back(*aa);
-    it->second.sequence = Sequence(std::move(residues));
-    it->second.ca.push_back(p);
+    auto it = std::find_if(chains.begin(), chains.end(),
+                           [&](const Records& r) { return r.id == chain_id; });
+    if (it == chains.end())
+      it = chains.insert(chains.end(), Records{chain_id, {}, {}});
+    it->residues.push_back(*aa);
+    it->ca.push_back(p);
     plddt.push_back(b);
   }
 
   std::vector<Chain> ordered;
-  ordered.reserve(chain_order.size());
-  for (char id : chain_order) ordered.push_back(std::move(chains.at(id)));
+  ordered.reserve(chains.size());
+  for (auto& r : chains)
+    ordered.push_back(Chain{.id = r.id,
+                            .sequence = Sequence(std::move(r.residues)),
+                            .ca = CaTrace(std::move(r.ca))});
   Structure out(std::move(name), std::move(ordered));
   // Only attach pLDDT when any record carried one.
   for (double b : plddt)

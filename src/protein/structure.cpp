@@ -7,7 +7,7 @@ namespace impress::protein {
 Chain Chain::idealized(char id, Sequence seq, Vec3 origin) {
   Chain c;
   c.id = id;
-  c.ca = ideal_helix(seq.size(), origin);
+  c.ca = ideal_trace(seq.size(), origin);
   c.sequence = std::move(seq);
   return c;
 }

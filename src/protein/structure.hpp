@@ -17,9 +17,10 @@ namespace impress::protein {
 struct Chain {
   char id = 'A';
   Sequence sequence;
-  std::vector<Vec3> ca;  ///< one C-alpha per residue; sizes must match
+  CaTrace ca;  ///< one C-alpha per residue; sizes must match
 
-  /// Chain with an idealized helical trace for the given sequence.
+  /// Chain with an idealized helical trace for the given sequence (shared
+  /// with every chain of the same length and origin, see ideal_trace).
   [[nodiscard]] static Chain idealized(char id, Sequence seq, Vec3 origin = {});
 
   [[nodiscard]] std::size_t size() const noexcept { return sequence.size(); }

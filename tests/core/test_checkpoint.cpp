@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "core/checkpoint.hpp"
 #include "core/dpo_generator.hpp"
 #include "protein/datasets.hpp"
+#include "protein/pdb.hpp"
 
 namespace impress::core {
 namespace {
@@ -162,8 +164,94 @@ TEST_F(CheckpointDoc, LoaderRejectsWrongKindAndVersion) {
   o["schema_version"] = 2;
   EXPECT_THROW((void)campaign_checkpoint_from_json(common::Json(o)),
                std::invalid_argument);
+  // Version 3 printed every idealized trace; v4 names it by its origin.
+  o["schema_version"] = 3;
+  EXPECT_THROW((void)campaign_checkpoint_from_json(common::Json(o)),
+               std::invalid_argument);
   EXPECT_THROW((void)campaign_checkpoint_from_json(common::Json(3.0)),
                std::invalid_argument);
+}
+
+// Bit-level equality of two chains' coordinates.
+void expect_same_trace(const protein::Chain& a, const protein::Chain& b) {
+  using Bits = std::array<std::uint64_t, 3>;
+  ASSERT_EQ(a.ca.size(), b.ca.size());
+  for (std::size_t i = 0; i < a.ca.size(); ++i)
+    ASSERT_EQ(std::bit_cast<Bits>(a.ca[i]), std::bit_cast<Bits>(b.ca[i]));
+}
+
+TEST_F(CheckpointDoc, IdealTracesTravelAsOriginsOtherTracesAsCoordinates) {
+  // A real cut (its pipelines' complexes are idealized) plus a parked fold
+  // input read from PDB text, whose coordinates are explicit.
+  auto doc = real_checkpoint(dir_.string());
+  ASSERT_FALSE(doc.coordinator.pipelines.empty());
+  const auto& pipeline = doc.coordinator.pipelines.front();
+  const protein::Complex idealized = pipeline.current;
+  const protein::Complex from_pdb{protein::from_pdb(
+      protein::to_pdb(idealized.structure), idealized.structure.name())};
+  doc.coordinator.parked.push_back(CoordinatorCheckpoint::ParkedAction{
+      .pipeline_id = pipeline.id,
+      .kind = 1,
+      .fold_input = from_pdb,
+      .reuse_features = false,
+      .refined = false});
+
+  save_checkpoint(doc, path());
+  const auto loaded = load_checkpoint(path());
+  const auto& current = loaded.coordinator.pipelines.front().current;
+  const auto& parked = *loaded.coordinator.parked.back().fold_input;
+  for (const char id : {'A', 'B'}) {
+    SCOPED_TRACE(id);
+    expect_same_trace(current.structure.chain(id),
+                      idealized.structure.chain(id));
+    expect_same_trace(parked.structure.chain(id), from_pdb.structure.chain(id));
+    // The idealized chain comes back on ideal_trace's shared storage; the
+    // PDB chain stays an explicit trace.
+    const auto& ca = current.structure.chain(id).ca;
+    ASSERT_TRUE(ca.ideal_origin().has_value());
+    EXPECT_EQ(ca.span().data(),
+              protein::ideal_trace(ca.size(), *ca.ideal_origin()).span().data());
+    EXPECT_FALSE(parked.structure.chain(id).ca.ideal_origin().has_value());
+  }
+
+  const auto tree = to_json(loaded);
+  EXPECT_EQ(tree.dump(), checkpoint_text(doc));
+  const auto& ideal_chain = tree.at("coordinator")
+                                .at("pipelines").at(0)
+                                .at("current").at("chains").at(0);
+  EXPECT_TRUE(ideal_chain.contains("ca_origin"));
+  EXPECT_FALSE(ideal_chain.contains("ca"));
+  const auto& parked_json = tree.at("coordinator").at("parked");
+  const auto& pdb_chain = parked_json.at(parked_json.size() - 1)
+                              .at("fold_input").at("chains").at(0);
+  EXPECT_TRUE(pdb_chain.contains("ca"));
+  EXPECT_FALSE(pdb_chain.contains("ca_origin"));
+}
+
+TEST_F(CheckpointDoc, LoaderRejectsMalformedTraces) {
+  const auto good = to_json(real_checkpoint(dir_.string()));
+  // Edit the first chain of the first pipeline's current complex.
+  auto rejects = [&good](auto&& edit) {
+    common::Json doc = good;
+    auto& chain = doc.as_object()["coordinator"]
+                      .as_object()["pipelines"].as_array().at(0)
+                      .as_object()["current"]
+                      .as_object()["chains"].as_array().at(0)
+                      .as_object();
+    ASSERT_TRUE(chain.contains("ca_origin"));
+    edit(chain);
+    EXPECT_THROW((void)campaign_checkpoint_from_json(doc),
+                 std::invalid_argument);
+  };
+  using Array = common::Json::Array;
+  rejects([](auto& chain) { chain["ca"] = Array{}; });  // both keys
+  rejects([](auto& chain) { chain.erase("ca_origin"); });  // neither
+  // ca_origin that is not three numbers.
+  rejects([](auto& chain) { chain["ca_origin"] = Array{0.0, 0.0}; });
+  rejects([](auto& chain) { chain["ca_origin"] = Array(4, 0.0); });
+  rejects([](auto& chain) { chain["ca_origin"] = Array{0.0, 0.0, "0"}; });
+  rejects([](auto& chain) { chain["ca_origin"] = 0.0; });
+  EXPECT_NO_THROW((void)campaign_checkpoint_from_json(good));
 }
 
 const protein::DesignTarget& snapshot_target() {

@@ -15,7 +15,9 @@
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "core/session_dump.hpp"
+#include "common/json.hpp"
 #include "protein/datasets.hpp"
+#include "protein/geometry.hpp"
 
 namespace impress::core {
 namespace {
@@ -244,6 +246,30 @@ std::uint64_t dump_digest(const CampaignResult& r) {
   return fnv1a(to_json(r).dump());
 }
 
+// Replace every chain's "ca_origin" by the "ca" array checkpoint schema v3
+// printed for it: ideal_helix(sequence length, origin).
+void expand_ideal_traces(common::Json& j) {
+  if (j.is_array())
+    for (auto& e : j.as_array()) expand_ideal_traces(e);
+  if (!j.is_object()) return;
+  auto& o = j.as_object();
+  if (const auto it = o.find("ca_origin"); it != o.end()) {
+    const auto& v = it->second;
+    common::JsonWriter ca;
+    ca.begin_array();
+    for (const auto& p : protein::ideal_helix(
+             o.at("sequence").as_string().size(),
+             protein::Vec3{v.at(0).as_number(), v.at(1).as_number(),
+                           v.at(2).as_number()}))
+      ca.begin_array().value(p.x).value(p.y).value(p.z).end_array();
+    ca.end_array();
+    o.erase(it);
+    o["ca"] = common::Json::parse(ca.take());
+    return;
+  }
+  for (auto& [key, value] : o) expand_ideal_traces(value);
+}
+
 TEST(Determinism, SessionDumpDigestsAtSeed5) {
   // Golden outputs: the whole session dump of four seed-5 campaigns (one
   // traced and metered) and one mid-run checkpoint document, pinned to the
@@ -281,7 +307,9 @@ TEST(Determinism, SessionDumpDigestsAtSeed5) {
   observed.checkpoint.every_n_completions = 20;
   std::vector<std::uint64_t> cuts;
   std::vector<std::uint64_t> files;
-  observed.checkpoint.sink = [&cuts, &files, path = observed.checkpoint.path()](
+  std::vector<std::string> texts;
+  observed.checkpoint.sink = [&cuts, &files, &texts,
+                              path = observed.checkpoint.path()](
                                  const CampaignCheckpoint& doc) {
     cuts.push_back(fnv1a(to_json(doc).dump()));
     std::ifstream is(path, std::ios::binary);
@@ -289,6 +317,7 @@ TEST(Determinism, SessionDumpDigestsAtSeed5) {
     EXPECT_TRUE(!text.empty() && text.back() == '\n');
     if (!text.empty()) text.pop_back();
     files.push_back(fnv1a(text));
+    texts.push_back(std::move(text));
   };
   const auto observed_8 = Campaign(observed).run(protein::pdz_benchmark(8));
   std::filesystem::remove_all(dir);
@@ -296,8 +325,16 @@ TEST(Determinism, SessionDumpDigestsAtSeed5) {
   EXPECT_EQ(dump_digest(observed_8), 0xd90040aef20da009ULL);
   ASSERT_EQ(cuts.size(), 5u);
   ASSERT_EQ(files.size(), 5u);
-  EXPECT_EQ(cuts[2], 0x8486f55d8fbf943fULL);  // the middle cut
-  EXPECT_EQ(files[2], 0x8486f55d8fbf943fULL);
+  EXPECT_EQ(cuts[2], 0xdc109bba8a33a632ULL);  // the middle cut
+  EXPECT_EQ(files[2], 0xdc109bba8a33a632ULL);
+
+  // Schema v4 names each idealized trace by its origin. Spelled out as the
+  // "ca" arrays schema v3 printed, the middle cut is the v3 document byte
+  // for byte: only the encoding of the coordinates changed.
+  auto v3 = common::Json::parse(texts[2]);
+  expand_ideal_traces(v3);
+  v3.as_object()["schema_version"] = 3;
+  EXPECT_EQ(fnv1a(v3.dump()), 0x8486f55d8fbf943fULL);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,15 +26,22 @@ std::optional<double> time_of(const std::vector<obs::Mark>& marks,
   return std::nullopt;
 }
 
+// ctest names each instance by the raw bytes gtest prints for it, so the
+// struct has no padding: the spelled-out zero bytes give an instance the
+// same ID in every build, where uninitialized padding changed it.
 struct FuzzParams {
   std::uint64_t seed;
   SchedulerPolicy policy;
+  std::uint32_t zero = 0;
 };
+static_assert(sizeof(FuzzParams) == 16 &&
+              std::has_unique_object_representations_v<FuzzParams>);
 
 class RuntimeFuzz : public ::testing::TestWithParam<FuzzParams> {};
 
 TEST_P(RuntimeFuzz, InvariantsHoldForRandomWorkloads) {
-  const auto [seed, policy] = GetParam();
+  const std::uint64_t seed = GetParam().seed;
+  const SchedulerPolicy policy = GetParam().policy;
   common::Rng rng(seed);
 
   // Random node shape.
@@ -128,7 +136,7 @@ std::vector<FuzzParams> fuzz_matrix() {
   std::vector<FuzzParams> out;
   for (std::uint64_t seed = 1; seed <= 10; ++seed)
     for (auto policy : {SchedulerPolicy::kFifo, SchedulerPolicy::kBackfill})
-      out.push_back({seed, policy});
+      out.push_back({.seed = seed, .policy = policy});
   return out;
 }
 

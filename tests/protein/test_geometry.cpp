@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "common/rng.hpp"
@@ -67,6 +70,52 @@ TEST(IdealHelix, OriginOffsetApplies) {
   const auto h = ideal_helix(3, Vec3{10, 20, 30});
   EXPECT_NEAR(h[0].z, 30.0, 1e-12);
   EXPECT_NEAR(h[0].x, 10.0 + 2.3, 1e-12);
+}
+
+// Same object representation: ideal_trace must not round differently.
+bool same_bits(const Vec3& a, const Vec3& b) {
+  using Bits = std::array<std::uint64_t, 3>;
+  return std::bit_cast<Bits>(a) == std::bit_cast<Bits>(b);
+}
+
+TEST(IdealTrace, EqualsIdealHelixBitForBit) {
+  // Complex::make's two origins: receptor and peptide.
+  for (const Vec3 origin : {Vec3{0.0, 0.0, 0.0}, Vec3{8.0, 0.0, 0.0}})
+    for (const std::size_t n : {0u, 1u, 4u, 95u, 400u}) {
+      const CaTrace trace = ideal_trace(n, origin);
+      const auto helix = ideal_helix(n, origin);
+      ASSERT_EQ(trace.size(), n);
+      EXPECT_EQ(trace.empty(), n == 0);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(same_bits(trace[i], helix[i])) << "n=" << n << " i=" << i;
+      EXPECT_EQ(trace.ideal_origin(), origin);
+    }
+}
+
+TEST(IdealTrace, RepeatedCallsShareStorage) {
+  const Vec3 origin{8.0, 0.0, 0.0};
+  const CaTrace a = ideal_trace(95, origin);
+  EXPECT_EQ(ideal_trace(95, origin).span().data(), a.span().data());
+  const CaTrace copy = a;
+  EXPECT_EQ(copy.span().data(), a.span().data());
+  // Another length or another origin is another trace.
+  EXPECT_NE(ideal_trace(94, origin).span().data(), a.span().data());
+  EXPECT_NE(ideal_trace(95).span().data(), a.span().data());
+}
+
+TEST(CaTrace, ExplicitTraceComparesByContent) {
+  const CaTrace explicit_trace(ideal_helix(4));
+  EXPECT_FALSE(explicit_trace.ideal_origin().has_value());
+  EXPECT_NE(explicit_trace.span().data(), ideal_trace(4).span().data());
+  EXPECT_EQ(explicit_trace, ideal_trace(4));
+  EXPECT_NE(explicit_trace, ideal_trace(5));
+  EXPECT_NE(explicit_trace, ideal_trace(4, Vec3{8.0, 0.0, 0.0}));
+  EXPECT_TRUE(CaTrace().empty());
+  EXPECT_EQ(CaTrace(), ideal_trace(0));
+  std::size_t n = 0;
+  for (const Vec3& p : explicit_trace)
+    EXPECT_TRUE(same_bits(p, explicit_trace[n++]));
+  EXPECT_EQ(n, 4u);
 }
 
 TEST(RmsdRaw, IdenticalIsZero) {

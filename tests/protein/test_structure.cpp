@@ -17,13 +17,13 @@ TEST(Chain, IdealizedMatchesSequence) {
 
 TEST(Chain, ValidateCatchesMismatch) {
   Chain c = Chain::idealized('A', Sequence::from_string("MKV"));
-  c.ca.pop_back();
+  c.ca = CaTrace(ideal_helix(2));
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
 TEST(Structure, ConstructionValidatesChains) {
   Chain bad = Chain::idealized('A', Sequence::from_string("MKV"));
-  bad.ca.pop_back();
+  bad.ca = CaTrace(ideal_helix(2));
   EXPECT_THROW(Structure("s", {bad}), std::invalid_argument);
 }
 
@@ -67,6 +67,27 @@ TEST(Complex, ChainsAreSpatiallySeparated) {
   // Peptide offset 8 A in x from the receptor helix axis.
   const double dx = cx.peptide().ca[0].x - cx.receptor().ca[0].x;
   EXPECT_NEAR(dx, 8.0, 1e-9);
+}
+
+TEST(Complex, ChainsShareIdealTraces) {
+  const auto cx = Complex::make("x", Sequence::from_string("MKVLA"),
+                                Sequence::from_string("EPEA"));
+  EXPECT_EQ(cx.receptor().ca.span().data(), ideal_trace(5).span().data());
+  EXPECT_EQ(cx.peptide().ca.span().data(),
+            ideal_trace(4, Vec3{8.0, 0.0, 0.0}).span().data());
+  EXPECT_EQ(cx.receptor().ca.ideal_origin(), (Vec3{0.0, 0.0, 0.0}));
+  EXPECT_EQ(cx.peptide().ca.ideal_origin(), (Vec3{8.0, 0.0, 0.0}));
+
+  // Another complex of the same lengths, and copies of the structure,
+  // point at the same coordinates.
+  const auto other = cx.with_receptor(Sequence::from_string("GGGGG"));
+  EXPECT_EQ(other.receptor().ca.span().data(), cx.receptor().ca.span().data());
+  const Structure copy = cx.structure;
+  for (std::size_t i = 0; i < copy.chains().size(); ++i) {
+    EXPECT_EQ(copy.chains()[i].ca.span().data(),
+              cx.structure.chains()[i].ca.span().data());
+    EXPECT_EQ(copy.chains()[i].ca, cx.structure.chains()[i].ca);
+  }
 }
 
 TEST(Complex, WithReceptorReplacesSequenceKeepsPeptide) {
