@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
       {"trajectories", r.total_trajectories()},
       {"fold", stream_json(b.fold)},
       {"design", stream_json(b.design)},
-      {"cache_hits", b.fold.cache_hits},
       {"batch_size", static_cast<std::size_t>(b.batch_size)},
       {"tuner_decisions", b.tuner_decisions},
       {"wall_s", campaign_wall},

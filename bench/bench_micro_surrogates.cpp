@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fold/fold.hpp"
-#include "fold/fold_cache.hpp"
 #include "mpnn/mpnn.hpp"
 #include "protein/datasets.hpp"
 #include "protein/geometry.hpp"
@@ -129,22 +128,6 @@ void BM_SeedSequence(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SeedSequence);
-
-void BM_FoldCacheHit(benchmark::State& state) {
-  // Steady-state hit cost of the fold memo cache: every iteration after
-  // the first resolves to the same entry.
-  const auto& t = target();
-  const auto cx = t.start_complex();
-  const fold::AlphaFold model;
-  fold::FoldCache cache;
-  const common::Rng rng(7);
-  for (auto _ : state) {
-    common::Rng task_rng = rng;
-    benchmark::DoNotOptimize(cache.predict(model, cx, t.landscape, task_rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FoldCacheHit);
 
 void BM_MpnnDesign(benchmark::State& state) {
   const auto& t = target();

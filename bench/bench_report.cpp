@@ -32,8 +32,6 @@
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
-#include "fold/fold.hpp"
-#include "fold/fold_cache.hpp"
 #include "obs/trace.hpp"
 #include "protein/datasets.hpp"
 #include "protein/kernel_tables.hpp"
@@ -189,64 +187,6 @@ int main(int argc, char** argv) {
                    min_ms));
   }
 
-  // --- Fold memo cache: steady-state hit cost, then a duplicate-heavy
-  // workload (every distinct complex folded `repeats` times) for the hit
-  // rate the campaign-level duplicates achieve.
-  const fold::AlphaFold folder;
-  const auto cx = target.start_complex();
-  {
-    fold::FoldCache cache;
-    const common::Rng rng(7);
-    add_kernel("fold_cache_hit",
-               time_kernel(
-                   [&](std::size_t) {
-                     common::Rng task_rng = rng;
-                     g_sink = g_sink +
-                              cache.predict(folder, cx, land, task_rng)
-                                  .best()
-                                  .metrics.ptm;
-                   },
-                   min_ms));
-  }
-  common::Json::Object fold_cache_json;
-  {
-    fold::FoldCache cache;
-    common::Rng root(7);
-    const std::size_t distinct = opt.smoke ? 8 : 32;
-    const std::size_t repeats = 4;
-    common::Rng seq_rng(17);
-    std::vector<protein::Complex> complexes;
-    for (std::size_t d = 0; d < distinct; ++d)
-      complexes.push_back(cx.with_receptor(land.seed_sequence(0.45, seq_rng)));
-    for (std::size_t r = 0; r < repeats; ++r)
-      for (const auto& c : complexes) {
-        // Content-derived rng, exactly as the coordinator does it.
-        common::Rng task_rng = root.fork(
-            fold::FoldCache::content_key(c, land, folder.config()));
-        g_sink = g_sink +
-                 cache.predict(folder, c, land, task_rng).best().metrics.ptm;
-      }
-    const auto stats = cache.stats();
-    fold_cache_json["hits"] = stats.hits;
-    fold_cache_json["misses"] = stats.misses;
-    fold_cache_json["evictions"] = stats.evictions;
-    fold_cache_json["entries"] = stats.entries;
-    fold_cache_json["duplicate_discards"] = stats.duplicate_discards;
-    fold_cache_json["hit_rate"] = stats.hit_rate();
-    // Conservation law: every miss must end up resident, evicted, or
-    // discarded as a raced duplicate — otherwise the hit-rate math above
-    // is built on leaky counters.
-    if (stats.misses !=
-        stats.entries + stats.evictions + stats.duplicate_discards) {
-      std::cerr << "fold_cache stats violate conservation: misses="
-                << stats.misses << " entries=" << stats.entries
-                << " evictions=" << stats.evictions
-                << " duplicate_discards=" << stats.duplicate_discards << "\n";
-      return 1;
-    }
-    std::cout << "fold_cache workload hit_rate: " << stats.hit_rate() << "\n";
-  }
-
   // --- Lifecycle mark: four threads marking one tracer back to back (the
   // kernel keeps its profiler_record name so results stay comparable
   // across BENCH_kernels.json revisions).
@@ -278,7 +218,6 @@ int main(int argc, char** argv) {
        static_cast<std::size_t>(std::thread::hardware_concurrency())},
       {"kernels", std::move(kernels)},
       {"speedups", speedups},
-      {"fold_cache", std::move(fold_cache_json)},
   }};
   {
     std::ofstream out(opt.out);

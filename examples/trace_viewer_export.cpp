@@ -10,7 +10,7 @@
 // root, one lane per pipeline (sub-pipelines included), stage spans per
 // protocol cycle, task spans covering every retry, attempt spans per
 // executor launch, and the phase/work spans inside them (exec_setup,
-// mpnn.design, fold.predict, fold.cache hit/miss).
+// mpnn.design, fold.predict).
 
 #include <algorithm>
 #include <cstdio>

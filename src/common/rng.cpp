@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <numbers>
 
 namespace impress::common {
@@ -42,18 +41,6 @@ Rng Rng::fork(std::uint64_t tag) const noexcept {
   const std::uint64_t seed = splitmix64(state_ ^ splitmix64(tag));
   const std::uint64_t stream = splitmix64(inc_ + tag);
   return Rng(seed, stream);
-}
-
-std::uint64_t Rng::fingerprint() const noexcept {
-  std::uint64_t h = splitmix64(state_);
-  h = splitmix64(h ^ inc_);
-  if (has_cached_normal_) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof cached_normal_);
-    std::memcpy(&bits, &cached_normal_, sizeof bits);
-    h = splitmix64(h ^ bits ^ 0x5bf03635aca0f3b5ULL);
-  }
-  return h;
 }
 
 Rng::result_type Rng::operator()() noexcept {

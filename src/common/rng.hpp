@@ -73,12 +73,6 @@ class Rng {
     return r;
   }
 
-  /// Stable 64-bit digest of the generator's full state (position in the
-  /// stream, stream selector, and Box–Muller cache). Two generators with
-  /// equal fingerprints produce identical future output, which is what
-  /// lets fold::FoldCache key memoized predictions on the task rng.
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
-
   /// Next raw 32-bit value.
   result_type operator()() noexcept;
 

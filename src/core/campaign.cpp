@@ -135,16 +135,6 @@ CampaignResult Campaign::execute(
   }
   auto coordinator_config = config_.coordinator;
   coordinator_config.trace_root = campaign_span;
-  if (config_.enable_fold_cache && !coordinator_config.fold_cache)
-    coordinator_config.fold_cache = std::make_shared<fold::FoldCache>(
-        fold::FoldCache::Config{.capacity = config_.fold_cache_capacity,
-                                .shards = 8});
-  if (coordinator_config.fold_cache)
-    coordinator_config.fold_cache->set_metrics(ob.metrics().fold_cache_hits,
-                                               ob.metrics().fold_cache_misses);
-  if (resume_from != nullptr && resume_from->fold_cache &&
-      coordinator_config.fold_cache)
-    coordinator_config.fold_cache->restore(*resume_from->fold_cache);
 
   std::shared_ptr<const SequenceGenerator> generator = config_.generator;
   if (!generator)
@@ -193,8 +183,6 @@ CampaignResult Campaign::execute(
           doc.task_counters = session.task_manager().counters();
           doc.pilots = session.checkpoint_pilots();
           doc.coordinator = coord;
-          if (coordinator_config.fold_cache)
-            doc.fold_cache = coordinator_config.fold_cache->snapshot();
           doc.generator_state = generator->checkpoint_state();
           if (!config_.checkpoint.directory.empty())
             save_checkpoint(doc, config_.checkpoint.path());
@@ -303,8 +291,6 @@ CampaignResult Campaign::execute(
   r.task_retries = session.task_manager().retried();
   r.task_timeouts = session.task_manager().timed_out();
   r.task_requeues = session.task_manager().requeued();
-  if (coordinator_config.fold_cache)
-    r.fold_cache = coordinator_config.fold_cache->stats();
 
   // Observability harvest: close the root span at the simulated makespan
   // (the session clock already sits there) and snapshot everything. The
@@ -313,9 +299,6 @@ CampaignResult Campaign::execute(
   if (ob.tracer().enabled()) r.trace = ob.tracer().spans();
   if (ob.registry().enabled()) r.metrics = ob.registry().snapshot();
   r.lockdep = common::lockdep::report();
-  // A caller-provided cache may outlive this session's registry: unhook.
-  if (coordinator_config.fold_cache)
-    coordinator_config.fold_cache->set_metrics(nullptr, nullptr);
   return r;
 }
 

@@ -82,13 +82,6 @@ struct CampaignConfig {
   /// Optional generator override (defaults to the ProteinMPNN surrogate
   /// built from `sampler`).
   std::shared_ptr<const SequenceGenerator> generator;
-  /// Memoize fold predictions across the campaign (duplicate sequences
-  /// from GA iterations and retries fold once). Results are bit-identical
-  /// either way — see fold/fold_cache.hpp for the determinism contract.
-  bool enable_fold_cache = true;
-  /// Capacity of the campaign's fold cache (entries), when enabled and no
-  /// cache was provided via `coordinator.fold_cache`.
-  std::size_t fold_cache_capacity = 4096;
   /// Crash-consistent mid-campaign checkpointing; see CheckpointConfig.
   CheckpointConfig checkpoint;
 };
@@ -132,7 +125,9 @@ struct CampaignResult {
   /// Attempts per task uid (> 1 identifies retried tasks).
   std::map<std::string, int> attempts;
 
-  /// Fold memo-cache behaviour over the run (all zero when disabled).
+  /// Always all zero: campaigns keep no fold memo. Kept only because the
+  /// perfbench harness still reads it; the next benchmark change drops
+  /// those reads and this member with them.
   hpc::CacheSummary fold_cache;
 
   // Observability harvest (docs/observability.md). Both empty unless the

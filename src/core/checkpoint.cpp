@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <variant>
 
 #include "common/fs.hpp"
 #include "obs/export.hpp"
@@ -13,11 +14,11 @@ namespace impress::core {
 
 namespace {
 
-constexpr int kSchemaVersion = 4;
+constexpr int kSchemaVersion = 5;
 constexpr std::string_view kKind = "impress.checkpoint";
 
 // --- uint64 <-> hex string (JSON numbers are doubles; exact bits matter
-// for rng states, cache keys, span ids and sequence numbers) ---
+// for rng states, span ids and sequence numbers) ---
 
 void write_hex(common::JsonWriter& w, std::uint64_t v) {
   char buf[16];
@@ -292,37 +293,6 @@ CoordinatorCheckpoint coordinator_from_json(const common::Json& j) {
   return c;
 }
 
-void write_cache(common::JsonWriter& w, const fold::FoldCache::Snapshot& s) {
-  w.begin_object();
-  write_hex(w.key("duplicate_discards"), s.duplicate_discards);
-  write_hex(w.key("evictions"), s.evictions);
-  write_hex(w.key("hits"), s.hits);
-  write_hex(w.key("misses"), s.misses);
-  w.key("shards").begin_array();
-  for (const auto& shard : s.shards) {
-    w.begin_array();
-    for (const std::uint64_t key : shard) write_hex(w, key);
-    w.end_array();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-fold::FoldCache::Snapshot cache_from_json(const common::Json& j) {
-  fold::FoldCache::Snapshot s;
-  for (const auto& shard : j.at("shards").as_array()) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(shard.as_array().size());
-    for (const auto& key : shard.as_array()) keys.push_back(parse_hex_u64(key));
-    s.shards.push_back(std::move(keys));
-  }
-  s.hits = parse_hex_u64(j.at("hits"));
-  s.misses = parse_hex_u64(j.at("misses"));
-  s.evictions = parse_hex_u64(j.at("evictions"));
-  s.duplicate_discards = parse_hex_u64(j.at("duplicate_discards"));
-  return s;
-}
-
 void write_pilot(common::JsonWriter& w, const rp::PilotRestore& p) {
   w.begin_object();
   write_rng(w.key("executor_rng"), p.executor_rng);
@@ -369,8 +339,6 @@ std::string checkpoint_text(const CampaignCheckpoint& checkpoint) {
   w.key("campaign").value(checkpoint.campaign_name);
   write_hex(w.key("campaign_span"), checkpoint.campaign_span);
   write_coordinator(w.key("coordinator"), checkpoint.coordinator);
-  if (checkpoint.fold_cache)
-    write_cache(w.key("fold_cache"), *checkpoint.fold_cache);
   if (!checkpoint.generator_state.is_null())
     w.key("generator_state").value(checkpoint.generator_state);
   w.key("kind").value(kKind);
@@ -418,7 +386,9 @@ common::Json to_json(const CampaignCheckpoint& checkpoint) {
   return common::Json::parse(checkpoint_text(checkpoint));
 }
 
-CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
+namespace {
+
+CampaignCheckpoint checkpoint_from_tree(const common::Json& doc) {
   if (!doc.is_object() || !doc.contains("kind") ||
       doc.at("kind").as_string() != kKind)
     throw std::invalid_argument("checkpoint: not a campaign checkpoint");
@@ -456,11 +426,24 @@ CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
     c.pilots.push_back(pilot_from_json(p));
 
   c.coordinator = coordinator_from_json(doc.at("coordinator"));
-  if (doc.contains("fold_cache"))
-    c.fold_cache = cache_from_json(doc.at("fold_cache"));
   if (doc.contains("generator_state"))
     c.generator_state = doc.at("generator_state");
   return c;
+}
+
+}  // namespace
+
+CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
+  // Json::at throws std::out_of_range on a missing member and the typed
+  // accessors std::bad_variant_access on a mistyped one; to a caller both
+  // mean a corrupt document.
+  try {
+    return checkpoint_from_tree(doc);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("checkpoint: missing member");
+  } catch (const std::bad_variant_access&) {
+    throw std::invalid_argument("checkpoint: member of the wrong type");
+  }
 }
 
 void save_checkpoint(const CampaignCheckpoint& checkpoint,

@@ -6,14 +6,13 @@
 // run" to "cut a running one": coordinator state (pipelines mid-cycle,
 // parked task submissions, sub-pipeline budgets), runtime state (clock,
 // pilots, executor rng streams, marks/trace/metrics, uid and task
-// counters), the fold memo's keys and counters, and every live rng
-// stream's position.
+// counters), and every live rng stream's position.
 // Campaign::resume() reconstructs all of it so a checkpointed-then-
 // resumed campaign reproduces the uninterrupted CampaignResult
 // bit-for-bit (simulated mode; pinned by Determinism.* tests).
 //
 // Serialization notes: every uint64 whose exact bits matter (rng state,
-// cache keys, span ids, sequence numbers) is encoded as a hex string —
+// span ids, sequence numbers) is encoded as a hex string —
 // JSON numbers are doubles here and would silently round above 2^53.
 // Doubles rely on the parser/dumper bit-exact round-trip pinned by
 // tests/common/test_json.cpp.
@@ -28,7 +27,6 @@
 
 #include "common/json.hpp"
 #include "core/coordinator.hpp"
-#include "fold/fold_cache.hpp"
 #include "runtime/session.hpp"
 
 namespace impress::core {
@@ -49,17 +47,22 @@ struct CampaignCheckpoint : rp::SessionRestore {
 
   // Protocol layer.
   CoordinatorCheckpoint coordinator;
-  std::optional<fold::FoldCache::Snapshot> fold_cache;
+  /// Never set: checkpoints carry no fold memo. Kept only because the
+  /// perfbench harness still reads it; the next benchmark change drops
+  /// those reads and this member with them.
+  struct RetiredFoldMemo {
+    std::vector<std::vector<std::uint64_t>> shards;
+  };
+  std::optional<RetiredFoldMemo> fold_cache;
   /// Opaque per-generator state (SequenceGenerator::checkpoint_state);
   /// null for stateless generators.
   common::Json generator_state;
 };
 
-/// Serialize (schema kind "impress.checkpoint", version 4 — version 1 is
+/// Serialize (schema kind "impress.checkpoint", version 5 — version 1 is
 /// the finished-campaign session dump) straight to compact JSON text, keys
 /// in sorted order: the bytes save_checkpoint writes (less the trailing
-/// newline) and fabric workers ship. The fold memo section holds keys and
-/// counters only; see fold::FoldCache::Snapshot. A chain whose trace
+/// newline) and fabric workers ship. A chain whose trace
 /// protein::ideal_trace built carries its "ca_origin" instead of a "ca"
 /// array, and is rebuilt by ideal_trace on load.
 [[nodiscard]] std::string checkpoint_text(const CampaignCheckpoint& checkpoint);
@@ -69,7 +72,7 @@ struct CampaignCheckpoint : rp::SessionRestore {
 [[nodiscard]] common::Json to_json(const CampaignCheckpoint& checkpoint);
 
 /// Rebuild from a document. Throws std::invalid_argument on kind/version
-/// mismatch or missing fields.
+/// mismatch and on a missing or mistyped member.
 [[nodiscard]] CampaignCheckpoint campaign_checkpoint_from_json(
     const common::Json& doc);
 

@@ -265,16 +265,10 @@ void Coordinator::submit_fold_task(Pipeline* pipeline, protein::Complex input,
   }();
   const protein::FitnessLandscape* landscape = &pipeline->target().landscape;
   // Content-derived rng (not fork_task_rng): resubmissions of the same
-  // fold input get the same stream, which both keeps the memo cache exact
-  // and makes cached and uncached campaigns bit-identical.
-  const std::uint64_t content =
-      fold::FoldCache::content_key(input, *landscape, folder.config());
-  common::Rng rng = fold_rng_root_.fork(content);
-
-  auto cache = config_.fold_cache;
-  auto work = [folder, landscape, input, rng,
-               cache](rp::Task&) mutable -> std::any {
-    if (cache) return cache->predict(folder, input, *landscape, rng);
+  // fold input get the same stream.
+  common::Rng rng = fold_rng_root_.fork(
+      fold::content_key(input, *landscape, folder.config()));
+  auto work = [folder, landscape, input, rng](rp::Task&) mutable -> std::any {
     return folder.predict(input, *landscape, rng);
   };
 

@@ -30,7 +30,6 @@
 
 #include "common/channel.hpp"
 #include "core/pipeline.hpp"
-#include "fold/fold_cache.hpp"
 #include "fold/fold_task.hpp"
 #include "mpnn/mpnn_task.hpp"
 #include "runtime/session.hpp"
@@ -98,12 +97,6 @@ struct CoordinatorConfig {
   /// inject faults raise max_attempts so transient failures are absorbed
   /// by the runtime instead of terminating the pipeline.
   rp::RetryPolicy task_retry;
-  /// Optional memoization of fold predictions (see fold/fold_cache.hpp).
-  /// Sharing one cache across coordinators is safe — keys are content-
-  /// addressed. Null disables memoization; either way fold-task rngs are
-  /// derived from the fold input's content key, so results are identical
-  /// with and without the cache.
-  std::shared_ptr<fold::FoldCache> fold_cache;
   /// Trace context: span the coordinator parents its pipeline spans under
   /// (the campaign root span). 0 = pipelines become trace roots.
   obs::SpanId trace_root = 0;
@@ -208,8 +201,8 @@ class Coordinator {
   std::size_t completion_callback_id_ = 0;
   /// Root stream for fold-task rngs: each fold task's rng is
   /// fold_rng_root_.fork(content_key), so duplicate fold inputs draw
-  /// identical noise wherever they occur in the campaign — the property
-  /// the fold cache's exactness rests on.
+  /// identical noise wherever they occur in the campaign: a re-attempted
+  /// fold recomputes exactly what the lost attempt would have produced.
   common::Rng fold_rng_root_;
 
   // The paper's two channels.

@@ -62,7 +62,7 @@ Pipeline::Action Pipeline::on_generator_result(
   if (state_ != State::kAwaitGenerator)
     throw std::logic_error("Pipeline: unexpected generator result");
   if (sequences.empty()) {
-    state_ = State::kTerminated;
+    finish(State::kTerminated);
     return Action{.kind = Action::Kind::kTerminated,
                   .fold_input = std::nullopt,
                   .reuse_features = false,
@@ -143,7 +143,7 @@ Pipeline::Action Pipeline::on_fold_result(const fold::Prediction& prediction) {
       ++next_candidate_;
       return select_and_fold(/*reuse_features=*/true);
     }
-    state_ = State::kTerminated;
+    finish(State::kTerminated);
     return Action{.kind = Action::Kind::kTerminated,
                   .fold_input = std::nullopt,
                   .reuse_features = false,
@@ -162,13 +162,18 @@ Pipeline::Action Pipeline::on_fold_result(const fold::Prediction& prediction) {
   current_.structure.set_name(target_->name);
   ++cycle_;
   if (cycle_ >= config_.cycles) {
-    state_ = State::kDone;
+    finish(State::kDone);
     return Action{.kind = Action::Kind::kCompleted,
                   .fold_input = std::nullopt,
                   .reuse_features = false,
                   .refined = false};
   }
   return begin_cycle();
+}
+
+void Pipeline::finish(State final_state) noexcept {
+  state_ = final_state;
+  std::vector<mpnn::ScoredSequence>().swap(candidates_);
 }
 
 std::string Pipeline::current_fasta() const {

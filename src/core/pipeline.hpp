@@ -78,9 +78,10 @@ class Pipeline {
   [[nodiscard]] Action on_fold_result(const fold::Prediction& prediction);
 
   /// Force-terminate (e.g. after a task failure). Idempotent.
-  void abort() noexcept { state_ = State::kTerminated; }
+  void abort() noexcept { finish(State::kTerminated); }
 
-  /// Stage-3 artifact: FASTA of this cycle's ranked candidates.
+  /// Stage-3 artifact: FASTA of this cycle's ranked candidates; empty once
+  /// the pipeline has finished, which frees them.
   [[nodiscard]] std::string current_fasta() const;
 
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
@@ -172,6 +173,9 @@ class Pipeline {
   [[nodiscard]] bool cycle_is_adaptive() const noexcept;
   [[nodiscard]] Action select_and_fold(bool reuse_features);
   [[nodiscard]] Action begin_cycle();
+  /// Enter kDone or kTerminated. Nothing reads the candidates after that,
+  /// so they are freed rather than carried into every later checkpoint.
+  void finish(State final_state) noexcept;
 
   std::string id_;
   const protein::DesignTarget* target_;

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <variant>
 
 #include "core/export.hpp"
 #include "obs/export.hpp"
@@ -114,7 +115,9 @@ common::Json to_json(const CampaignResult& result) {
   return common::Json(std::move(doc));
 }
 
-CampaignResult campaign_result_from_json(const common::Json& doc) {
+namespace {
+
+CampaignResult result_from_tree(const common::Json& doc) {
   if (!doc.is_object() || !doc.contains("schema_version"))
     throw std::invalid_argument("session dump: not a campaign document");
   if (static_cast<int>(doc.at("schema_version").as_number()) != kSchemaVersion)
@@ -182,6 +185,20 @@ CampaignResult campaign_result_from_json(const common::Json& doc) {
     for (const auto& line : doc.at("lockdep").as_array())
       r.lockdep.push_back(line.as_string());
   return r;
+}
+
+}  // namespace
+
+CampaignResult campaign_result_from_json(const common::Json& doc) {
+  // As in campaign_checkpoint_from_json: the accessors' out_of_range and
+  // bad_variant_access both mean a corrupt document.
+  try {
+    return result_from_tree(doc);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("session dump: missing member");
+  } catch (const std::bad_variant_access&) {
+    throw std::invalid_argument("session dump: member of the wrong type");
+  }
 }
 
 void save_session_dump(const CampaignResult& result, const std::string& path) {

@@ -17,7 +17,7 @@ namespace impress::core {
 [[nodiscard]] common::Json to_json(const CampaignResult& result);
 
 /// Rebuild a CampaignResult from a dump. Throws std::invalid_argument on
-/// schema mismatch or missing fields.
+/// schema mismatch and on a missing or mistyped member.
 [[nodiscard]] CampaignResult campaign_result_from_json(const common::Json& doc);
 
 /// Convenience wrappers over to_json/parse + file I/O.

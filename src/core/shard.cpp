@@ -145,12 +145,6 @@ CampaignResult merge_shard_results(std::vector<CampaignResult> shard_results) {
       merged.attempts[prefix + uid] = attempts;
     }
 
-    merged.fold_cache.hits += r.fold_cache.hits;
-    merged.fold_cache.misses += r.fold_cache.misses;
-    merged.fold_cache.evictions += r.fold_cache.evictions;
-    merged.fold_cache.entries += r.fold_cache.entries;
-    merged.fold_cache.duplicate_discards += r.fold_cache.duplicate_discards;
-
     merged.lockdep.insert(merged.lockdep.end(),
                           std::make_move_iterator(r.lockdep.begin()),
                           std::make_move_iterator(r.lockdep.end()));

@@ -2,11 +2,50 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
 
 namespace impress::fold {
+
+namespace {
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
+  return common::splitmix64(h ^ v);
+}
+
+std::uint64_t mix_double(std::uint64_t h, double v) noexcept {
+  std::uint64_t bits = 0;
+  static_assert(sizeof bits == sizeof v);
+  std::memcpy(&bits, &v, sizeof bits);
+  return mix(h, bits);
+}
+
+std::uint64_t mix_sequence(std::uint64_t h,
+                           const protein::Sequence& seq) noexcept {
+  h = mix(h, seq.size());
+  for (const protein::AminoAcid aa : seq)
+    h = mix(h, static_cast<std::uint64_t>(aa) + 1);
+  return h;
+}
+
+}  // namespace
+
+std::uint64_t content_key(const protein::Complex& complex,
+                          const protein::FitnessLandscape& landscape,
+                          const PredictorConfig& config) noexcept {
+  std::uint64_t h = 0x7f4a7c15u;  // arbitrary non-zero start
+  h = mix(h, landscape.fingerprint());
+  h = mix(h, common::stable_hash(complex.structure.name()));
+  h = mix_sequence(h, complex.receptor().sequence);
+  h = mix_sequence(h, complex.peptide().sequence);
+  h = mix(h, config.num_models);
+  h = mix_double(h, config.msa_quality);
+  h = mix_double(h, config.model_noise);
+  h = mix_double(h, config.metric_noise);
+  return h;
+}
 
 double FoldMetrics::composite() const noexcept {
   // Equal-weight blend of the three metrics, each normalized to ~[0,1].
@@ -34,15 +73,9 @@ Prediction AlphaFold::predict_with_msa(
 Prediction AlphaFold::predict(const protein::Complex& complex,
                               const protein::FitnessLandscape& landscape,
                               common::Rng& rng) const {
-  // Traced as a child of whatever span is ambient (the executing attempt,
-  // or fold.cache when memoized); inert outside a traced task.
+  // Traced as a child of the ambient span (the executing attempt); inert
+  // outside a traced task.
   const obs::ScopedSpan span = obs::ambient_span("fold.predict");
-  return predict_untraced(complex, landscape, rng);
-}
-
-Prediction AlphaFold::predict_untraced(
-    const protein::Complex& complex,
-    const protein::FitnessLandscape& landscape, common::Rng& rng) const {
   const double f_true = landscape.fitness(complex.receptor().sequence);
   // Degraded MSA pulls the effective signal toward the mean (0.5) and
   // widens the noise — single-sequence mode sees less of the landscape.

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -65,6 +66,15 @@ struct PredictorConfig {
   double metric_noise = 3.5;
 };
 
+/// Stable digest of every input AlphaFold::predict reads *except* the
+/// rng: receptor + peptide sequences, structure name, landscape identity,
+/// predictor config. The coordinator forks each fold task's rng from it,
+/// so a resubmitted fold input draws the same stream.
+[[nodiscard]] std::uint64_t content_key(
+    const protein::Complex& complex,
+    const protein::FitnessLandscape& landscape,
+    const PredictorConfig& config) noexcept;
+
 class AlphaFold {
  public:
   explicit AlphaFold(PredictorConfig config = {});
@@ -75,13 +85,6 @@ class AlphaFold {
   [[nodiscard]] Prediction predict(const protein::Complex& complex,
                                    const protein::FitnessLandscape& landscape,
                                    common::Rng& rng) const;
-
-  /// predict() without its `fold.predict` span. FoldCache recomputes a
-  /// checkpoint-restored entry through this on its first hit, so the
-  /// resumed trace shows the plain hit the uninterrupted run recorded.
-  [[nodiscard]] Prediction predict_untraced(
-      const protein::Complex& complex,
-      const protein::FitnessLandscape& landscape, common::Rng& rng) const;
 
   /// Predict with an explicit alignment: msa_quality is derived from the
   /// MSA's effective depth (protein::Msa::predictor_quality) instead of

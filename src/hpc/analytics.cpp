@@ -247,13 +247,8 @@ void BatchAccountant::request(Stream& stream, const GpuCostModel& cost,
   }
 }
 
-void BatchAccountant::fold_request(double t, bool cache_hit) {
-  if (cache_hit) {
-    ++fold_.stats.requests;
-    ++fold_.stats.cache_hits;
-  } else {
-    request(fold_, config_.fold_cost, t);
-  }
+void BatchAccountant::fold_request(double t) {
+  request(fold_, config_.fold_cost, t);
 }
 
 void BatchAccountant::design_request(double t) {
@@ -303,7 +298,7 @@ BatchingReport replay_batching(const std::vector<obs::SpanRecord>& trace,
                                                                  : nullptr;
   };
 
-  enum class Kind { kFold, kFoldHit, kDesign, kCompletion };
+  enum class Kind { kFold, kDesign, kCompletion };
   struct Event {
     std::uint64_t seq;
     double time;
@@ -311,14 +306,8 @@ BatchingReport replay_batching(const std::vector<obs::SpanRecord>& trace,
   };
   std::vector<Event> events;
   for (const auto& span : trace) {
-    if (span.name == "fold.cache") {
-      events.push_back({span.open_seq, span.start,
-                        attr_of(span, "cache") == "hit" ? Kind::kFoldHit
-                                                        : Kind::kFold});
-    } else if (span.name == "fold.predict") {
-      const obs::SpanRecord* parent = parent_of(span);
-      if (parent == nullptr || parent->name != "fold.cache")
-        events.push_back({span.open_seq, span.start, Kind::kFold});
+    if (span.name == "fold.predict") {
+      events.push_back({span.open_seq, span.start, Kind::kFold});
     } else if (span.category == obs::categories::kAttempt && span.closed()) {
       // The generator's work ran iff the attempt ended DONE or FAILED
       // (injected faults and cancellations stop it first).
@@ -343,7 +332,6 @@ BatchingReport replay_batching(const std::vector<obs::SpanRecord>& trace,
   for (const auto& e : events) {
     switch (e.kind) {
       case Kind::kFold: accountant.fold_request(e.time); break;
-      case Kind::kFoldHit: accountant.fold_request(e.time, true); break;
       case Kind::kDesign: accountant.design_request(e.time); break;
       case Kind::kCompletion: accountant.fold_completion(e.time); break;
     }

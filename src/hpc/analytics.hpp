@@ -107,8 +107,9 @@ struct RetrySummary {
 [[nodiscard]] std::map<std::string, int> attempt_counts(
     std::span<const obs::Mark> marks);
 
-/// Roll-up of a memoization cache's behaviour over a run (the fold memo
-/// cache reports through this; see fold::FoldCache::stats).
+/// Roll-up of a memoization cache's behaviour over a run. Campaigns keep
+/// no fold memo, so core::CampaignResult::fold_cache, the one user, is
+/// always zero; it stays until the perfbench harness stops reading it.
 struct CacheSummary {
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -170,8 +171,7 @@ struct GpuCostModel {
 
 /// Lifetime accounting of one request stream (fold or design).
 struct StreamStats {
-  std::uint64_t requests = 0;    ///< all requests, including cache hits
-  std::uint64_t cache_hits = 0;  ///< answered without a GPU dispatch
+  std::uint64_t requests = 0;    ///< all requests
   std::uint64_t batches = 0;     ///< dispatches (closed batches)
   std::uint32_t max_batch = 0;   ///< largest batch dispatched
   double batched_gpu_s = 0.0;    ///< sum of batch_latency over dispatches
@@ -244,8 +244,8 @@ class BatchAccountant {
  public:
   explicit BatchAccountant(BatchingConfig config);
 
-  /// A fold request at virtual time t; a cache hit skips the dispatch.
-  void fold_request(double t, bool cache_hit = false);
+  /// A fold request at virtual time t.
+  void fold_request(double t);
   void design_request(double t);
   /// A fold stage completed at t (feeds the tuner when adaptive).
   void fold_completion(double t);
@@ -273,10 +273,9 @@ class BatchAccountant {
 };
 
 /// Replay a traced campaign's batching. Reads, in trace order: a fold
-/// request per `fold.cache` span (hit or miss from its `cache` attr) or,
-/// when the run had no fold cache, per `fold.predict` span; a design
-/// request per generator-stage attempt whose work ran, at its close; and
-/// a fold completion per `stage.fold.*` span whose task ended DONE.
+/// request per `fold.predict` span; a design request per generator-stage
+/// attempt whose work ran, at its close; and a fold completion per
+/// `stage.fold.*` span whose task ended DONE.
 [[nodiscard]] BatchingReport replay_batching(
     const std::vector<obs::SpanRecord>& trace, const BatchingConfig& config);
 

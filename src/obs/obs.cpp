@@ -28,8 +28,6 @@ RuntimeMetrics RuntimeMetrics::registered(MetricsRegistry& registry) {
   m.stage_generate = registry.counter(names::kStageGenerate);
   m.stage_refine = registry.counter(names::kStageRefine);
   m.stage_fold = registry.counter(names::kStageFold);
-  m.fold_cache_hits = registry.counter(names::kFoldCacheHits);
-  m.fold_cache_misses = registry.counter(names::kFoldCacheMisses);
   return m;
 }
 

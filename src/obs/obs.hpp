@@ -60,10 +60,6 @@ inline constexpr std::string_view kCompletionMessages =
 inline constexpr std::string_view kStageGenerate = "impress_stage_generate";
 inline constexpr std::string_view kStageRefine = "impress_stage_refine";
 inline constexpr std::string_view kStageFold = "impress_stage_fold";
-// fold cache
-inline constexpr std::string_view kFoldCacheHits = "impress_fold_cache_hits";
-inline constexpr std::string_view kFoldCacheMisses =
-    "impress_fold_cache_misses";
 // persistence (cold path: looked up by name in the checkpoint sink, not
 // part of the pre-registered RuntimeMetrics bundle)
 inline constexpr std::string_view kCheckpointsWritten =
@@ -137,9 +133,6 @@ struct RuntimeMetrics {
   Counter* stage_generate = nullptr;
   Counter* stage_refine = nullptr;
   Counter* stage_fold = nullptr;
-  // fold cache
-  Counter* fold_cache_hits = nullptr;
-  Counter* fold_cache_misses = nullptr;
 
   [[nodiscard]] static RuntimeMetrics registered(MetricsRegistry& registry);
 };

@@ -25,8 +25,7 @@
 // Determinism contract (pinned by tests/obs/test_golden_trace.cpp and the
 // Determinism suite): recording never draws from any rng and never feeds
 // back into the traced computation, so enabling spans must not perturb
-// campaign results — the same contract the fold cache honours. In
-// simulated mode the span tree (names, nesting, ordinal order) is itself
+// campaign results. In simulated mode the span tree (names, nesting, ordinal order) is itself
 // a pure function of the seed.
 //
 // Cost model: with spans disabled (the default) a span call site costs one
@@ -200,7 +199,7 @@ class ScopedSpan {
 
 /// Ambient trace context: the executor installs (tracer, parent span)
 /// around a task's work function so library code deep inside the call —
-/// the mpnn sampler, the fold surrogate, the fold cache — can open child
+/// the mpnn sampler, the fold surrogate — can open child
 /// spans without any tracer plumbing through their APIs. Purely
 /// thread-local; costs one pointer push/pop when tracing is enabled and a
 /// single branch when it is not.

@@ -37,7 +37,7 @@ struct Vec3 {
 [[nodiscard]] std::vector<Vec3> ideal_helix(std::size_t n, Vec3 origin = {});
 
 /// A C-alpha trace: immutable coordinates behind a shared pointer, so copies
-/// of a chain, a structure or a memoized prediction share one array. A trace
+/// of a chain, a structure or a prediction's models share one array. A trace
 /// built by ideal_trace() also records its helix origin, which lets a
 /// checkpoint name the trace instead of printing it.
 class CaTrace {

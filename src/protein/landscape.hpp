@@ -75,7 +75,7 @@ class FitnessLandscape {
 
   /// Stable 64-bit digest of the landscape's identity (name, size,
   /// peptide, seed). Equal fingerprints imply bit-identical fitness
-  /// functions; fold::FoldCache keys memoized predictions on this.
+  /// functions; fold::content_key feeds it to each fold task's rng.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
     return fingerprint_;
   }

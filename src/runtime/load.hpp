@@ -1,7 +1,7 @@
-// Queue-depth / saturation signals published by the pilot runtime for the
+// Queue-depth / saturation signal an execution backend reports to the
 // service layer's admission control (src/service): the PCC-style
-// backpressure controller treats these as its congestion observations —
-// when pilots saturate, queued work piles up here first, long before
+// backpressure controller treats it as its congestion observation — when
+// the backend saturates, queued work piles up here first, long before
 // tasks start failing.
 
 #pragma once
@@ -10,9 +10,9 @@
 
 namespace impress::rp {
 
-/// Point-in-time load of one pilot (or an aggregate over a session's
-/// pilots). Reads are racy-by-design instantaneous samples, exact once
-/// the runtime has quiesced — the same contract as the metrics layer.
+/// Point-in-time load of a backend. Reads are racy-by-design
+/// instantaneous samples, exact once the backend has quiesced — the same
+/// contract as the metrics layer.
 struct LoadSnapshot {
   std::size_t queued = 0;    ///< tasks waiting in agent queues
   std::size_t running = 0;   ///< tasks currently holding an allocation
@@ -25,13 +25,6 @@ struct LoadSnapshot {
     return capacity == 0 ? 0.0
                          : static_cast<double>(queued) /
                                static_cast<double>(capacity);
-  }
-
-  LoadSnapshot& operator+=(const LoadSnapshot& o) noexcept {
-    queued += o.queued;
-    running += o.running;
-    capacity += o.capacity;
-    return *this;
   }
 };
 

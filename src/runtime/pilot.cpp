@@ -115,17 +115,6 @@ std::size_t Pilot::queue_length() const {
   return scheduler_.queue_length();
 }
 
-LoadSnapshot Pilot::load_snapshot() const {
-  LoadSnapshot s;
-  {
-    std::lock_guard lock(mutex_);
-    s.queued = scheduler_.queue_length();
-  }
-  s.running = running_.load();
-  s.capacity = pool_.total_cores();
-  return s;
-}
-
 void Pilot::finish() {
   std::lock_guard lock(mutex_);
   if (state_ != PilotState::kFailed) state_ = PilotState::kDone;

@@ -28,7 +28,6 @@
 #include "hpc/utilization.hpp"
 #include "obs/obs.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/load.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task.hpp"
 
@@ -113,10 +112,6 @@ class Pilot {
   [[nodiscard]] std::size_t running() const noexcept {
     return running_.load();
   }
-
-  /// Queue-depth/saturation sample for the service layer's backpressure
-  /// controller (runtime/load.hpp).
-  [[nodiscard]] LoadSnapshot load_snapshot() const;
 
   /// Mark the pilot done (no new placements; running tasks finish).
   void finish();

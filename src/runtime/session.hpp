@@ -114,15 +114,6 @@ class Session {
     return pilots_;
   }
 
-  /// Aggregate queue-depth/saturation sample over every pilot
-  /// (runtime/load.hpp) — the congestion signal the service layer's
-  /// backpressure controller consumes.
-  [[nodiscard]] LoadSnapshot load_snapshot() const {
-    LoadSnapshot s;
-    for (const auto& p : pilots_) s += p->load_snapshot();
-    return s;
-  }
-
   /// Session clock in simulated seconds (virtual clock or scaled wall).
   [[nodiscard]] double now() const;
 

@@ -113,7 +113,7 @@ void SimExecutor::finish(const TaskPtr& task) {
   const double now = engine_.now();
   if (task->description().work) {
     // Ambient context: code inside the work function (mpnn sampler, fold
-    // surrogate, fold cache) can open child spans under this attempt.
+    // surrogate) can open child spans under this attempt.
     obs::AmbientContext ambient(&obs_.tracer(), task->attempt_span());
     try {
       task->set_result(task->description().work(*task));

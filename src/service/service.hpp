@@ -54,7 +54,7 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
   virtual void start(SubmissionRecord& rec, std::uint64_t now_ns) = 0;
-  /// Queue-depth/saturation signal, mirroring rp::Session::load_snapshot.
+  /// Queue-depth/saturation signal (runtime/load.hpp).
   [[nodiscard]] virtual rp::LoadSnapshot load() const = 0;
 };
 

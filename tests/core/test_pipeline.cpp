@@ -337,6 +337,46 @@ TEST(Pipeline, AbortForcesTermination) {
   EXPECT_TRUE(p.result().terminated_early);
 }
 
+TEST(Pipeline, FinishedPipelineFreesItsCandidates) {
+  // Nothing reads the candidates once a pipeline is done or terminated,
+  // so they are freed and no checkpoint carries them.
+  Fixture f;
+  const auto expect_freed = [](const Pipeline& p) {
+    EXPECT_TRUE(p.finished());
+    EXPECT_TRUE(p.snapshot().candidates.empty());
+    EXPECT_TRUE(p.current_fasta().empty());
+  };
+
+  auto aborted = f.make(f.adaptive_config());
+  (void)aborted.start();
+  (void)aborted.on_generator_result(f.sequences());
+  ASSERT_FALSE(aborted.snapshot().candidates.empty());
+  aborted.abort();
+  expect_freed(aborted);
+
+  auto cfg = f.adaptive_config();
+  cfg.max_retries = 0;
+  auto declined = f.make(cfg);
+  (void)declined.start();
+  (void)declined.on_generator_result(f.sequences());
+  (void)declined.on_fold_result(f.prediction(0.9, 90.0, 5.0));
+  (void)declined.on_generator_result(f.sequences());
+  ASSERT_EQ(declined.on_fold_result(f.prediction(0.1, 40.0, 28.0)).kind,
+            Kind::kTerminated);
+  expect_freed(declined);
+
+  auto done = f.make(f.adaptive_config());
+  (void)done.start();
+  Pipeline::Action a{};
+  for (int c = 1; c <= 4; ++c) {
+    (void)done.on_generator_result(f.sequences());
+    a = done.on_fold_result(f.prediction(0.2 + 0.2 * c, 50.0 + 10.0 * c,
+                                         20.0 - 4.0 * c));
+  }
+  ASSERT_EQ(a.kind, Kind::kCompleted);
+  expect_freed(done);
+}
+
 TEST(Pipeline, LastCompositeTracksBaseline) {
   Fixture f;
   auto p = f.make(f.adaptive_config());

@@ -107,6 +107,22 @@ TEST(SessionDump, RejectsWrongDocuments) {
   EXPECT_THROW((void)campaign_result_from_json(
                    common::Json::parse("{\"schema_version\":99}")),
                std::invalid_argument);
+
+  // A real dump with a member erased (out_of_range from Json::at) or
+  // mistyped (bad_variant_access from the accessors) is rejected as
+  // invalid_argument too.
+  const auto good = to_json(real_result());
+  auto rejects = [&good](auto&& edit) {
+    common::Json doc = good;
+    edit(doc.as_object());
+    EXPECT_THROW((void)campaign_result_from_json(doc), std::invalid_argument);
+  };
+  for (const char* member : {"targets", "utilization", "trajectories"}) {
+    SCOPED_TRACE(member);
+    rejects([member](auto& o) { ASSERT_EQ(o.erase(member), 1u); });
+  }
+  rejects([](auto& o) { o["makespan_h"] = std::string("late"); });
+  EXPECT_NO_THROW((void)campaign_result_from_json(good));
 }
 
 TEST(SessionDump, LoadMissingFileThrows) {

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -87,15 +86,15 @@ TEST(BatchAccountantTest, SpeedFactorDividesModeledLatency) {
   EXPECT_DOUBLE_EQ(rep.design.speedup(), 4.0);
 }
 
-TEST(BatchAccountantTest, CacheHitSkipsDispatch) {
+TEST(BatchAccountantTest, FoldRequestsShareADispatch) {
   BatchAccountant acc(toy_config(8));
   acc.fold_request(0.0);
-  acc.fold_request(10.0, /*cache_hit=*/true);
+  acc.fold_request(10.0);
   const auto rep = acc.report();
   EXPECT_EQ(rep.fold.requests, 2u);
-  EXPECT_EQ(rep.fold.cache_hits, 1u);
-  EXPECT_EQ(rep.fold.batches, 1u);  // only the miss dispatched
-  EXPECT_DOUBLE_EQ(rep.fold.unbatched_gpu_s, 7.0);
+  EXPECT_EQ(rep.fold.batches, 1u);  // both within the linger window
+  EXPECT_EQ(rep.fold.max_batch, 2u);
+  EXPECT_DOUBLE_EQ(rep.fold.unbatched_gpu_s, 14.0);
 }
 
 TEST(BatchAccountantTest, RejectsEmptyBatchesAndStoppedGpus) {
@@ -183,7 +182,7 @@ std::vector<protein::DesignTarget> targets2() {
 
 /// What the live server reported for one stream, and for a whole run.
 struct Stream {
-  std::uint64_t requests, cache_hits, batches;
+  std::uint64_t requests, batches;
   std::uint32_t max_batch;
   double batched_gpu_s, unbatched_gpu_s;
 };
@@ -195,7 +194,6 @@ struct Golden {
 
 void expect_stream(const StreamStats& got, const Stream& want) {
   EXPECT_EQ(got.requests, want.requests);
-  EXPECT_EQ(got.cache_hits, want.cache_hits);
   EXPECT_EQ(got.batches, want.batches);
   EXPECT_EQ(got.max_batch, want.max_batch);
   EXPECT_EQ(got.batched_gpu_s, want.batched_gpu_s);
@@ -223,17 +221,17 @@ BatchingReport replay(core::CampaignConfig cfg, std::uint32_t max_batch,
 }
 
 TEST(BatchingReplay, GoldenBatchSizesAndTuner) {
-  const Stream fold1{15, 0, 15, 1, 32400, 32400};
+  const Stream fold1{15, 15, 1, 32400, 32400};
   const struct {
     std::uint32_t max_batch;
     bool adaptive;
     Golden want;
   } cases[] = {
-      {1, false, {fold1, {12, 0, 12, 1, 5040, 5040}, 1, 0}},
-      {1, true, {fold1, {12, 0, 12, 1, 5040, 5040}, 1, 0}},
+      {1, false, {fold1, {12, 12, 1, 5040, 5040}, 1, 0}},
+      {1, true, {fold1, {12, 12, 1, 5040, 5040}, 1, 0}},
       {8, false,
-       {{15, 0, 14, 2, 32040, 32400}, {12, 0, 8, 2, 4800, 5040}, 8, 0}},
-      {8, true, {fold1, {12, 0, 11, 2, 4980, 5040}, 1, 1}},
+       {{15, 14, 2, 32040, 32400}, {12, 8, 2, 4800, 5040}, 8, 0}},
+      {8, true, {fold1, {12, 11, 2, 4980, 5040}, 1, 1}},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(testing::Message() << "max_batch " << c.max_batch
@@ -243,40 +241,29 @@ TEST(BatchingReplay, GoldenBatchSizesAndTuner) {
   }
 }
 
-TEST(BatchingReplay, GoldenPrewarmedCacheHits) {
-  // A shared fold cache warmed by an identical run answers every fold.
-  auto cfg = core::im_rp_campaign(42);
-  cfg.coordinator.fold_cache = std::make_shared<fold::FoldCache>();
-  (void)core::Campaign(cfg).run(targets2());
-  expect_golden(replay(cfg, 8, true),
-                {{15, 15, 0, 0, 0, 0}, {12, 0, 11, 2, 4980, 5040}, 1, 1});
-}
-
 TEST(BatchingReplay, GoldenFaultyRunWithRetries) {
   // Injected crashes stop an attempt before its work runs: retried
   // attempts request again, crashed ones never did.
   auto cfg = core::im_rp_campaign(42);
   cfg.session.faults.task_failure_rate = 0.25;
   cfg.coordinator.task_retry.max_attempts = 3;
-  expect_golden(replay(cfg, 8, false), {{15, 0, 15, 1, 32400, 32400},
-                                        {12, 0, 9, 2, 4860, 5040}, 8, 0});
+  expect_golden(replay(cfg, 8, false), {{15, 15, 1, 32400, 32400},
+                                        {12, 9, 2, 4860, 5040}, 8, 0});
 }
 
 TEST(BatchingReplay, GoldenFasterGpuGeneration) {
   auto cfg = core::im_rp_campaign(42);
   for (auto& node : cfg.pilot.nodes) node.gpu_speed_factor = 2.5;
-  expect_golden(replay(cfg, 8, false), {{15, 0, 14, 2, 12816, 12960},
-                                        {12, 0, 8, 2, 1920, 2016}, 8, 0});
+  expect_golden(replay(cfg, 8, false), {{15, 14, 2, 12816, 12960},
+                                        {12, 8, 2, 1920, 2016}, 8, 0});
 }
 
 TEST(BatchingReplay, CountsEveryFoldAndGeneratorTask) {
   auto cfg = core::im_rp_campaign(42);
   cfg.session.enable_tracing = true;
-  cfg.enable_fold_cache = false;  // requests come from fold.predict spans
   const auto result = core::Campaign(cfg).run(targets2());
   const auto r = replay_batching(result.trace, BatchingConfig{});
   EXPECT_EQ(r.fold.requests, result.fold_tasks);
-  EXPECT_EQ(r.fold.cache_hits, 0u);
   EXPECT_EQ(r.design.requests, result.generator_tasks);
 }
 

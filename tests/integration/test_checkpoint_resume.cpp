@@ -238,56 +238,6 @@ TEST_F(CheckpointResume, DeterminismMetricsWhenAnotherThreadRecordedFirst) {
   EXPECT_EQ(resumed.metrics, reference.metrics);
 }
 
-TEST_F(CheckpointResume, DeterminismFoldCacheHitsAfterResume) {
-  // A checkpoint carries the fold memo's keys only, so a resumed run's
-  // first hit on each entry recomputes the prediction. Warm caches make
-  // such hits common; the resumed run must still equal the reference
-  // byte for byte, trace and cache counters included.
-  const auto targets = targets2();
-  const KillSpec spec{.every_n_completions = 4,
-                      .every_n_pipelines = 0,
-                      .halt_after = 2};
-  const fold::FoldCache::Config cache_config{
-      .capacity = im_rp_campaign(42).fold_cache_capacity, .shards = 8};
-  const auto warm = [&](const std::string& directory) {
-    auto cache = std::make_shared<fold::FoldCache>(cache_config);
-    auto cfg = checkpointed(im_rp_campaign(42), directory, spec, 0);
-    cfg.coordinator.fold_cache = cache;
-    (void)Campaign(cfg).run(targets);
-    return cache;
-  };
-  const auto traced = [&](const std::string& directory,
-                          std::size_t halt_after) {
-    auto cfg = checkpointed(im_rp_campaign(42), directory, spec, halt_after);
-    cfg.session.enable_tracing = true;
-    cfg.session.enable_metrics = true;
-    return cfg;
-  };
-
-  auto ref_cfg = traced(dir("ref"), 0);
-  ref_cfg.coordinator.fold_cache = warm(dir("warm1"));
-  const auto reference = Campaign(ref_cfg).run(targets);
-
-  auto kill_cfg = traced(dir("kill"), spec.halt_after);
-  kill_cfg.coordinator.fold_cache = warm(dir("warm2"));
-  (void)Campaign(kill_cfg).run(targets);
-  const auto checkpoint = load_checkpoint(dir("kill") + "/checkpoint.json");
-  ASSERT_TRUE(checkpoint.fold_cache.has_value());
-
-  // No cache passed in: the campaign restores the keys into its own.
-  const auto resumed =
-      Campaign(traced(dir("kill"), 0)).resume(targets, checkpoint);
-
-  EXPECT_EQ(to_json(resumed).dump(), to_json(reference).dump());
-  expect_identical(reference, resumed);  // includes hits/misses/evictions
-  expect_identical_observability(reference, resumed);
-  EXPECT_EQ(resumed.fold_cache.entries, reference.fold_cache.entries);
-  EXPECT_EQ(resumed.fold_cache.duplicate_discards,
-            reference.fold_cache.duplicate_discards);
-  EXPECT_GT(resumed.fold_cache.hits, checkpoint.fold_cache->hits)
-      << "no fold-cache hit after the cut";
-}
-
 class CadenceSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CadenceSweep, DeterminismRandomizedBoundaries) {

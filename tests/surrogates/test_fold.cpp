@@ -171,6 +171,39 @@ TEST(AlphaFold, CustomModelCount) {
       2u);
 }
 
+TEST(FoldContentKey, SensitiveToEveryInput) {
+  // The key seeds each fold task's rng, so every input predict() reads
+  // besides the rng must move it.
+  const auto& t = target();
+  const auto cx = t.start_complex();
+  const AlphaFold folder;
+  const auto base_content = content_key(cx, t.landscape, folder.config());
+
+  // Receptor sequence.
+  const auto mutated = cx.with_receptor(
+      cx.receptor().sequence.with_mutation(0, protein::AminoAcid::kTrp));
+  EXPECT_NE(content_key(mutated, t.landscape, folder.config()), base_content);
+
+  // Predictor config (each field).
+  auto cfg = folder.config();
+  cfg.metric_noise *= 0.65;
+  EXPECT_NE(content_key(cx, t.landscape, cfg), base_content);
+  cfg = folder.config();
+  cfg.num_models += 1;
+  EXPECT_NE(content_key(cx, t.landscape, cfg), base_content);
+  cfg = folder.config();
+  cfg.msa_quality = 0.5;
+  EXPECT_NE(content_key(cx, t.landscape, cfg), base_content);
+  cfg = folder.config();
+  cfg.model_noise *= 2.0;
+  EXPECT_NE(content_key(cx, t.landscape, cfg), base_content);
+
+  // Landscape identity.
+  const auto other = protein::make_target(
+      "FOLD-T2", 92, protein::alpha_synuclein().tail(10));
+  EXPECT_NE(content_key(cx, other.landscape, folder.config()), base_content);
+}
+
 class FoldSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FoldSeedSweep, BestIndexAlwaysValidAndArgmax) {
