@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
       result.total_trajectories(), result.subpipelines, result.fold_tasks,
       result.fold_retries, result.generator_tasks);
 
-  const auto marks = session.observability().tracer().marks();
-  const auto timing = hpc::summarize_timings(marks);
+  const auto table = hpc::tabulate(session.observability().tracer().marks());
+  const auto timing = hpc::summarize_timings(table);
   std::printf(
       "per-task analytics: n=%zu mean queue wait %.0f s (p95 %.0f s), mean "
       "exec setup %.0f s, mean run %.0f s, non-running fraction %.1f%% "
@@ -68,10 +68,10 @@ int main(int argc, char** argv) {
       "concurrency %zu\n",
       timing.tasks, timing.mean_wait, timing.p95_wait, timing.mean_setup,
       timing.mean_run, timing.overhead_fraction * 100.0,
-      hpc::peak_concurrency(marks));
+      hpc::peak_concurrency(table));
   // Wait-time distribution: where the asynchronous backlog actually sits.
   common::Histogram wait_hist(0.0, 8.0, 8);
-  for (const auto& t : hpc::task_timings(marks))
+  for (const auto& t : hpc::task_timings(table))
     wait_hist.add(t.wait / 3600.0);
   std::printf("task queue-wait distribution (hours):\n%s",
               wait_hist.render(40, "h").c_str());

@@ -67,8 +67,8 @@ int main() {
   chart.add_row({"GPU", pilot->recorder().gpu_series(80)});
   std::printf("\n%s\n", chart.render().c_str());
 
-  const auto phases =
-      hpc::phase_durations(session.observability().tracer().marks());
+  const auto phases = hpc::phase_durations(
+      hpc::tabulate(session.observability().tracer().marks()));
   std::printf("profiler phase totals: bootstrap=%s exec_setup=%s running=%s\n",
               common::format_duration(phases.at("bootstrap")).c_str(),
               common::format_duration(phases.at("exec_setup")).c_str(),

@@ -265,14 +265,16 @@ CampaignResult Campaign::execute(
     }
   }
   {
-    // One copy of the tracer's mark log feeds every mark harvest; it is
-    // freed before the obs snapshot.
-    const std::vector<obs::Mark> marks = ob.tracer().marks();
-    for (const auto& [phase, seconds] : hpc::phase_durations(marks))
+    // The tracer's mark log, folded once, feeds every mark harvest; the
+    // table is freed before the obs snapshot.
+    const hpc::TaskTable table = hpc::tabulate(ob.tracer().marks());
+    for (const auto& [phase, seconds] : hpc::phase_durations(table))
       r.phase_hours[phase] = common::seconds_to_hours(seconds);
-    r.gantt = hpc::render_gantt(marks, makespan_s);
-    r.pilot_failures = hpc::summarize_retries(marks).pilot_failures;
-    r.attempts = hpc::attempt_counts(marks);
+    r.gantt = hpc::render_gantt(table, makespan_s);
+    r.pilot_failures = table.pilot_failures;
+    for (const hpc::TaskRow& row : table.rows)
+      if (row.attempts > 1)
+        r.attempts.emplace_hint(r.attempts.end(), row.uid, row.attempts);
   }
   // Timeline series stay single-recorder views: bins from different
   // pilots' recorders have no meaningful pointwise merge, so they always

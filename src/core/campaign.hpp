@@ -122,7 +122,8 @@ struct CampaignResult {
   std::size_t task_timeouts = 0;  ///< attempt-deadline evictions
   std::size_t task_requeues = 0;  ///< tasks re-routed off a failed pilot
   std::size_t pilot_failures = 0; ///< pilots lost to injected outages
-  /// Attempts per task uid (> 1 identifies retried tasks).
+  /// Attempts per retried task uid (every value > 1); a task absent here
+  /// ran once.
   std::map<std::string, int> attempts;
 
   /// Always all zero: campaigns keep no fold memo. Kept only because the

@@ -57,7 +57,7 @@ struct ProtocolConfig {
 /// One accepted (or attempted) design iteration of a trajectory.
 struct IterationRecord {
   int cycle = 0;                ///< 1-based design cycle
-  fold::FoldMetrics metrics;    ///< AlphaFold surrogate confidence
+  fold::FoldMetrics metrics{};  ///< AlphaFold surrogate confidence
   double true_fitness = 0.0;    ///< hidden landscape value (analysis only)
   bool accepted = false;        ///< Stage-6 verdict
   int retries = 0;              ///< alternative sequences tried this cycle

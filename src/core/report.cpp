@@ -199,21 +199,23 @@ std::string render_fault_summary(const CampaignResult& result) {
          "  terminal_failures=" + std::to_string(result.failed_tasks) + "\n";
 
   // Attempt distribution: how many tasks needed 1, 2, 3... attempts.
+  // result.attempts lists the retried tasks; every other task ran once.
+  const std::size_t tasks =
+      result.generator_tasks + result.refine_tasks + result.fold_tasks;
+  const std::size_t retried_tasks = result.attempts.size();
   std::map<int, std::size_t> by_attempts;
+  if (tasks > retried_tasks) by_attempts[1] = tasks - retried_tasks;
   for (const auto& [uid, attempts] : result.attempts) ++by_attempts[attempts];
   out += "attempts:";
   for (const auto& [attempts, n] : by_attempts)
     out += "  x" + std::to_string(attempts) + "=" + std::to_string(n);
   out += "\n";
 
-  std::size_t retried_tasks = 0;
-  for (const auto& [uid, attempts] : result.attempts)
-    if (attempts > 1) ++retried_tasks;
-  if (!result.attempts.empty()) {
+  if (tasks > 0) {
     out += "tasks retried: " + std::to_string(retried_tasks) + "/" +
-           std::to_string(result.attempts.size()) + " (" +
+           std::to_string(tasks) + " (" +
            pct(static_cast<double>(retried_tasks) /
-               static_cast<double>(result.attempts.size())) +
+               static_cast<double>(tasks)) +
            ")\n";
   }
   return out;

@@ -99,6 +99,18 @@ common::Json to_json(const CampaignResult& result) {
   }
   doc["trajectories"] = common::Json(std::move(trajectories));
 
+  // Fault bookkeeping, present only when a fault was recorded, so
+  // fault-free dumps keep their bytes.
+  if (!result.attempts.empty()) {
+    common::Json::Object attempts;
+    for (const auto& [uid, n] : result.attempts) attempts[uid] = n;
+    doc["attempts"] = common::Json(std::move(attempts));
+  }
+  if (result.pilot_failures > 0) doc["pilot_failures"] = result.pilot_failures;
+  if (result.task_requeues > 0) doc["task_requeues"] = result.task_requeues;
+  if (result.task_retries > 0) doc["task_retries"] = result.task_retries;
+  if (result.task_timeouts > 0) doc["task_timeouts"] = result.task_timeouts;
+
   // Observability harvest, present only when the session recorded it —
   // dumps from untraced runs stay byte-identical to schema v1 output.
   if (!result.trace.empty()) doc["trace"] = obs::spans_to_json(result.trace);
@@ -175,6 +187,19 @@ CampaignResult result_from_tree(const common::Json& doc) {
     }
     r.trajectories.push_back(std::move(t));
   }
+
+  if (doc.contains("attempts"))
+    for (const auto& [uid, n] : doc.at("attempts").as_object())
+      r.attempts[uid] = static_cast<int>(n.as_number());
+  const auto count = [&doc](const char* key) {
+    return doc.contains(key)
+               ? static_cast<std::size_t>(doc.at(key).as_number())
+               : std::size_t{0};
+  };
+  r.pilot_failures = count("pilot_failures");
+  r.task_requeues = count("task_requeues");
+  r.task_retries = count("task_retries");
+  r.task_timeouts = count("task_timeouts");
 
   if (doc.contains("trace")) r.trace = obs::spans_from_json(doc.at("trace"));
   if (doc.contains("metrics"))

@@ -11,78 +11,91 @@
 
 namespace impress::hpc {
 
-namespace {
-
-struct RawTimes {
-  double schedule = -1.0;
-  double setup = -1.0;
-  double start = -1.0;
-  double stop = -1.0;
-};
-
-std::map<std::string, RawTimes> collect(std::span<const obs::Mark> marks) {
-  std::map<std::string, RawTimes> out;
-  for (const auto& e : marks) {
-    auto& r = out[e.entity];
-    if (e.event == events::kSchedule && r.schedule < 0.0) r.schedule = e.time;
-    else if (e.event == events::kExecSetupStart && r.setup < 0.0) r.setup = e.time;
-    else if (e.event == events::kExecStart && r.start < 0.0) r.start = e.time;
-    else if (e.event == events::kExecStop && r.stop < 0.0) r.stop = e.time;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::map<std::string, double> phase_durations(
-    std::span<const obs::Mark> marks) {
-  // Pair *_start with the next matching *_stop per entity.
+TaskTable tabulate(std::span<const obs::Mark> marks) {
+  // Per entity, the starts still waiting for their stop.
   struct Open {
     double bootstrap = -1.0;
     double setup = -1.0;
     double exec = -1.0;
   };
-  std::unordered_map<std::string, Open> open;
-  std::map<std::string, double> out{
-      {"bootstrap", 0.0}, {"exec_setup", 0.0}, {"running", 0.0}};
+  TaskTable table;
+  std::vector<Open> open;
+  std::unordered_map<std::string_view, std::size_t> index;
   for (const obs::Mark& e : marks) {
-    auto& o = open[e.entity];
-    if (e.event == events::kBootstrapStart) {
-      o.bootstrap = e.time;
-    } else if (e.event == events::kBootstrapStop && o.bootstrap >= 0.0) {
-      out["bootstrap"] += e.time - o.bootstrap;
-      o.bootstrap = -1.0;
+    const auto [it, inserted] = index.try_emplace(e.entity, table.rows.size());
+    if (inserted) {
+      table.rows.push_back(TaskRow{.uid = e.entity});
+      open.emplace_back();
+    }
+    TaskRow& r = table.rows[it->second];
+    Open& o = open[it->second];
+    const double t = e.time;
+    table.latest = std::max(table.latest, t);
+    if (e.event == events::kSubmit) {
+      ++r.attempts;
+    } else if (e.event == events::kSchedule) {
+      if (r.schedule < 0.0) r.schedule = t;
     } else if (e.event == events::kExecSetupStart) {
-      o.setup = e.time;
+      if (r.setup < 0.0) r.setup = t;
+      o.setup = t;
     } else if (e.event == events::kExecStart) {
+      if (r.start < 0.0) r.start = t;
       if (o.setup >= 0.0) {
-        out["exec_setup"] += e.time - o.setup;
+        table.exec_setup_s += t - o.setup;
         o.setup = -1.0;
       }
-      o.exec = e.time;
-    } else if (e.event == events::kExecStop && o.exec >= 0.0) {
-      out["running"] += e.time - o.exec;
-      o.exec = -1.0;
+      o.exec = t;
+    } else if (e.event == events::kExecStop) {
+      if (r.first_stop < 0.0) r.first_stop = t;
+      r.last_stop = t;
+      if (o.exec >= 0.0) {
+        table.running_s += t - o.exec;
+        o.exec = -1.0;
+      }
+    } else if (e.event == events::kBootstrapStart) {
+      o.bootstrap = t;
+    } else if (e.event == events::kBootstrapStop) {
+      if (o.bootstrap >= 0.0) {
+        table.bootstrap_s += t - o.bootstrap;
+        o.bootstrap = -1.0;
+      }
+    } else if (e.event == events::kRetry) {
+      r.retries.push_back(t);
+    } else if (e.event == events::kTimeout) {
+      ++table.timeouts;
+    } else if (e.event == events::kRequeue) {
+      ++table.requeues;
+    } else if (e.event == events::kPilotFailed) {
+      ++table.pilot_failures;
     }
   }
-  return out;
+  std::sort(table.rows.begin(), table.rows.end(),
+            [](const TaskRow& a, const TaskRow& b) { return a.uid < b.uid; });
+  return table;
 }
 
-std::vector<TaskTiming> task_timings(std::span<const obs::Mark> marks) {
+std::map<std::string, double> phase_durations(const TaskTable& table) {
+  return {{"bootstrap", table.bootstrap_s},
+          {"exec_setup", table.exec_setup_s},
+          {"running", table.running_s}};
+}
+
+std::vector<TaskTiming> task_timings(const TaskTable& table) {
   std::vector<TaskTiming> out;
-  for (const auto& [uid, r] : collect(marks)) {
-    if (r.schedule < 0.0 || r.setup < 0.0 || r.start < 0.0 || r.stop < 0.0)
+  for (const TaskRow& r : table.rows) {
+    if (r.schedule < 0.0 || r.setup < 0.0 || r.start < 0.0 ||
+        r.first_stop < 0.0)
       continue;
-    out.push_back(TaskTiming{.uid = uid,
+    out.push_back(TaskTiming{.uid = r.uid,
                              .wait = r.setup - r.schedule,
                              .setup = r.start - r.setup,
-                             .run = r.stop - r.start});
+                             .run = r.first_stop - r.start});
   }
   return out;
 }
 
-TimingSummary summarize_timings(std::span<const obs::Mark> marks) {
-  const auto timings = task_timings(marks);
+TimingSummary summarize_timings(const TaskTable& table) {
+  const auto timings = task_timings(table);
   TimingSummary s;
   s.tasks = timings.size();
   if (timings.empty()) return s;
@@ -102,18 +115,17 @@ TimingSummary summarize_timings(std::span<const obs::Mark> marks) {
   return s;
 }
 
-std::vector<double> concurrency_series(std::span<const obs::Mark> marks,
+std::vector<double> concurrency_series(const TaskTable& table,
                                        std::size_t bins, double t_end) {
   std::vector<double> out(bins, 0.0);
   if (bins == 0) return out;
-  const auto raw = collect(marks);
   if (t_end <= 0.0)
-    for (const auto& [uid, r] : raw) t_end = std::max(t_end, r.stop);
+    for (const TaskRow& r : table.rows) t_end = std::max(t_end, r.first_stop);
   if (t_end <= 0.0) return out;
   const double bin_w = t_end / static_cast<double>(bins);
-  for (const auto& [uid, r] : raw) {
+  for (const TaskRow& r : table.rows) {
     if (r.start < 0.0) continue;
-    const double stop = r.stop < 0.0 ? t_end : r.stop;
+    const double stop = r.first_stop < 0.0 ? t_end : r.first_stop;
     for (std::size_t b = 0; b < bins; ++b) {
       const double b0 = static_cast<double>(b) * bin_w;
       const double b1 = b0 + bin_w;
@@ -125,34 +137,31 @@ std::vector<double> concurrency_series(std::span<const obs::Mark> marks,
   return out;
 }
 
-RetrySummary summarize_retries(std::span<const obs::Mark> marks) {
-  RetrySummary s;
-  for (const auto& e : marks) {
-    if (e.event == events::kRetry) ++s.retries;
-    else if (e.event == events::kTimeout) ++s.timeouts;
-    else if (e.event == events::kRequeue) ++s.requeues;
-    else if (e.event == events::kPilotFailed) ++s.pilot_failures;
-  }
-  for (const auto& [uid, attempts] : attempt_counts(marks)) {
-    if (attempts > 1) ++s.tasks_retried;
-    s.max_attempts = std::max(s.max_attempts, attempts);
+RetrySummary summarize_retries(const TaskTable& table) {
+  RetrySummary s{.timeouts = table.timeouts,
+                 .requeues = table.requeues,
+                 .pilot_failures = table.pilot_failures};
+  for (const TaskRow& r : table.rows) {
+    s.retries += r.retries.size();
+    if (r.attempts > 1) ++s.tasks_retried;
+    s.max_attempts = std::max(s.max_attempts, r.attempts);
   }
   return s;
 }
 
-std::map<std::string, int> attempt_counts(std::span<const obs::Mark> marks) {
+std::map<std::string, int> attempt_counts(const TaskTable& table) {
   std::map<std::string, int> out;
-  for (const auto& e : marks)
-    if (e.event == events::kSubmit) ++out[e.entity];
+  for (const TaskRow& r : table.rows)
+    if (r.attempts > 0) out.emplace_hint(out.end(), r.uid, r.attempts);
   return out;
 }
 
-std::size_t peak_concurrency(std::span<const obs::Mark> marks) {
+std::size_t peak_concurrency(const TaskTable& table) {
   std::vector<std::pair<double, int>> edges;
-  for (const auto& [uid, r] : collect(marks)) {
-    if (r.start < 0.0 || r.stop < 0.0) continue;
+  for (const TaskRow& r : table.rows) {
+    if (r.start < 0.0 || r.first_stop < 0.0) continue;
     edges.emplace_back(r.start, +1);
-    edges.emplace_back(r.stop, -1);
+    edges.emplace_back(r.first_stop, -1);
   }
   std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first < b.first;

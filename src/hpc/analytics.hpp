@@ -5,8 +5,8 @@
 // ratios, retry roll-ups, and the GPU-batching accounting replayed from a
 // traced campaign's span timestamps.
 //
-// Every mark reader takes the marks in record order, as
-// obs::Tracer::marks() returns them.
+// The marks are grouped by entity once, by tabulate(); every mark reader
+// takes the TaskTable it returns.
 
 #pragma once
 
@@ -46,25 +46,55 @@ inline constexpr std::string_view kPilotFailed = "pilot_failed";
 inline constexpr std::string_view kPilotReactivated = "pilot_reactivated";
 }  // namespace events
 
+/// One entity's lifecycle, folded from its marks. A time is -1 when its
+/// mark is absent.
+struct TaskRow {
+  std::string uid;
+  double schedule = -1.0;         ///< first kSchedule
+  double setup = -1.0;            ///< first kExecSetupStart
+  double start = -1.0;            ///< first kExecStart
+  double first_stop = -1.0;       ///< first kExecStop
+  double last_stop = -1.0;        ///< last kExecStop (the final attempt's)
+  int attempts = 0;               ///< kSubmit count; > 1 means retried
+  std::vector<double> retries{};  ///< times the retry policy fired
+};
+
+/// The mark log folded once: what every reader below takes.
+struct TaskTable {
+  std::vector<TaskRow> rows;  ///< one per entity, in uid order
+  /// Phase sums in seconds: each *_start paired with the same entity's
+  /// next matching *_stop, added in mark order.
+  double bootstrap_s = 0.0;
+  double exec_setup_s = 0.0;
+  double running_s = 0.0;
+  double latest = 0.0;  ///< latest mark time (0 without marks)
+  std::size_t timeouts = 0;        ///< kTimeout marks
+  std::size_t requeues = 0;        ///< kRequeue marks
+  std::size_t pilot_failures = 0;  ///< kPilotFailed marks
+};
+
+/// Group `marks` (in record order, as obs::Tracer::marks() returns them)
+/// by entity in one pass.
+[[nodiscard]] TaskTable tabulate(std::span<const obs::Mark> marks);
+
 /// Total duration attributed to each phase across all tasks:
 ///   "exec_setup" = sum(exec_start - exec_setup_start)
 ///   "running"    = sum(exec_stop - exec_start)
 ///   "bootstrap"  = sum(bootstrap_stop - bootstrap_start)
 [[nodiscard]] std::map<std::string, double> phase_durations(
-    std::span<const obs::Mark> marks);
+    const TaskTable& table);
 
 /// One task's timing decomposition (all in seconds).
 struct TaskTiming {
   std::string uid;
   double wait = 0.0;   ///< schedule -> exec_setup_start (queue time)
   double setup = 0.0;  ///< exec_setup_start -> exec_start
-  double run = 0.0;    ///< exec_start -> exec_stop
+  double run = 0.0;    ///< exec_start -> first exec_stop
 };
 
-/// Decompose every task that reached exec_stop. Tasks missing any of the
-/// four events are skipped.
-[[nodiscard]] std::vector<TaskTiming> task_timings(
-    std::span<const obs::Mark> marks);
+/// Decompose every task that reached exec_stop, in uid order. Tasks
+/// missing any of the four marks are skipped.
+[[nodiscard]] std::vector<TaskTiming> task_timings(const TaskTable& table);
 
 struct TimingSummary {
   std::size_t tasks = 0;
@@ -77,20 +107,20 @@ struct TimingSummary {
   double overhead_fraction = 0.0;
 };
 
-[[nodiscard]] TimingSummary summarize_timings(
-    std::span<const obs::Mark> marks);
+[[nodiscard]] TimingSummary summarize_timings(const TaskTable& table);
 
 /// Average number of concurrently *running* tasks per time bin over
-/// [0, t_end] (t_end <= 0 uses the latest exec_stop). The empirical
+/// [0, t_end] (t_end <= 0 uses the latest first exec_stop). The empirical
 /// concurrency profile behind the utilization figures.
-[[nodiscard]] std::vector<double> concurrency_series(
-    std::span<const obs::Mark> marks, std::size_t bins, double t_end = 0.0);
+[[nodiscard]] std::vector<double> concurrency_series(const TaskTable& table,
+                                                     std::size_t bins,
+                                                     double t_end = 0.0);
 
 /// Peak of the concurrency profile (exact, not binned).
-[[nodiscard]] std::size_t peak_concurrency(std::span<const obs::Mark> marks);
+[[nodiscard]] std::size_t peak_concurrency(const TaskTable& table);
 
-/// Fault-tolerance roll-up over the marks: how much of the campaign's
-/// work was first-attempt vs recovery.
+/// Fault-tolerance roll-up: how much of the campaign's work was
+/// first-attempt vs recovery.
 struct RetrySummary {
   std::size_t retries = 0;        ///< failed attempts resubmitted (kRetry)
   std::size_t timeouts = 0;       ///< attempt-deadline evictions (kTimeout)
@@ -100,12 +130,11 @@ struct RetrySummary {
   int max_attempts = 0;           ///< largest attempt count observed
 };
 
-[[nodiscard]] RetrySummary summarize_retries(std::span<const obs::Mark> marks);
+[[nodiscard]] RetrySummary summarize_retries(const TaskTable& table);
 
 /// Attempts per task uid: the number of kSubmit marks recorded for it
 /// (>= 1 for anything submitted; > 1 means the retry policy fired).
-[[nodiscard]] std::map<std::string, int> attempt_counts(
-    std::span<const obs::Mark> marks);
+[[nodiscard]] std::map<std::string, int> attempt_counts(const TaskTable& table);
 
 /// Roll-up of a memoization cache's behaviour over a run. Campaigns keep
 /// no fold memo, so core::CampaignResult::fold_cache, the one user, is

@@ -6,12 +6,11 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 
-#include "obs/trace.hpp"
-
 namespace impress::hpc {
+
+struct TaskTable;
 
 struct GanttOptions {
   std::size_t width = 80;      ///< chart columns for the time span
@@ -19,11 +18,11 @@ struct GanttOptions {
   bool include_waiting = true; ///< draw schedule->exec_setup as '.'
 };
 
-/// Render every task that has an exec_start mark in `marks` (in record
-/// order, as obs::Tracer::marks() returns them), ordered by start time.
-/// Legend: '.' waiting in queue, '-' exec setup, '#' running.
+/// Render every row of `table` (see hpc::tabulate) that has an exec_start
+/// mark, ordered by start time, up to its last exec_stop.
+/// Legend: '.' waiting in queue, '-' exec setup, '#' running, '!' retry.
 /// `t_end` <= 0 uses the latest mark time.
-[[nodiscard]] std::string render_gantt(std::span<const obs::Mark> marks,
+[[nodiscard]] std::string render_gantt(const TaskTable& table,
                                        double t_end = 0.0,
                                        GanttOptions options = {});
 

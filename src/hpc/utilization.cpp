@@ -8,26 +8,11 @@ namespace impress::hpc {
 void UtilizationRecorder::record(UsageInterval interval) {
   // Normalize at the door: the campaign clock starts at 0, so a negative
   // start is a recording artifact, not usage. Clamping here (instead of
-  // per-query) keeps every downstream path — running totals, windowed
-  // scans, energy — in agreement on the same interval. Before this fix
-  // the energy term used the raw, unclamped span while the utilization
-  // totals used the clamped one, so the O(1) energy path silently
-  // overcounted pre-zero time relative to a windowed scan.
+  // per-query) keeps the windowed scans and the energy scan in agreement
+  // on the same interval.
   if (interval.start < 0.0) interval.start = 0.0;
   if (interval.end < interval.start) interval.end = interval.start;
   std::lock_guard lock(mutex_);
-  // Full-span overlap as the default summarize() would compute it
-  // (window [0, max end], so min(end, t1) == end).
-  const double dt = interval.end - interval.start;
-  if (dt > 0.0) {
-    totals_.core_alloc_s += dt * interval.cores;
-    totals_.core_active_s += dt * interval.cores * interval.cpu_intensity;
-    totals_.gpu_alloc_s += dt * interval.gpus;
-    totals_.gpu_active_s += dt * interval.gpus * interval.gpu_intensity;
-    totals_.joules_default +=
-        dt * (interval.cores * interval.cpu_intensity * kDefaultWattsPerCore +
-              interval.gpus * interval.gpu_intensity * kDefaultWattsPerGpu);
-  }
   latest_end_raw_ = std::max(latest_end_raw_, interval.end);
   intervals_.push_back(std::move(interval));
 }
@@ -39,7 +24,6 @@ double UtilizationRecorder::latest_end() const {
 
 UtilizationSummary UtilizationRecorder::summarize(double t0, double t1) const {
   std::lock_guard lock(mutex_);
-  const bool full_span = t0 == 0.0 && t1 <= t0;
   if (t1 <= t0) {
     t1 = t0;
     if (!intervals_.empty()) t1 = std::max(t1, latest_end_raw_);
@@ -50,23 +34,14 @@ UtilizationSummary UtilizationRecorder::summarize(double t0, double t1) const {
 
   double core_alloc_s = 0.0, core_active_s = 0.0;
   double gpu_alloc_s = 0.0, gpu_active_s = 0.0;
-  if (full_span) {
-    // O(1): the running totals were accumulated in record order, i.e. the
-    // exact order (and terms) of the loop below over the whole span.
-    core_alloc_s = totals_.core_alloc_s;
-    core_active_s = totals_.core_active_s;
-    gpu_alloc_s = totals_.gpu_alloc_s;
-    gpu_active_s = totals_.gpu_active_s;
-  } else {
-    for (const auto& iv : intervals_) {
-      const double overlap =
-          std::max(0.0, std::min(iv.end, t1) - std::max(iv.start, t0));
-      if (overlap <= 0.0) continue;
-      core_alloc_s += overlap * iv.cores;
-      core_active_s += overlap * iv.cores * iv.cpu_intensity;
-      gpu_alloc_s += overlap * iv.gpus;
-      gpu_active_s += overlap * iv.gpus * iv.gpu_intensity;
-    }
+  for (const auto& iv : intervals_) {
+    const double overlap =
+        std::max(0.0, std::min(iv.end, t1) - std::max(iv.start, t0));
+    if (overlap <= 0.0) continue;
+    core_alloc_s += overlap * iv.cores;
+    core_active_s += overlap * iv.cores * iv.cpu_intensity;
+    gpu_alloc_s += overlap * iv.gpus;
+    gpu_active_s += overlap * iv.gpus * iv.gpu_intensity;
   }
   const double core_capacity = s.span_seconds * total_cores_;
   const double gpu_capacity = s.span_seconds * total_gpus_;
@@ -122,9 +97,6 @@ std::vector<double> UtilizationRecorder::gpu_series(std::size_t bins) const {
 double UtilizationRecorder::energy_kwh(double watts_per_core,
                                        double watts_per_gpu) const {
   std::lock_guard lock(mutex_);
-  if (watts_per_core == kDefaultWattsPerCore &&
-      watts_per_gpu == kDefaultWattsPerGpu)
-    return totals_.joules_default / 3.6e6;  // O(1), bit-identical
   double joules = 0.0;
   for (const auto& iv : intervals_) {
     const double dt = iv.end - iv.start;

@@ -54,19 +54,13 @@ class UtilizationRecorder {
   UtilizationRecorder(std::uint32_t total_cores, std::uint32_t total_gpus)
       : total_cores_(total_cores), total_gpus_(total_gpus) {}
 
-  /// Record one task's usage interval. Thread-safe. O(1): full-span
-  /// aggregates (summarize defaults, latest_end, default-wattage energy)
-  /// are maintained incrementally, in record order, so those queries are
-  /// O(1) *and* bit-identical to the O(n) scans they replaced — a
-  /// 10k-node campaign records millions of intervals. Intervals are
+  /// Record one task's usage interval. Thread-safe. Intervals are
   /// normalized on entry (start clamped to >= 0, end to >= start) so the
-  /// running totals, windowed scans and energy paths all see the same
-  /// span — see tests/hpc/test_utilization.cpp's equivalence property.
+  /// utilization and energy scans all see the same span.
   void record(UsageInterval interval);
 
   /// Average utilization between t0 and t1 (t1 defaults to the latest
-  /// recorded end time when <= t0). The default full-span query is O(1);
-  /// an explicit window costs one pass over the intervals.
+  /// recorded end time when <= t0): one pass over the intervals.
   [[nodiscard]] UtilizationSummary summarize(double t0 = 0.0,
                                              double t1 = -1.0) const;
 
@@ -93,21 +87,10 @@ class UtilizationRecorder {
  private:
   [[nodiscard]] std::vector<double> series(std::size_t bins, bool gpu) const;
 
-  /// Full-span running sums, accumulated in record order (the same order
-  /// the old full scans iterated, so the fast paths are bit-identical).
-  struct Totals {
-    double core_alloc_s = 0.0;
-    double core_active_s = 0.0;
-    double gpu_alloc_s = 0.0;
-    double gpu_active_s = 0.0;
-    double joules_default = 0.0;  ///< at the default per-unit wattages
-  };
-
   std::uint32_t total_cores_;
   std::uint32_t total_gpus_;
   mutable common::TrackedMutex mutex_{"UtilizationRecorder::mutex_"};
   std::vector<UsageInterval> intervals_;
-  Totals totals_;             ///< guarded by mutex_
   double latest_end_raw_ = 0.0;  ///< max end; only meaningful when non-empty
 };
 

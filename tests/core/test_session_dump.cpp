@@ -84,6 +84,44 @@ TEST(SessionDump, AnalysisWorksOnRestoredResults) {
   EXPECT_EQ(restored.total_trajectories(), original.total_trajectories());
 }
 
+TEST(SessionDump, FaultFieldsRoundTrip) {
+  // A faulty campaign fills every fault field: injected failures retried,
+  // stragglers evicted by the attempt deadline, and a spot pilot reclaimed
+  // (its queued work requeued) and returned.
+  auto config = im_rp_campaign(42);
+  config.extra_pilots.push_back(calibration::spot_pilot());
+  config.session.faults.task_failure_rate = 0.10;
+  config.session.faults.slow_task_rate = 0.05;
+  config.session.faults.spot_reclaims.push_back(
+      rp::SpotReclaim{.pilot_index = 1, .at_s = 7200.0, .down_s = 14400.0});
+  config.coordinator.task_retry =
+      rp::RetryPolicy{.max_attempts = 3,
+                      .backoff_initial_s = 30.0,
+                      .backoff_multiplier = 2.0,
+                      .backoff_jitter = 0.25,
+                      .attempt_timeout_s = 30000.0};
+  const auto original = Campaign(config).run(protein::pdz_benchmark(8));
+  ASSERT_GT(original.task_retries, 0u);
+  ASSERT_GT(original.task_timeouts, 0u);
+  ASSERT_GT(original.task_requeues, 0u);
+  ASSERT_GT(original.pilot_failures, 0u);
+  ASSERT_FALSE(original.attempts.empty());
+
+  const auto restored =
+      campaign_result_from_json(common::Json::parse(to_json(original).dump(2)));
+  expect_equal(original, restored);
+  EXPECT_EQ(restored.task_retries, original.task_retries);
+  EXPECT_EQ(restored.task_timeouts, original.task_timeouts);
+  EXPECT_EQ(restored.task_requeues, original.task_requeues);
+  EXPECT_EQ(restored.pilot_failures, original.pilot_failures);
+  EXPECT_EQ(restored.attempts, original.attempts);
+  // A fault-free dump carries none of these members.
+  const auto clean = to_json(real_result());
+  for (const char* member : {"attempts", "pilot_failures", "task_requeues",
+                             "task_retries", "task_timeouts"})
+    EXPECT_FALSE(clean.contains(member)) << member;
+}
+
 TEST(SessionDump, LockdepSectionRoundTripsAndOmitsWhenEmpty) {
   auto result = real_result();
   // No violations (the overwhelmingly common case): the key must be

@@ -16,7 +16,7 @@ void add_task(obs::Tracer& t, const std::string& uid, double schedule,
 TEST(Analytics, TaskTimingDecomposition) {
   obs::Tracer t;
   add_task(t, "task.0", 0.0, 10.0, 15.0, 115.0);
-  const auto timings = task_timings(t.marks());
+  const auto timings = task_timings(tabulate(t.marks()));
   ASSERT_EQ(timings.size(), 1u);
   EXPECT_DOUBLE_EQ(timings[0].wait, 10.0);
   EXPECT_DOUBLE_EQ(timings[0].setup, 5.0);
@@ -28,14 +28,14 @@ TEST(Analytics, IncompleteTasksSkipped) {
   add_task(t, "task.0", 0.0, 1.0, 2.0, 3.0);
   t.mark(0.0, "task.queued", events::kSchedule);  // never ran
   t.mark(0.0, "task.running", events::kExecStart);  // no stop
-  EXPECT_EQ(task_timings(t.marks()).size(), 1u);
+  EXPECT_EQ(task_timings(tabulate(t.marks())).size(), 1u);
 }
 
 TEST(Analytics, SummaryAggregates) {
   obs::Tracer t;
   add_task(t, "task.0", 0.0, 10.0, 12.0, 112.0);   // wait 10 setup 2 run 100
   add_task(t, "task.1", 0.0, 30.0, 34.0, 234.0);   // wait 30 setup 4 run 200
-  const auto s = summarize_timings(t.marks());
+  const auto s = summarize_timings(tabulate(t.marks()));
   EXPECT_EQ(s.tasks, 2u);
   EXPECT_DOUBLE_EQ(s.mean_wait, 20.0);
   EXPECT_DOUBLE_EQ(s.mean_setup, 3.0);
@@ -46,7 +46,7 @@ TEST(Analytics, SummaryAggregates) {
 
 TEST(Analytics, EmptyProfilerSummary) {
   obs::Tracer t;
-  const auto s = summarize_timings(t.marks());
+  const auto s = summarize_timings(tabulate(t.marks()));
   EXPECT_EQ(s.tasks, 0u);
   EXPECT_EQ(s.overhead_fraction, 0.0);
 }
@@ -55,7 +55,7 @@ TEST(Analytics, ConcurrencySeriesCountsRunningTasks) {
   obs::Tracer t;
   add_task(t, "task.0", 0.0, 0.0, 0.0, 100.0);
   add_task(t, "task.1", 0.0, 0.0, 50.0, 100.0);
-  const auto series = concurrency_series(t.marks(), 4, 100.0);
+  const auto series = concurrency_series(tabulate(t.marks()), 4, 100.0);
   ASSERT_EQ(series.size(), 4u);
   EXPECT_NEAR(series[0], 1.0, 1e-9);  // 0-25: only task.0
   EXPECT_NEAR(series[1], 1.0, 1e-9);  // 25-50
@@ -68,7 +68,7 @@ TEST(Analytics, ConcurrencyHandlesRunningAtEnd) {
   t.mark(0.0, "task.0", events::kSchedule);
   t.mark(0.0, "task.0", events::kExecSetupStart);
   t.mark(0.0, "task.0", events::kExecStart);  // never stops
-  const auto series = concurrency_series(t.marks(), 2, 10.0);
+  const auto series = concurrency_series(tabulate(t.marks()), 2, 10.0);
   EXPECT_NEAR(series[0], 1.0, 1e-9);
   EXPECT_NEAR(series[1], 1.0, 1e-9);
 }
@@ -79,21 +79,21 @@ TEST(Analytics, PeakConcurrency) {
   add_task(t, "task.1", 0, 0, 5.0, 15.0);
   add_task(t, "task.2", 0, 0, 8.0, 9.0);
   add_task(t, "task.3", 0, 0, 20.0, 30.0);
-  EXPECT_EQ(peak_concurrency(t.marks()), 3u);
+  EXPECT_EQ(peak_concurrency(tabulate(t.marks())), 3u);
 }
 
 TEST(Analytics, PeakConcurrencyBackToBackIsOne) {
   obs::Tracer t;
   add_task(t, "task.0", 0, 0, 0.0, 10.0);
   add_task(t, "task.1", 0, 0, 10.0, 20.0);  // starts exactly as 0 stops
-  EXPECT_EQ(peak_concurrency(t.marks()), 1u);
+  EXPECT_EQ(peak_concurrency(tabulate(t.marks())), 1u);
 }
 
 TEST(Analytics, EmptyInputs) {
   obs::Tracer t;
-  EXPECT_EQ(peak_concurrency(t.marks()), 0u);
-  EXPECT_TRUE(concurrency_series(t.marks(), 0).empty());
-  const auto series = concurrency_series(t.marks(), 3);
+  EXPECT_EQ(peak_concurrency(tabulate(t.marks())), 0u);
+  EXPECT_TRUE(concurrency_series(tabulate(t.marks()), 0).empty());
+  const auto series = concurrency_series(tabulate(t.marks()), 3);
   for (double v : series) EXPECT_EQ(v, 0.0);
 }
 
@@ -104,7 +104,7 @@ TEST(Profiler, PhaseDurationsSingleTask) {
   t.mark(10.0, "task.0", events::kExecSetupStart);
   t.mark(12.0, "task.0", events::kExecStart);
   t.mark(20.0, "task.0", events::kExecStop);
-  const auto d = phase_durations(t.marks());
+  const auto d = phase_durations(tabulate(t.marks()));
   EXPECT_DOUBLE_EQ(d.at("bootstrap"), 3.0);
   EXPECT_DOUBLE_EQ(d.at("exec_setup"), 2.0);
   EXPECT_DOUBLE_EQ(d.at("running"), 8.0);
@@ -118,7 +118,7 @@ TEST(Profiler, PhaseDurationsSumAcrossTasks) {
     t.mark(i * 10.0 + 1.0, uid, events::kExecStart);
     t.mark(i * 10.0 + 5.0, uid, events::kExecStop);
   }
-  const auto d = phase_durations(t.marks());
+  const auto d = phase_durations(tabulate(t.marks()));
   EXPECT_DOUBLE_EQ(d.at("exec_setup"), 3.0);
   EXPECT_DOUBLE_EQ(d.at("running"), 12.0);
 }
@@ -127,7 +127,7 @@ TEST(Profiler, UnpairedEventsIgnored) {
   obs::Tracer t;
   t.mark(0.0, "task.0", events::kExecStop);   // stop without start
   t.mark(5.0, "task.1", events::kExecStart);  // start without stop
-  const auto d = phase_durations(t.marks());
+  const auto d = phase_durations(tabulate(t.marks()));
   EXPECT_DOUBLE_EQ(d.at("running"), 0.0);
 }
 

@@ -20,13 +20,13 @@ void fill_task_profile(obs::Tracer& t) {
 
 TEST(Gantt, EmptyProfilerHandled) {
   obs::Tracer t;
-  EXPECT_EQ(render_gantt(t.marks()), "(no events)\n");
+  EXPECT_EQ(render_gantt(tabulate(t.marks())), "(no events)\n");
 }
 
 TEST(Gantt, RendersOneRowPerStartedTask) {
   obs::Tracer t;
   fill_task_profile(t);
-  const auto out = render_gantt(t.marks());
+  const auto out = render_gantt(tabulate(t.marks()));
   EXPECT_NE(out.find("task.0"), std::string::npos);
   EXPECT_NE(out.find("task.1"), std::string::npos);
   EXPECT_NE(out.find('#'), std::string::npos);
@@ -38,7 +38,7 @@ TEST(Gantt, WaitingSegmentShownForQueuedTasks) {
   fill_task_profile(t);
   GanttOptions opts;
   opts.include_waiting = true;
-  const auto with_wait = render_gantt(t.marks(), 0.0, opts);
+  const auto with_wait = render_gantt(tabulate(t.marks()), 0.0, opts);
   // task.1 waited from 0 to 500 before setup: leading dots on its row.
   EXPECT_NE(with_wait.find('.'), std::string::npos);
 }
@@ -49,7 +49,7 @@ TEST(Gantt, NeverStartedTasksOmitted) {
   t.mark(0.0, "task.ran", events::kExecSetupStart);
   t.mark(1.0, "task.ran", events::kExecStart);
   t.mark(2.0, "task.ran", events::kExecStop);
-  const auto out = render_gantt(t.marks());
+  const auto out = render_gantt(tabulate(t.marks()));
   EXPECT_EQ(out.find("task.queued"), std::string::npos);
   EXPECT_NE(out.find("task.ran"), std::string::npos);
 }
@@ -64,7 +64,7 @@ TEST(Gantt, RowCapSummarizesOverflow) {
   }
   GanttOptions opts;
   opts.max_rows = 3;
-  const auto out = render_gantt(t.marks(), 0.0, opts);
+  const auto out = render_gantt(tabulate(t.marks()), 0.0, opts);
   EXPECT_NE(out.find("(+7 more tasks)"), std::string::npos);
 }
 
@@ -73,14 +73,14 @@ TEST(Gantt, RunningTaskExtendsToEnd) {
   t.mark(0.0, "task.0", events::kExecSetupStart);
   t.mark(1.0, "task.0", events::kExecStart);
   // No stop mark: still running at t_end.
-  const auto out = render_gantt(t.marks(), 100.0);
+  const auto out = render_gantt(tabulate(t.marks()), 100.0);
   EXPECT_NE(out.find('#'), std::string::npos);
 }
 
 TEST(Gantt, AxisShowsSpanInHours) {
   obs::Tracer t;
   fill_task_profile(t);
-  const auto out = render_gantt(t.marks(), 7200.0);
+  const auto out = render_gantt(tabulate(t.marks()), 7200.0);
   EXPECT_NE(out.find("2.0h"), std::string::npos);
 }
 

@@ -149,8 +149,8 @@ TEST(Utilization, EnergyScalesWithDraw) {
 
 TEST(Utilization, NegativeStartClampedConsistentlyAcrossPaths) {
   // Regression (PR 10): utilization clamped a negative interval start to 0
-  // but the energy term used the raw span, so the O(1) energy total
-  // disagreed with any windowed recomputation. Both must see 10 s here.
+  // but the energy term used the raw span, so the energy total disagreed
+  // with any windowed recomputation. Both must see 10 s here.
   UtilizationRecorder rec(4, 2);
   rec.record(interval(-5.0, 10.0, 4, 2, 0.5, 0.5));
   ASSERT_EQ(rec.intervals().size(), 1u);
@@ -162,11 +162,11 @@ TEST(Utilization, NegativeStartClampedConsistentlyAcrossPaths) {
   EXPECT_NEAR(rec.energy_kwh(), expected, 1e-15);
 }
 
-TEST(Utilization, RunningTotalsMatchWindowedScanOnHeterogeneousCluster) {
+TEST(Utilization, DefaultQueriesMatchWindowedScanOnHeterogeneousCluster) {
   // Property test: thousands of seeded intervals over a heterogeneous
   // cluster — including negative starts, inverted spans and zero-length
-  // intervals — must leave the O(1) running-total paths *bit-identical*
-  // to the O(n) windowed scans they shortcut.
+  // intervals — must leave the default-argument queries *bit-identical*
+  // to an explicit window over the whole span and to manual scans.
   const auto nodes = make_cluster(13);
   std::uint32_t cores = 0, gpus = 0;
   for (const auto& n : nodes) {
@@ -188,7 +188,7 @@ TEST(Utilization, RunningTotalsMatchWindowedScanOnHeterogeneousCluster) {
         .gpu_intensity = static_cast<double>(rng() % 101) / 100.0,
         .task_uid = "p"});
   }
-  // Full-span O(1) summarize vs the explicit-window O(n) scan.
+  // Default full-span summarize vs the explicit window.
   const auto fast = rec.summarize();
   const auto slow = rec.summarize(0.0, rec.latest_end());
   EXPECT_EQ(fast.span_seconds, slow.span_seconds);
@@ -196,7 +196,7 @@ TEST(Utilization, RunningTotalsMatchWindowedScanOnHeterogeneousCluster) {
   EXPECT_EQ(fast.cpu_active, slow.cpu_active);
   EXPECT_EQ(fast.gpu_allocated, slow.gpu_allocated);
   EXPECT_EQ(fast.gpu_active, slow.gpu_active);
-  // O(1) default-wattage energy vs a manual O(n) scan with the same terms.
+  // Default-wattage energy vs a manual scan with the same terms.
   double joules = 0.0;
   for (const auto& iv : rec.intervals()) {
     const double dt = iv.end - iv.start;
@@ -207,8 +207,7 @@ TEST(Utilization, RunningTotalsMatchWindowedScanOnHeterogeneousCluster) {
                         UtilizationRecorder::kDefaultWattsPerGpu);
   }
   EXPECT_EQ(rec.energy_kwh(), joules / 3.6e6);
-  // The custom-wattage O(n) member path, pinned against its own manual
-  // scan (non-default draws force the slow branch).
+  // Custom wattages, pinned against their own manual scan.
   double joules_custom = 0.0;
   for (const auto& iv : rec.intervals()) {
     const double dt = iv.end - iv.start;

@@ -5,18 +5,25 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "core/session_dump.hpp"
 #include "common/json.hpp"
+#include "hpc/analytics.hpp"
+#include "hpc/gantt.hpp"
 #include "protein/datasets.hpp"
+#include "runtime/session.hpp"
 
 namespace impress::core {
 namespace {
@@ -264,6 +271,96 @@ TEST(Determinism, SessionDumpDigestsAtSeed5) {
   ASSERT_EQ(files.size(), 5u);
   EXPECT_EQ(cuts[2], 0x472d8feef560b635ULL);  // the middle cut
   EXPECT_EQ(files[2], 0x472d8feef560b635ULL);
+}
+
+// Bit pattern of a double, in hex: the reader digests below pin exact
+// sums, not values within a tolerance.
+std::string bits(double x) {
+  char buf[17];
+  std::snprintf(
+      buf, sizeof buf, "%016llx",
+      static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(x)));
+  return buf;
+}
+
+TEST(Determinism, FaultyCampaignReaderDigestsAtSeed5) {
+  // Every hpc lifecycle-mark reader on one faulty IM-RP campaign: injected
+  // task failures retried up to three attempts, stragglers evicted by the
+  // attempt deadline, and a spot pilot reclaimed and returned mid-run. Here
+  // a task can stop more than once and be submitted more than once, which
+  // no fault-free digest above covers. Run through the raw layers, as
+  // bench_fig5 does, so the marks stay in scope.
+  auto config = im_rp_campaign(5);
+  config.session.faults.task_failure_rate = 0.10;
+  config.session.faults.slow_task_rate = 0.05;
+  config.session.faults.spot_reclaims.push_back(
+      rp::SpotReclaim{.pilot_index = 1, .at_s = 7200.0, .down_s = 14400.0});
+  config.coordinator.task_retry =
+      rp::RetryPolicy{.max_attempts = 3,
+                      .backoff_initial_s = 30.0,
+                      .backoff_multiplier = 2.0,
+                      .backoff_jitter = 0.25,
+                      .attempt_timeout_s = 30000.0};
+  const auto targets = protein::pdz_benchmark(12);
+  rp::Session session(config.session);
+  (void)session.submit_pilot(config.pilot);
+  (void)session.submit_pilot(calibration::spot_pilot());
+  Coordinator coordinator(session, config.coordinator);
+  const auto generator = std::make_shared<MpnnGenerator>(config.sampler);
+  for (const auto& target : targets)
+    coordinator.add_pipeline(std::make_unique<Pipeline>(
+        target.name, target, target.start_complex(), config.protocol,
+        generator, fold::AlphaFold(config.predictor),
+        session.fork_rng("pipeline." + target.name)));
+  coordinator.run();
+
+  const auto marks = session.observability().tracer().marks();
+  std::set<std::string, std::less<>> seen;
+  for (const auto& m : marks) seen.insert(m.event);
+  const hpc::TaskTable table = hpc::tabulate(marks);
+  for (const std::string_view event :
+       {hpc::events::kRetry, hpc::events::kTimeout, hpc::events::kRequeue,
+        hpc::events::kPilotFailed, hpc::events::kPilotReactivated})
+    EXPECT_TRUE(seen.contains(event)) << event;
+
+  std::string phases;
+  for (const auto& [phase, seconds] : hpc::phase_durations(table))
+    phases += phase + '=' + bits(seconds) + '\n';
+  std::string attempts;
+  for (const auto& [uid, n] : hpc::attempt_counts(table))
+    attempts += uid + '=' + std::to_string(n) + '\n';
+  const auto retry = hpc::summarize_retries(table);
+  const std::string retries =
+      std::to_string(retry.retries) + ' ' + std::to_string(retry.timeouts) +
+      ' ' + std::to_string(retry.requeues) + ' ' +
+      std::to_string(retry.pilot_failures) + ' ' +
+      std::to_string(retry.tasks_retried) + ' ' +
+      std::to_string(retry.max_attempts);
+  std::string timings;
+  for (const auto& t : hpc::task_timings(table))
+    timings += t.uid + ' ' + bits(t.wait) + ' ' + bits(t.setup) + ' ' +
+               bits(t.run) + '\n';
+  const auto summary = hpc::summarize_timings(table);
+  const std::string summary_text =
+      std::to_string(summary.tasks) + ' ' + bits(summary.mean_wait) + ' ' +
+      bits(summary.p95_wait) + ' ' + bits(summary.mean_setup) + ' ' +
+      bits(summary.mean_run) + ' ' + bits(summary.overhead_fraction);
+  std::string series;
+  for (const double v : hpc::concurrency_series(table, 64))
+    series += bits(v) + '\n';
+
+  // Pinned: a reader change that moves any of these bytes fails here.
+  EXPECT_EQ(marks.size(), 2127u);
+  EXPECT_EQ(retries, "74 56 4 1 55 3");
+  EXPECT_EQ(hpc::peak_concurrency(table), 8u);
+  EXPECT_EQ(fnv1a(phases), 0xab853fd06d23e668ULL);
+  EXPECT_EQ(fnv1a(hpc::render_gantt(table)), 0xcd365562418e9542ULL);
+  EXPECT_EQ(fnv1a(hpc::render_gantt(table, 0.0, {.max_rows = 1u << 20})),
+            0x4dc1151929d123aeULL);
+  EXPECT_EQ(fnv1a(attempts), 0x374896740470f957ULL);
+  EXPECT_EQ(fnv1a(timings), 0xa4ccfefd96e37676ULL);
+  EXPECT_EQ(fnv1a(summary_text), 0xab68766993f42066ULL);
+  EXPECT_EQ(fnv1a(series), 0xe682419ab2ad9e63ULL);
 }
 
 }  // namespace

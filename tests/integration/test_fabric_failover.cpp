@@ -95,6 +95,44 @@ TEST(FabricDeterminism, DistributedMatchesShardedLocal) {
   EXPECT_EQ(out.stats.submits_closed_result, 3u);
 }
 
+TEST(FabricDeterminism, FaultCountsMatchShardedLocal) {
+  // A faulty campaign's fault fields cross the wire: retries, deadline
+  // evictions, a spot reclaim's requeues and pilot failure, and the
+  // per-task attempt counts equal run_sharded's.
+  const auto targets = protein::pdz_benchmark(8);
+  auto config = core::im_rp_campaign(42);
+  config.extra_pilots.push_back(core::calibration::spot_pilot());
+  config.session.faults.task_failure_rate = 0.10;
+  config.session.faults.slow_task_rate = 0.05;
+  config.session.faults.spot_reclaims.push_back(
+      rp::SpotReclaim{.pilot_index = 1, .at_s = 7200.0, .down_s = 14400.0});
+  config.coordinator.task_retry =
+      rp::RetryPolicy{.max_attempts = 3,
+                      .backoff_initial_s = 30.0,
+                      .backoff_multiplier = 2.0,
+                      .backoff_jitter = 0.25,
+                      .attempt_timeout_s = 30000.0};
+
+  DistributedConfig dc;
+  dc.fabric.campaign = config;
+  dc.num_workers = 2;
+  dc.num_shards = 2;
+  const DistributedOutcome out = run_distributed(dc, targets);
+  const auto local = sharded_baseline(config, targets, 2, 0);
+  ASSERT_GT(local.task_retries, 0u);
+  ASSERT_GT(local.task_timeouts, 0u);
+  ASSERT_GT(local.task_requeues, 0u);
+  ASSERT_GT(local.pilot_failures, 0u);
+  ASSERT_FALSE(local.attempts.empty());
+  EXPECT_EQ(out.result.task_retries, local.task_retries);
+  EXPECT_EQ(out.result.task_timeouts, local.task_timeouts);
+  EXPECT_EQ(out.result.task_requeues, local.task_requeues);
+  EXPECT_EQ(out.result.pilot_failures, local.pilot_failures);
+  EXPECT_EQ(out.result.attempts, local.attempts);
+  EXPECT_EQ(dump_of(out.result), dump_of(local));
+  expect_conserved(out.stats);
+}
+
 TEST(FabricDeterminism, WorkerCountIsUnobservable) {
   // Same plan, 1 vs 3 workers: scheduling differs, bytes don't.
   const auto targets = targets4();

@@ -124,7 +124,9 @@ TEST(GoldenTrace, StructuralInvariantsOfTheSpanTree) {
       EXPECT_EQ(parent_cat, obs::categories::kTask) << s.name;
     }
     // Closed spans must not end before they start.
-    if (s.closed()) EXPECT_GE(s.end, s.start);
+    if (s.closed()) {
+      EXPECT_GE(s.end, s.start);
+    }
   }
   EXPECT_GE(max_depth, 4u) << "campaign -> pipeline -> stage -> task gone?";
   EXPECT_GT(tasks, 0u);

@@ -169,7 +169,8 @@ TEST(SimSession, PhaseDurationsAggregated) {
   session.task_manager().submit(make_simple_task("a", 1, 0, 10.0));
   session.task_manager().submit(make_simple_task("b", 1, 0, 20.0));
   session.run();
-  const auto d = hpc::phase_durations(session.observability().tracer().marks());
+  const auto d = hpc::phase_durations(
+      hpc::tabulate(session.observability().tracer().marks()));
   EXPECT_DOUBLE_EQ(d.at("bootstrap"), 5.0);
   EXPECT_DOUBLE_EQ(d.at("exec_setup"), 4.0);
   EXPECT_DOUBLE_EQ(d.at("running"), 30.0);
