@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
       result.total_trajectories(), result.subpipelines, result.fold_tasks,
       result.fold_retries, result.generator_tasks);
 
-  const auto table = hpc::tabulate(session.observability().tracer().marks());
+  const auto table =
+      session.observability().tracer().visit_marks(hpc::tabulate);
   const auto timing = hpc::summarize_timings(table);
   std::printf(
       "per-task analytics: n=%zu mean queue wait %.0f s (p95 %.0f s), mean "

@@ -68,7 +68,7 @@ int main() {
   std::printf("\n%s\n", chart.render().c_str());
 
   const auto phases = hpc::phase_durations(
-      hpc::tabulate(session.observability().tracer().marks()));
+      session.observability().tracer().visit_marks(hpc::tabulate));
   std::printf("profiler phase totals: bootstrap=%s exec_setup=%s running=%s\n",
               common::format_duration(phases.at("bootstrap")).c_str(),
               common::format_duration(phases.at("exec_setup")).c_str(),

@@ -304,6 +304,13 @@ JsonWriter& JsonWriter::value(const Json& v) {
   return end_object();
 }
 
+JsonWriter& JsonWriter::splice(std::string_view json) {
+  if (json.empty()) throw std::logic_error("json writer: empty splice");
+  before_value();
+  out_.append(json);
+  return *this;
+}
+
 std::string JsonWriter::take() {
   if (out_.empty() || depth_ != 0 || key_pending_)
     throw std::logic_error("json writer: document is incomplete");

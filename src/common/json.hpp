@@ -139,6 +139,15 @@ class JsonWriter {
   JsonWriter& value(std::nullptr_t);
   /// Write a whole tree (objects iterate in key order).
   JsonWriter& value(const Json& v);
+  /// Append `json` verbatim where value() would write: one value, or
+  /// consecutive elements ("a,b") of the innermost open array. The bytes
+  /// must come from a writer with this indent at the same depth; they are
+  /// not parsed. Throws std::logic_error on the misuse value() rejects and
+  /// on empty `json`.
+  JsonWriter& splice(std::string_view json);
+
+  /// Bytes written so far (offsets for a later splice of them).
+  [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
 
   /// The finished document; throws std::logic_error when no value was
   /// written or a container is still open. Leaves the writer empty.

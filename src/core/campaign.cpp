@@ -146,8 +146,10 @@ CampaignResult Campaign::execute(
   // matters for bit-exact resume — the write marker (span + counter) is
   // recorded BEFORE the observability state is harvested, so the document
   // includes its own marker and a resumed tracer/registry continues
-  // exactly where the uninterrupted run's would.
+  // exactly where the uninterrupted run's would. Each cut's file is
+  // formatted from the previous cut's.
   std::size_t local_writes = 0;
+  CheckpointWriter writer;
   const std::uint64_t prior_ordinal =
       resume_from != nullptr ? resume_from->ordinal : 0;
   if (config_.checkpoint.enabled()) {
@@ -185,7 +187,7 @@ CampaignResult Campaign::execute(
           doc.coordinator = coord;
           doc.generator_state = generator->checkpoint_state();
           if (!config_.checkpoint.directory.empty())
-            save_checkpoint(doc, config_.checkpoint.path());
+            writer.save(doc, config_.checkpoint.path());
           if (config_.checkpoint.sink) config_.checkpoint.sink(doc);
           if (config_.checkpoint.halt_after > 0 &&
               local_writes >= config_.checkpoint.halt_after &&
@@ -265,9 +267,9 @@ CampaignResult Campaign::execute(
     }
   }
   {
-    // The tracer's mark log, folded once, feeds every mark harvest; the
-    // table is freed before the obs snapshot.
-    const hpc::TaskTable table = hpc::tabulate(ob.tracer().marks());
+    // The tracer's mark log, folded once in place, feeds every mark
+    // harvest; the table is freed before the obs snapshot.
+    const hpc::TaskTable table = ob.tracer().visit_marks(hpc::tabulate);
     for (const auto& [phase, seconds] : hpc::phase_durations(table))
       r.phase_hours[phase] = common::seconds_to_hours(seconds);
     r.gantt = hpc::render_gantt(table, makespan_s);

@@ -293,25 +293,34 @@ CoordinatorCheckpoint coordinator_from_json(const common::Json& j) {
   return c;
 }
 
-void write_pilot(common::JsonWriter& w, const rp::PilotRestore& p) {
+void write_interval(common::JsonWriter& w, const hpc::UsageInterval& iv) {
   w.begin_object();
-  write_rng(w.key("executor_rng"), p.executor_rng);
-  w.key("failed").value(p.failed);
-  w.key("intervals").begin_array();
-  for (const auto& iv : p.intervals) {
-    w.begin_object();
-    w.key("cores").value(iv.cores);
-    w.key("cpu_intensity").value(iv.cpu_intensity);
-    w.key("end").value(iv.end);
-    w.key("gpu_intensity").value(iv.gpu_intensity);
-    w.key("gpus").value(iv.gpus);
-    w.key("start").value(iv.start);
-    w.key("task_uid").value(iv.task_uid);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("uid").value(p.uid);
+  w.key("cores").value(iv.cores);
+  w.key("cpu_intensity").value(iv.cpu_intensity);
+  w.key("end").value(iv.end);
+  w.key("gpu_intensity").value(iv.gpu_intensity);
+  w.key("gpus").value(iv.gpus);
+  w.key("start").value(iv.start);
+  w.key("task_uid").value(iv.task_uid);
   w.end_object();
+}
+
+void write_mark(common::JsonWriter& w, const obs::Mark& e) {
+  w.begin_object()
+      .key("entity").value(e.entity)
+      .key("event").value(e.event)
+      .key("info").value(e.info)
+      .key("time").value(e.time)
+      .end_object();
+}
+
+// Whether `write` formats `record` to exactly `bytes`.
+template <class T>
+bool formats_as(std::string_view bytes, const T& record,
+                void (*write)(common::JsonWriter&, const T&)) {
+  common::JsonWriter w;
+  write(w, record);
+  return w.take() == bytes;
 }
 
 rp::PilotRestore pilot_from_json(const common::Json& j) {
@@ -333,8 +342,76 @@ rp::PilotRestore pilot_from_json(const common::Json& j) {
 
 }  // namespace
 
-std::string checkpoint_text(const CampaignCheckpoint& checkpoint) {
+std::string_view CheckpointWriter::Records::slice(std::string_view text,
+                                                  std::size_t first,
+                                                  std::size_t last) const {
+  const std::size_t from = first == 0 ? begin : ends[first - 1] + 1;
+  return text.substr(from, ends[last - 1] - from);
+}
+
+std::size_t CheckpointWriter::Records::copy(common::JsonWriter& w,
+                                            std::string_view text,
+                                            const Records& from,
+                                            std::size_t first,
+                                            std::size_t last) {
+  const std::string_view bytes = from.slice(text, first, last);
+  w.splice(bytes);
+  // The elements moved from where `bytes` sat in `text` to the end of w.
+  const auto old_at = static_cast<std::size_t>(bytes.data() - text.data());
+  const std::size_t new_at = w.size() - bytes.size();
+  for (std::size_t i = first; i < last; ++i)
+    ends.push_back(from.ends[i] - old_at + new_at);
+  return bytes.size();
+}
+
+bool CheckpointWriter::extends(const CampaignCheckpoint& checkpoint) const {
+  if (text_.empty()) return false;
+  const auto& marks = checkpoint.profiler_events;
+  const std::size_t n = marks_.ends.size();
+  if (marks.size() < n ||
+      (n > 0 && !formats_as(marks_.slice(text_, n - 1, n), marks[n - 1],
+                            &write_mark)))
+    return false;
+  if (checkpoint.pilots.size() != pilots_.size()) return false;
+  for (std::size_t i = 0; i < pilots_.size(); ++i) {
+    const auto& pilot = checkpoint.pilots[i];
+    const Records& old = pilots_[i].intervals;
+    const std::size_t k = old.ends.size();
+    if (pilot.uid != pilots_[i].uid || pilot.intervals.size() < k ||
+        (k > 0 && !formats_as(old.slice(text_, k - 1, k),
+                              pilot.intervals[k - 1], &write_interval)))
+      return false;
+  }
+  return true;
+}
+
+std::string_view CheckpointWriter::format(
+    const CampaignCheckpoint& checkpoint) {
+  const bool reuse = extends(checkpoint);
+  copied_ = 0;
+  Records marks;
+  std::vector<PilotRecords> pilots;
+  Records spans;
+  std::vector<SpanKey> span_keys;
+
+  // An append-only log: the elements the previous cut wrote are copied,
+  // the rest formatted.
   common::JsonWriter w;
+  const auto write_log = [&](const auto& records, const Records* old,
+                             Records& out, auto write) {
+    out.begin = w.size();
+    out.ends.reserve(records.size());
+    std::size_t i = 0;
+    if (old != nullptr && !old->ends.empty()) {
+      copied_ += out.copy(w, text_, *old, 0, old->ends.size());
+      i = old->ends.size();
+    }
+    for (; i < records.size(); ++i) {
+      write(w, records[i]);
+      out.ends.push_back(w.size());
+    }
+  };
+
   w.begin_object();
   w.key("campaign").value(checkpoint.campaign_name);
   write_hex(w.key("campaign_span"), checkpoint.campaign_span);
@@ -347,16 +424,24 @@ std::string checkpoint_text(const CampaignCheckpoint& checkpoint) {
   w.key("now").value(checkpoint.now);
   write_hex(w.key("ordinal"), checkpoint.ordinal);
   w.key("pilots").begin_array();
-  for (const auto& p : checkpoint.pilots) write_pilot(w, p);
+  for (std::size_t i = 0; i < checkpoint.pilots.size(); ++i) {
+    const rp::PilotRestore& p = checkpoint.pilots[i];
+    PilotRecords& out = pilots.emplace_back();
+    out.uid = p.uid;
+    w.begin_object();
+    write_rng(w.key("executor_rng"), p.executor_rng);
+    w.key("failed").value(p.failed);
+    w.key("intervals").begin_array();
+    write_log(p.intervals, reuse ? &pilots_[i].intervals : nullptr,
+              out.intervals, &write_interval);
+    w.end_array();
+    w.key("uid").value(p.uid);
+    w.end_object();
+  }
   w.end_array();
   w.key("profiler_events").begin_array();
-  for (const auto& e : checkpoint.profiler_events)
-    w.begin_object()
-        .key("entity").value(e.entity)
-        .key("event").value(e.event)
-        .key("info").value(e.info)
-        .key("time").value(e.time)
-        .end_object();
+  write_log(checkpoint.profiler_events, reuse ? &marks_ : nullptr, marks,
+            &write_mark);
   w.end_array();
   w.key("schema_version").value(kSchemaVersion);
   write_hex(w.key("seed"), checkpoint.seed);
@@ -371,15 +456,52 @@ std::string checkpoint_text(const CampaignCheckpoint& checkpoint) {
   write_hex(w.key("submitted"), tasks.submitted);
   write_hex(w.key("timed_out"), tasks.timed_out);
   w.end_object();
-  if (!checkpoint.trace.empty())
-    obs::write_spans(w.key("trace"), checkpoint.trace);
+  if (!checkpoint.trace.empty()) {
+    // A span is copied when its key matches the previous cut's span at the
+    // same index; consecutive copies are spliced as one run.
+    w.key("trace").begin_array();
+    spans.begin = w.size();
+    spans.ends.reserve(checkpoint.trace.size());
+    span_keys.reserve(checkpoint.trace.size());
+    std::size_t run = 0;  // the copy run is [run, i)
+    for (std::size_t i = 0; i < checkpoint.trace.size(); ++i) {
+      const obs::SpanRecord& s = checkpoint.trace[i];
+      const SpanKey key{s.id, s.close_seq, s.attrs.size()};
+      span_keys.push_back(key);
+      if (reuse && i < span_keys_.size() && span_keys_[i] == key) continue;
+      if (run < i) copied_ += spans.copy(w, text_, spans_, run, i);
+      run = i + 1;
+      obs::write_span(w, s);
+      spans.ends.push_back(w.size());
+    }
+    if (run < checkpoint.trace.size())
+      copied_ += spans.copy(w, text_, spans_, run, checkpoint.trace.size());
+    w.end_array();
+  }
   write_hex(w.key("trace_next_seq"), checkpoint.trace_next_seq);
   w.key("uid_counters").begin_object();
   for (const auto& [name, count] : checkpoint.uid_counters)
     write_hex(w.key(name), count);
   w.end_object();
   w.end_object();
-  return w.take();
+
+  text_ = w.take();
+  text_ += '\n';
+  marks_ = std::move(marks);
+  pilots_ = std::move(pilots);
+  spans_ = std::move(spans);
+  span_keys_ = std::move(span_keys);
+  return std::string_view(text_).substr(0, text_.size() - 1);
+}
+
+void CheckpointWriter::save(const CampaignCheckpoint& checkpoint,
+                            const std::string& path) {
+  (void)format(checkpoint);
+  common::write_file_atomic(path, text_);
+}
+
+std::string checkpoint_text(const CampaignCheckpoint& checkpoint) {
+  return std::string(CheckpointWriter().format(checkpoint));
 }
 
 common::Json to_json(const CampaignCheckpoint& checkpoint) {
@@ -448,9 +570,7 @@ CampaignCheckpoint campaign_checkpoint_from_json(const common::Json& doc) {
 
 void save_checkpoint(const CampaignCheckpoint& checkpoint,
                      const std::string& path) {
-  std::string text = checkpoint_text(checkpoint);
-  text += '\n';
-  common::write_file_atomic(path, text);
+  CheckpointWriter().save(checkpoint, path);
 }
 
 CampaignCheckpoint load_checkpoint(const std::string& path) {

@@ -23,6 +23,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -59,12 +60,73 @@ struct CampaignCheckpoint : rp::SessionRestore {
   common::Json generator_state;
 };
 
+/// Formats one run's successive cuts, each from the previous one
+/// (docs/persistence.md). Lifecycle marks and pilot utilization intervals
+/// are append-only within a run, and a span changes only by its one close
+/// and appended attributes (obs/trace.hpp), so the writer copies from the
+/// previous cut's text every mark and interval it wrote and every span
+/// whose (id, close_seq, attrs.size()) is unchanged; everything else is
+/// formatted. Nothing is copied unless the cut extends the previous one:
+/// no fewer marks, the same pilots in order with no fewer intervals each,
+/// and the last mark and interval to be copied formatting to the bytes the
+/// previous cut holds for them. Keeps one document, the previous cut's, in
+/// memory. One writer per run; not thread-safe.
+class CheckpointWriter {
+ public:
+  /// The cut's document, byte-identical to a from-scratch format; valid
+  /// until the next call.
+  [[nodiscard]] std::string_view format(const CampaignCheckpoint& checkpoint);
+  /// format() plus a newline, written with common::write_file_atomic.
+  void save(const CampaignCheckpoint& checkpoint, const std::string& path);
+  /// Bytes of the last cut copied from the one before it.
+  [[nodiscard]] std::size_t copied_bytes() const noexcept { return copied_; }
+
+ private:
+  /// Where one array's elements sit in text_: element i spans
+  /// [i == 0 ? begin : ends[i - 1] + 1, ends[i]), a comma between two.
+  struct Records {
+    std::size_t begin = 0;
+    std::vector<std::size_t> ends;
+
+    /// Elements [first, last) of `text`.
+    [[nodiscard]] std::string_view slice(std::string_view text,
+                                         std::size_t first,
+                                         std::size_t last) const;
+    /// Splice elements [first, last) of `from` (laid out in `text`) into
+    /// the array `w` has open and note where they land; returns the bytes
+    /// spliced.
+    std::size_t copy(common::JsonWriter& w, std::string_view text,
+                     const Records& from, std::size_t first,
+                     std::size_t last);
+  };
+  struct SpanKey {
+    obs::SpanId id = 0;
+    std::uint64_t close_seq = 0;
+    std::size_t attrs = 0;
+    bool operator==(const SpanKey&) const = default;
+  };
+  struct PilotRecords {
+    std::string uid;
+    Records intervals;
+  };
+
+  [[nodiscard]] bool extends(const CampaignCheckpoint& checkpoint) const;
+
+  std::string text_;  ///< previous cut and a newline; empty before the first
+  Records marks_;
+  std::vector<PilotRecords> pilots_;
+  Records spans_;
+  std::vector<SpanKey> span_keys_;
+  std::size_t copied_ = 0;
+};
+
 /// Serialize (schema kind "impress.checkpoint", version 5 — version 1 is
 /// the finished-campaign session dump) straight to compact JSON text, keys
 /// in sorted order: the bytes save_checkpoint writes (less the trailing
 /// newline) and fabric workers ship. A chain whose trace
 /// protein::ideal_trace built carries its "ca_origin" instead of a "ca"
-/// array, and is rebuilt by ideal_trace on load.
+/// array, and is rebuilt by ideal_trace on load. A CheckpointWriter with no
+/// previous cut.
 [[nodiscard]] std::string checkpoint_text(const CampaignCheckpoint& checkpoint);
 
 /// The same document as a tree (Json::parse of checkpoint_text), for
@@ -79,6 +141,7 @@ struct CampaignCheckpoint : rp::SessionRestore {
 /// Write checkpoint_text plus a newline crash-consistently
 /// (common::write_file_atomic: temp file + fsync + rename) so an
 /// interrupted write leaves the previous checkpoint intact and loadable.
+/// CheckpointWriter::save with no previous cut.
 void save_checkpoint(const CampaignCheckpoint& checkpoint,
                      const std::string& path);
 [[nodiscard]] CampaignCheckpoint load_checkpoint(const std::string& path);

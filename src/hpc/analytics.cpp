@@ -12,11 +12,13 @@
 namespace impress::hpc {
 
 TaskTable tabulate(std::span<const obs::Mark> marks) {
-  // Per entity, the starts still waiting for their stop.
+  // Per entity, the starts still waiting for their stop, and the latest
+  // schedule for the next run.
   struct Open {
     double bootstrap = -1.0;
+    double schedule = -1.0;
     double setup = -1.0;
-    double exec = -1.0;
+    bool exec = false;  ///< r.runs.back() waits for its exec_stop
   };
   TaskTable table;
   std::vector<Open> open;
@@ -35,22 +37,27 @@ TaskTable tabulate(std::span<const obs::Mark> marks) {
       ++r.attempts;
     } else if (e.event == events::kSchedule) {
       if (r.schedule < 0.0) r.schedule = t;
+      o.schedule = t;
     } else if (e.event == events::kExecSetupStart) {
       if (r.setup < 0.0) r.setup = t;
       o.setup = t;
     } else if (e.event == events::kExecStart) {
       if (r.start < 0.0) r.start = t;
+      r.runs.push_back(TaskRun{.schedule = o.schedule, .setup = o.setup,
+                               .start = t});
       if (o.setup >= 0.0) {
         table.exec_setup_s += t - o.setup;
         o.setup = -1.0;
       }
-      o.exec = t;
+      o.schedule = -1.0;
+      o.exec = true;
     } else if (e.event == events::kExecStop) {
-      if (r.first_stop < 0.0) r.first_stop = t;
       r.last_stop = t;
-      if (o.exec >= 0.0) {
-        table.running_s += t - o.exec;
-        o.exec = -1.0;
+      if (o.exec) {
+        TaskRun& run = r.runs.back();
+        run.stop = t;
+        table.running_s += t - run.start;
+        o.exec = false;
       }
     } else if (e.event == events::kBootstrapStart) {
       o.bootstrap = t;
@@ -83,13 +90,13 @@ std::map<std::string, double> phase_durations(const TaskTable& table) {
 std::vector<TaskTiming> task_timings(const TaskTable& table) {
   std::vector<TaskTiming> out;
   for (const TaskRow& r : table.rows) {
-    if (r.schedule < 0.0 || r.setup < 0.0 || r.start < 0.0 ||
-        r.first_stop < 0.0)
-      continue;
+    if (r.runs.empty()) continue;
+    const TaskRun& run = r.runs.back();
+    if (run.schedule < 0.0 || run.setup < 0.0 || run.stop < 0.0) continue;
     out.push_back(TaskTiming{.uid = r.uid,
-                             .wait = r.setup - r.schedule,
-                             .setup = r.start - r.setup,
-                             .run = r.first_stop - r.start});
+                             .wait = run.setup - run.schedule,
+                             .setup = run.start - run.setup,
+                             .run = run.stop - run.start});
   }
   return out;
 }
@@ -120,18 +127,19 @@ std::vector<double> concurrency_series(const TaskTable& table,
   std::vector<double> out(bins, 0.0);
   if (bins == 0) return out;
   if (t_end <= 0.0)
-    for (const TaskRow& r : table.rows) t_end = std::max(t_end, r.first_stop);
+    for (const TaskRow& r : table.rows) t_end = std::max(t_end, r.last_stop);
   if (t_end <= 0.0) return out;
   const double bin_w = t_end / static_cast<double>(bins);
   for (const TaskRow& r : table.rows) {
-    if (r.start < 0.0) continue;
-    const double stop = r.first_stop < 0.0 ? t_end : r.first_stop;
-    for (std::size_t b = 0; b < bins; ++b) {
-      const double b0 = static_cast<double>(b) * bin_w;
-      const double b1 = b0 + bin_w;
-      const double overlap =
-          std::max(0.0, std::min(stop, b1) - std::max(r.start, b0));
-      out[b] += overlap / bin_w;
+    for (const TaskRun& run : r.runs) {
+      const double stop = run.stop < 0.0 ? t_end : run.stop;
+      for (std::size_t b = 0; b < bins; ++b) {
+        const double b0 = static_cast<double>(b) * bin_w;
+        const double b1 = b0 + bin_w;
+        const double overlap =
+            std::max(0.0, std::min(stop, b1) - std::max(run.start, b0));
+        out[b] += overlap / bin_w;
+      }
     }
   }
   return out;
@@ -158,11 +166,12 @@ std::map<std::string, int> attempt_counts(const TaskTable& table) {
 
 std::size_t peak_concurrency(const TaskTable& table) {
   std::vector<std::pair<double, int>> edges;
-  for (const TaskRow& r : table.rows) {
-    if (r.start < 0.0 || r.first_stop < 0.0) continue;
-    edges.emplace_back(r.start, +1);
-    edges.emplace_back(r.first_stop, -1);
-  }
+  for (const TaskRow& r : table.rows)
+    for (const TaskRun& run : r.runs) {
+      if (run.stop < 0.0) continue;
+      edges.emplace_back(run.start, +1);
+      edges.emplace_back(run.stop, -1);
+    }
   std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first < b.first;
     return a.second < b.second;  // close before open at equal times

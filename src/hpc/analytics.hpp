@@ -46,6 +46,17 @@ inline constexpr std::string_view kPilotFailed = "pilot_failed";
 inline constexpr std::string_view kPilotReactivated = "pilot_reactivated";
 }  // namespace events
 
+/// One attempt that ran: a kExecStart with the marks of its own attempt,
+/// the entity's latest kSchedule and kExecSetupStart since its previous
+/// kExecStart, and its next kExecStop. A time is -1 when its mark is
+/// absent.
+struct TaskRun {
+  double schedule = -1.0;
+  double setup = -1.0;
+  double start = -1.0;
+  double stop = -1.0;  ///< -1 while the attempt is still running
+};
+
 /// One entity's lifecycle, folded from its marks. A time is -1 when its
 /// mark is absent.
 struct TaskRow {
@@ -53,10 +64,10 @@ struct TaskRow {
   double schedule = -1.0;         ///< first kSchedule
   double setup = -1.0;            ///< first kExecSetupStart
   double start = -1.0;            ///< first kExecStart
-  double first_stop = -1.0;       ///< first kExecStop
   double last_stop = -1.0;        ///< last kExecStop (the final attempt's)
   int attempts = 0;               ///< kSubmit count; > 1 means retried
   std::vector<double> retries{};  ///< times the retry policy fired
+  std::vector<TaskRun> runs{};    ///< one per kExecStart, in mark order
 };
 
 /// The mark log folded once: what every reader below takes.
@@ -84,16 +95,17 @@ struct TaskTable {
 [[nodiscard]] std::map<std::string, double> phase_durations(
     const TaskTable& table);
 
-/// One task's timing decomposition (all in seconds).
+/// One task's timing decomposition (all in seconds), within one attempt.
 struct TaskTiming {
   std::string uid;
   double wait = 0.0;   ///< schedule -> exec_setup_start (queue time)
   double setup = 0.0;  ///< exec_setup_start -> exec_start
-  double run = 0.0;    ///< exec_start -> first exec_stop
+  double run = 0.0;    ///< exec_start -> exec_stop
 };
 
-/// Decompose every task that reached exec_stop, in uid order. Tasks
-/// missing any of the four marks are skipped.
+/// Decompose each task's last run (TaskRow::runs.back(), the final attempt
+/// that reached exec_start), in uid order. Tasks whose last run misses any
+/// of the four marks are skipped.
 [[nodiscard]] std::vector<TaskTiming> task_timings(const TaskTable& table);
 
 struct TimingSummary {
@@ -110,13 +122,15 @@ struct TimingSummary {
 [[nodiscard]] TimingSummary summarize_timings(const TaskTable& table);
 
 /// Average number of concurrently *running* tasks per time bin over
-/// [0, t_end] (t_end <= 0 uses the latest first exec_stop). The empirical
-/// concurrency profile behind the utilization figures.
+/// [0, t_end] (t_end <= 0 uses the latest exec_stop): every attempt counts
+/// from its exec_start to its exec_stop, or to t_end while still running.
+/// The empirical concurrency profile behind the utilization figures.
 [[nodiscard]] std::vector<double> concurrency_series(const TaskTable& table,
                                                      std::size_t bins,
                                                      double t_end = 0.0);
 
-/// Peak of the concurrency profile (exact, not binned).
+/// Peak of the concurrency profile (exact, not binned) over the attempts
+/// that reached exec_stop.
 [[nodiscard]] std::size_t peak_concurrency(const TaskTable& table);
 
 /// Fault-tolerance roll-up: how much of the campaign's work was

@@ -1,6 +1,7 @@
 #include "net/worker.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "common/json.hpp"
 #include "core/checkpoint.hpp"
@@ -86,13 +87,15 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
                                assign.campaign_name + "', configured '" +
                                config_.campaign.name + "'");
     }
+    // Each cut of this shard run is formatted from the previous one.
+    core::CheckpointWriter writer;
     core::CampaignConfig shard_config = core::shard_campaign_config(
         config_.campaign, config_.checkpoint_every);
     shard_config.session.seed = assign.seed;
     checkpoints_this_run_ = 0;
     shard_config.checkpoint.halt_after = config_.kill.die_at_checkpoint;
     shard_config.checkpoint.sink =
-        [this, &assign](const core::CampaignCheckpoint& doc) {
+        [this, &assign, &writer](const core::CampaignCheckpoint& doc) {
           ++checkpoints_this_run_;
           const bool fatal =
               config_.kill.die_at_checkpoint > 0 &&
@@ -104,7 +107,7 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
               .shard_id = assign.shard_id,
               .epoch = assign.epoch,
               .ordinal = doc.ordinal,
-              .checkpoint_json = core::checkpoint_text(doc)});
+              .checkpoint_json = std::string(writer.format(doc))});
         };
     if (config_.kill.die_at_checkpoint > 0 &&
         shard_config.checkpoint.every_n_completions == 0) {

@@ -118,26 +118,28 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
   return out;
 }
 
+void write_span(common::JsonWriter& w, const SpanRecord& s) {
+  w.begin_object();
+  if (!s.attrs.empty()) {
+    w.key("attrs").begin_array();
+    for (const auto& [k, v] : s.attrs)
+      w.begin_array().value(k).value(v).end_array();
+    w.end_array();
+  }
+  w.key("category").value(s.category);
+  w.key("close_seq").value(s.close_seq);
+  w.key("end").value(s.end);
+  w.key("id").value(s.id);
+  w.key("name").value(s.name);
+  w.key("open_seq").value(s.open_seq);
+  w.key("parent").value(s.parent);
+  w.key("start").value(s.start);
+  w.end_object();
+}
+
 void write_spans(common::JsonWriter& w, const std::vector<SpanRecord>& spans) {
   w.begin_array();
-  for (const auto& s : spans) {
-    w.begin_object();
-    if (!s.attrs.empty()) {
-      w.key("attrs").begin_array();
-      for (const auto& [k, v] : s.attrs)
-        w.begin_array().value(k).value(v).end_array();
-      w.end_array();
-    }
-    w.key("category").value(s.category);
-    w.key("close_seq").value(s.close_seq);
-    w.key("end").value(s.end);
-    w.key("id").value(s.id);
-    w.key("name").value(s.name);
-    w.key("open_seq").value(s.open_seq);
-    w.key("parent").value(s.parent);
-    w.key("start").value(s.start);
-    w.end_object();
-  }
+  for (const auto& s : spans) write_span(w, s);
   w.end_array();
 }
 

@@ -37,7 +37,9 @@ namespace impress::obs {
 /// (De)serialize span/metrics snapshots for session dumps and checkpoints
 /// (core/session_dump.hpp and core/checkpoint.hpp embed these under
 /// "trace" / "metrics"). The write_* functions are the serializers; the
-/// *_to_json forms return the tree their text parses to.
+/// *_to_json forms return the tree their text parses to. write_span writes
+/// one element of the array write_spans writes.
+void write_span(common::JsonWriter& w, const SpanRecord& span);
 void write_spans(common::JsonWriter& w, const std::vector<SpanRecord>& spans);
 [[nodiscard]] common::Json spans_to_json(const std::vector<SpanRecord>& spans);
 [[nodiscard]] std::vector<SpanRecord> spans_from_json(const common::Json& doc);

@@ -20,7 +20,15 @@
 // ordinal, an end's is the close ordinal, and an ignored call (a second
 // close, an attr on an unknown id) still consumes one. Marks take no
 // number, so span ids and ordinals do not depend on how many marks were
-// recorded. spans(), marks() and size() read the log as it stands.
+// recorded. spans(), marks(), visit_marks() and size() read the log as it
+// stands.
+//
+// The log only grows: marks are appended, and a span record changes after
+// its begin only by its one close (end and close_seq, set together by the
+// first end()) and by attributes appended to attrs. Only clear() and
+// preload() replace records. So within one tracer a span whose (id,
+// close_seq, attrs.size()) is unchanged is unchanged, which is what lets
+// core::CheckpointWriter copy the records a previous cut already wrote.
 //
 // Determinism contract (pinned by tests/obs/test_golden_trace.cpp and the
 // Determinism suite): recording never draws from any rng and never feeds
@@ -31,7 +39,9 @@
 // Cost model: with spans disabled (the default) a span call site costs one
 // branch and records nothing; a mark costs one appended record. The lock
 // is an untracked leaf: it is taken under runtime locks (Pilot::mutex_
-// among others) and calls out to nothing while held. It is not
+// among others) and calls out to nothing while held except a
+// visit_marks() visitor, which must not call back into the tracer (the
+// lock is not recursive) nor take any other lock. It is not
 // contended: the benchmark workloads record from one thread, and the
 // busiest threaded campaign makes about 10,000 calls a second
 // (docs/performance.md §4).
@@ -42,6 +52,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -100,6 +111,14 @@ class Tracer {
             std::string_view info = {});
   /// All marks in record order. Thread-safe snapshot.
   [[nodiscard]] std::vector<Mark> marks() const;
+  /// Return visit(std::span<const Mark>) over the mark log in record
+  /// order, called under the tracer's lock: a read without marks()'s copy.
+  /// `visit` must not call back into this tracer or take a lock.
+  template <class Visit>
+  auto visit_marks(Visit&& visit) const {
+    std::lock_guard lock(mutex_);
+    return std::forward<Visit>(visit)(std::span<const Mark>(marks_));
+  }
 
   /// Wire the clock used by ScopedSpan and now(); spans recorded through
   /// the explicit-time overloads never consult it.

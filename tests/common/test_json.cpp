@@ -351,6 +351,33 @@ TEST(JsonWriter, MisuseThrows) {
   EXPECT_THROW(w.end_object(), std::logic_error);
 }
 
+TEST(JsonWriter, SpliceAppendsEarlierBytesAsValuesOrElements) {
+  JsonWriter w;
+  w.begin_object().key("a").splice(R"({"b":[1]})");
+  w.key("c").begin_array().splice("1,2").value(3).splice("[4]").end_array();
+  w.end_object();
+  EXPECT_EQ(w.take(), R"({"a":{"b":[1]},"c":[1,2,3,[4]]})");
+  // Indented: elements written at the same depth by an indent-2 writer.
+  JsonWriter pretty(2);
+  pretty.begin_array().splice("1,\n  2").value(3).end_array();
+  EXPECT_EQ(pretty.take(), Json::parse("[1,2,3]").dump(2));
+}
+
+TEST(JsonWriter, SpliceMisuseThrowsLikeValue) {
+  JsonWriter w;
+  w.begin_object();
+  EXPECT_THROW(w.splice("1"), std::logic_error);  // member without a key
+  w.key("a");
+  EXPECT_THROW(w.splice(""), std::logic_error);  // nothing to splice
+  w.splice("1").end_object();
+  EXPECT_THROW(w.splice("2"), std::logic_error);  // second top-level value
+  EXPECT_EQ(w.take(), R"({"a":1})");
+  JsonWriter top;
+  top.splice("[1]");
+  EXPECT_THROW(top.splice("[2]"), std::logic_error);
+  EXPECT_EQ(top.take(), "[1]");
+}
+
 TEST(Json, EqualityIsDeep) {
   const auto a = Json::parse(R"({"x":[1,2,{"y":true}]})");
   const auto b = Json::parse(R"({ "x" : [ 1, 2, { "y" : true } ] })");

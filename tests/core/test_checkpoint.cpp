@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -272,6 +274,158 @@ TEST_F(CheckpointDoc, LoaderRejectsMissingOrMistypedMembers) {
   }
   rejects([](auto& o) { o["now"] = std::string("later"); });
   EXPECT_NO_THROW((void)campaign_checkpoint_from_json(good));
+}
+
+// --- CheckpointWriter: each cut formatted from the previous one ---
+
+// Every cut of one execution, and the bytes a writer following them copied.
+struct Cuts {
+  std::vector<std::string> texts;
+  std::size_t copied = 0;
+};
+
+// Run `cfg` (checkpointing into `dir`, resuming from `resume_from` when set)
+// and, at every cut, check the file the campaign wrote against a
+// from-scratch format; a writer of our own follows the same cuts.
+Cuts check_every_cut(CampaignConfig cfg,
+                     const std::vector<protein::DesignTarget>& targets,
+                     const fs::path& dir,
+                     const CampaignCheckpoint* resume_from) {
+  cfg.checkpoint.directory = dir.string();
+  Cuts cuts;
+  CheckpointWriter mine;
+  cfg.checkpoint.sink = [&, path = cfg.checkpoint.path()](
+                            const CampaignCheckpoint& doc) {
+    std::string text = checkpoint_text(doc);
+    std::ifstream is(path, std::ios::binary);
+    const std::string file{std::istreambuf_iterator<char>(is), {}};
+    EXPECT_EQ(file, text + '\n') << "cut " << doc.ordinal;
+    EXPECT_EQ(mine.format(doc), text) << "cut " << doc.ordinal;
+    cuts.copied += mine.copied_bytes();
+    cuts.texts.push_back(std::move(text));
+  };
+  Campaign campaign(cfg);
+  (void)(resume_from != nullptr ? campaign.resume(targets, *resume_from)
+                                : campaign.run(targets));
+  return cuts;
+}
+
+TEST_F(CheckpointDoc, EveryCutOnDiskIsTheFromScratchTextAlsoAfterResume) {
+  const auto targets = protein::pdz_benchmark(8);
+  for (auto cfg : {im_rp_campaign(5), cont_v_campaign(5)}) {
+    SCOPED_TRACE(cfg.name);
+    cfg.session.enable_tracing = true;
+    cfg.session.enable_metrics = true;
+    cfg.checkpoint.every_n_completions = 10;
+    const Cuts run = check_every_cut(cfg, targets, dir_, nullptr);
+    ASSERT_GE(run.texts.size(), 3u);
+    // Later cuts copy the history the earlier ones wrote.
+    EXPECT_GT(run.copied, 0u);
+
+    const auto middle = campaign_checkpoint_from_json(
+        common::Json::parse(run.texts[(run.texts.size() + 1) / 2 - 1]));
+    const Cuts resumed = check_every_cut(cfg, targets, dir_, &middle);
+    ASSERT_GE(resumed.texts.size(), 2u);
+    EXPECT_GT(resumed.copied, 0u);
+    // The resumed run cuts what the uninterrupted run cut after the middle.
+    EXPECT_EQ(resumed.texts.back(), run.texts.back());
+  }
+}
+
+// A cut of `tracer`'s log on top of `base`.
+CampaignCheckpoint cut_of(const CampaignCheckpoint& base,
+                          const obs::Tracer& tracer) {
+  CampaignCheckpoint doc = base;
+  doc.profiler_events = tracer.marks();
+  doc.trace = tracer.spans();
+  doc.trace_next_seq = tracer.next_seq();
+  return doc;
+}
+
+// Format `doc` with `writer` and from scratch; both must agree.
+void expect_from_scratch(CheckpointWriter& writer,
+                         const CampaignCheckpoint& doc) {
+  EXPECT_EQ(writer.format(doc), checkpoint_text(doc));
+}
+
+TEST_F(CheckpointDoc, WriterRewritesASpanClosedAfterThePreviousCut) {
+  const auto base = real_checkpoint(dir_.string());
+  obs::Tracer tracer(true);
+  const obs::SpanId root = tracer.begin(0.0, "root", "campaign");
+  const obs::SpanId done = tracer.begin(1.0, "done", "task", root);
+  tracer.end(done, 2.0);
+  const obs::SpanId open = tracer.begin(3.0, "open", "task", root);
+  tracer.mark(3.0, "task.1", "exec_start");
+  CheckpointWriter writer;
+  expect_from_scratch(writer, cut_of(base, tracer));
+  EXPECT_EQ(writer.copied_bytes(), 0u);
+
+  tracer.end(open, 4.0);
+  (void)tracer.begin(5.0, "new", "task", root);
+  tracer.mark(4.0, "task.1", "exec_stop");
+  auto doc = cut_of(base, tracer);
+  doc.pilots.front().intervals.push_back(hpc::UsageInterval{
+      .start = 3.0, .end = 4.0, .cores = 2, .task_uid = "task.1"});
+  expect_from_scratch(writer, doc);
+  EXPECT_GT(writer.copied_bytes(), 0u);
+}
+
+TEST_F(CheckpointDoc, WriterRewritesAClosedSpanThatGainsAnAttribute) {
+  const auto base = real_checkpoint(dir_.string());
+  obs::Tracer tracer(true);
+  const obs::SpanId root = tracer.begin(0.0, "root", "campaign");
+  const obs::SpanId done = tracer.begin(1.0, "done", "task", root);
+  tracer.end(done, 2.0);
+  (void)tracer.instant(2.5, "after", "decision", root);
+  CheckpointWriter writer;
+  expect_from_scratch(writer, cut_of(base, tracer));
+
+  tracer.attr(done, "outcome", "DONE");
+  expect_from_scratch(writer, cut_of(base, tracer));
+  EXPECT_GT(writer.copied_bytes(), 0u);
+  tracer.attr(root, "seed", "5");
+  expect_from_scratch(writer, cut_of(base, tracer));
+  EXPECT_GT(writer.copied_bytes(), 0u);
+}
+
+TEST_F(CheckpointDoc, WriterRewritesAPreloadedSpanClosedAfterResume) {
+  // The campaign span stays open in every cut and closes only after the
+  // resume.
+  const auto base = real_checkpoint(dir_.string(), /*observability=*/true);
+  ASSERT_NE(base.campaign_span, 0u);
+  obs::Tracer tracer(true);
+  tracer.preload(base.profiler_events, base.trace, base.trace_next_seq);
+  CheckpointWriter writer;
+  expect_from_scratch(writer, cut_of(base, tracer));
+  tracer.end(base.campaign_span, base.now + 1.0);
+  expect_from_scratch(writer, cut_of(base, tracer));
+  EXPECT_GT(writer.copied_bytes(), 0u);
+}
+
+TEST_F(CheckpointDoc, WriterFormatsACutThatDoesNotExtendThePreviousOne) {
+  const auto base = real_checkpoint(dir_.string(), /*observability=*/true);
+  ASSERT_GE(base.profiler_events.size(), 2u);
+  ASSERT_FALSE(base.pilots.front().intervals.empty());
+  const auto extends_after = [&](auto&& edit) {
+    CheckpointWriter writer;
+    expect_from_scratch(writer, base);
+    CampaignCheckpoint doc = base;
+    edit(doc);
+    expect_from_scratch(writer, doc);
+    EXPECT_EQ(writer.copied_bytes(), 0u);
+    // The writer goes on from the cut it formatted last.
+    doc.profiler_events.push_back(doc.profiler_events.back());
+    expect_from_scratch(writer, doc);
+    EXPECT_GT(writer.copied_bytes(), 0u);
+  };
+  extends_after([](auto& doc) { doc.profiler_events.pop_back(); });
+  extends_after([](auto& doc) { doc.profiler_events.back().info += "x"; });
+  extends_after([](auto& doc) { doc.pilots.front().uid += "x"; });
+  extends_after([](auto& doc) { doc.pilots.front().intervals.pop_back(); });
+  extends_after([](auto& doc) {
+    doc.pilots.front().intervals.back().end += 1.0;
+  });
+  extends_after([](auto& doc) { doc.pilots.push_back(doc.pilots.front()); });
 }
 
 }  // namespace

@@ -89,6 +89,40 @@ TEST(Analytics, PeakConcurrencyBackToBackIsOne) {
   EXPECT_EQ(peak_concurrency(tabulate(t.marks())), 1u);
 }
 
+TEST(Analytics, RetriedTaskPairsEachStartWithItsOwnAttemptsStop) {
+  // Attempt 1 is cancelled in exec setup (an exec_stop with no exec_start);
+  // attempt 2 runs 50-150. Attempt 3 of task.1 is still running at the end.
+  obs::Tracer t;
+  t.mark(0.0, "task.0", events::kSchedule);
+  t.mark(10.0, "task.0", events::kExecSetupStart);
+  t.mark(20.0, "task.0", events::kExecStop, "cancelled");
+  add_task(t, "task.0", 30.0, 40.0, 50.0, 150.0);
+  add_task(t, "task.1", 0.0, 0.0, 0.0, 60.0);
+  add_task(t, "task.1", 70.0, 80.0, 90.0, 100.0);
+  t.mark(110.0, "task.1", events::kSchedule);
+  t.mark(110.0, "task.1", events::kExecSetupStart);
+  t.mark(120.0, "task.1", events::kExecStart);
+  const TaskTable table = tabulate(t.marks());
+
+  // The final attempt that ran: task.0's second, task.1's second (its
+  // third has not stopped).
+  const auto timings = task_timings(table);
+  ASSERT_EQ(timings.size(), 1u);
+  EXPECT_EQ(timings[0].uid, "task.0");
+  EXPECT_DOUBLE_EQ(timings[0].wait, 10.0);
+  EXPECT_DOUBLE_EQ(timings[0].setup, 10.0);
+  EXPECT_DOUBLE_EQ(timings[0].run, 100.0);
+
+  // Every attempt's running interval counts: task.0 50-150, task.1 0-60,
+  // 90-100 and 120-200 (to t_end).
+  const auto series = concurrency_series(table, 4, 200.0);
+  EXPECT_NEAR(series[0], 1.0, 1e-9);                  // 0-50: task.1
+  EXPECT_NEAR(series[1], (10.0 + 50.0 + 10.0) / 50.0, 1e-9);  // 50-100
+  EXPECT_NEAR(series[2], (50.0 + 30.0) / 50.0, 1e-9);         // 100-150
+  EXPECT_NEAR(series[3], 1.0, 1e-9);                  // 150-200: task.1
+  EXPECT_EQ(peak_concurrency(table), 2u);
+}
+
 TEST(Analytics, EmptyInputs) {
   obs::Tracer t;
   EXPECT_EQ(peak_concurrency(tabulate(t.marks())), 0u);

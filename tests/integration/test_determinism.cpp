@@ -283,13 +283,13 @@ std::string bits(double x) {
   return buf;
 }
 
-TEST(Determinism, FaultyCampaignReaderDigestsAtSeed5) {
-  // Every hpc lifecycle-mark reader on one faulty IM-RP campaign: injected
-  // task failures retried up to three attempts, stragglers evicted by the
-  // attempt deadline, and a spot pilot reclaimed and returned mid-run. Here
-  // a task can stop more than once and be submitted more than once, which
-  // no fault-free digest above covers. Run through the raw layers, as
-  // bench_fig5 does, so the marks stay in scope.
+// The lifecycle marks of one faulty IM-RP campaign at seed 5: injected
+// task failures retried up to three attempts, stragglers evicted by the
+// attempt deadline, and a spot pilot reclaimed and returned mid-run. Here
+// a task can stop more than once and be submitted more than once, which
+// no fault-free digest above covers. Run through the raw layers, as
+// bench_fig5 does, so the marks stay in scope.
+std::vector<obs::Mark> faulty_campaign_marks() {
   auto config = im_rp_campaign(5);
   config.session.faults.task_failure_rate = 0.10;
   config.session.faults.slow_task_rate = 0.05;
@@ -313,8 +313,12 @@ TEST(Determinism, FaultyCampaignReaderDigestsAtSeed5) {
         generator, fold::AlphaFold(config.predictor),
         session.fork_rng("pipeline." + target.name)));
   coordinator.run();
+  return session.observability().tracer().marks();
+}
 
-  const auto marks = session.observability().tracer().marks();
+TEST(Determinism, FaultyCampaignReaderDigestsAtSeed5) {
+  // Every hpc lifecycle-mark reader on the faulty campaign.
+  const auto marks = faulty_campaign_marks();
   std::set<std::string, std::less<>> seen;
   for (const auto& m : marks) seen.insert(m.event);
   const hpc::TaskTable table = hpc::tabulate(marks);
@@ -358,9 +362,28 @@ TEST(Determinism, FaultyCampaignReaderDigestsAtSeed5) {
   EXPECT_EQ(fnv1a(hpc::render_gantt(table, 0.0, {.max_rows = 1u << 20})),
             0x4dc1151929d123aeULL);
   EXPECT_EQ(fnv1a(attempts), 0x374896740470f957ULL);
-  EXPECT_EQ(fnv1a(timings), 0xa4ccfefd96e37676ULL);
-  EXPECT_EQ(fnv1a(summary_text), 0xab68766993f42066ULL);
-  EXPECT_EQ(fnv1a(series), 0xe682419ab2ad9e63ULL);
+  EXPECT_EQ(fnv1a(timings), 0x3efb4c8f588ee79fULL);
+  EXPECT_EQ(fnv1a(summary_text), 0x070dc05bf850266fULL);
+  EXPECT_EQ(fnv1a(series), 0x48c5bda33b40432fULL);
+}
+
+TEST(Determinism, FaultyCampaignTimingsStayWithinOneAttempt) {
+  // A retried task's exec_start pairs with its own attempt's exec_stop.
+  // task.000021's first attempt hit its deadline in exec setup (an
+  // exec_stop at 31080 s with no exec_start); its second ran from
+  // 36100.9 s to 41360.7 s.
+  const hpc::TaskTable table = hpc::tabulate(faulty_campaign_marks());
+  const auto timings = hpc::task_timings(table);
+  ASSERT_FALSE(timings.empty());
+  const hpc::TaskTiming* retried = nullptr;
+  for (const auto& t : timings) {
+    EXPECT_GE(t.wait, 0.0) << t.uid;
+    EXPECT_GE(t.setup, 0.0) << t.uid;
+    EXPECT_GE(t.run, 0.0) << t.uid;
+    if (t.uid == "task.000021") retried = &t;
+  }
+  ASSERT_NE(retried, nullptr);
+  EXPECT_NEAR(retried->run, 41360.7 - 36100.9, 0.1);
 }
 
 }  // namespace
