@@ -25,7 +25,8 @@
 //
 //   TaskManager::mutex_
 //     -> Pilot::mutex_                  (route() peeks queue lengths)
-//          -> ThreadExecutor::mutex_    (place() launches under pilot lock)
+//          -> Executor::mutex_          (place() launches under pilot lock;
+//                                        taken in both execution modes)
 //          -> ThreadPool::mutex_        (launch submits to the pool)
 //          -> ResourcePool::mutex_      (scheduler claims/releases slots)
 //     -> leaves (never hold another tracked lock while holding one of
@@ -35,9 +36,10 @@
 //
 // Deliberate exceptions encoded in the runtime: Pilot::cancel()/fail()
 // drop Pilot::mutex_ before calling back into the executor or the
-// TaskManager (requeue/terminal handlers), and TaskManager::finalize()
-// invokes user callbacks outside mutex_ — both prevent the reverse edges
-// that would close a cycle. obs::Tracer's one log lock is an untracked
+// TaskManager (requeue/terminal handlers), the executor drops its mutex_
+// before it calls the pilot, the pool or a work function, and
+// TaskManager::finalize() invokes user callbacks outside mutex_ — all
+// prevent the reverse edges that would close a cycle. obs::Tracer's one log lock is an untracked
 // leaf: every lifecycle mark and span call takes it, under Pilot::mutex_
 // among others, and it calls out to nothing. So is the lock on
 // protein::ideal_trace's table of shared C-alpha traces: every

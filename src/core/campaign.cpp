@@ -153,10 +153,8 @@ CampaignResult Campaign::execute(
   const std::uint64_t prior_ordinal =
       resume_from != nullptr ? resume_from->ordinal : 0;
   if (config_.checkpoint.enabled()) {
-    coordinator_config.checkpoint.every_n_completions =
+    coordinator_config.checkpoint_every =
         config_.checkpoint.every_n_completions;
-    coordinator_config.checkpoint.every_n_pipelines =
-        config_.checkpoint.every_n_pipelines;
     coordinator_config.checkpoint_sink =
         [&, campaign_span](const CoordinatorCheckpoint& coord) {
           CampaignCheckpoint doc;

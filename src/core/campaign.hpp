@@ -27,17 +27,15 @@ namespace impress::core {
 /// Campaign-level checkpointing (docs/persistence.md). Disabled unless a
 /// directory is set. Checkpoints are cut at coordinator quiesce points on
 /// the configured cadence and written crash-consistently (atomic
-/// replacement), so the file at `directory/filename` is always a complete,
-/// loadable document — the previous checkpoint survives until the next one
-/// is durable.
+/// replacement), so the file at path() is always a complete, loadable
+/// document — the previous checkpoint survives until the next one is
+/// durable.
 struct CheckpointConfig {
   std::string directory;  ///< empty = checkpointing disabled
-  /// Cadence triggers, forwarded to the coordinator's CheckpointPolicy
-  /// (either 0 disables that trigger; both 0 with a directory set means a
-  /// directory was configured but no checkpoint will ever be cut).
+  /// Cadence: a checkpoint every this many handled task completions
+  /// (0 with a directory set means a directory was configured but no
+  /// checkpoint will ever be cut).
   std::size_t every_n_completions = 0;
-  std::size_t every_n_pipelines = 0;
-  std::string filename = "checkpoint.json";
   /// Test hook (simulated mode only): hard-stop the engine right after
   /// the Nth checkpoint of this process is written, modelling a crash.
   /// The interrupted run's CampaignResult is meaningless; resume from the
@@ -54,7 +52,9 @@ struct CheckpointConfig {
   [[nodiscard]] bool enabled() const noexcept {
     return !directory.empty() || sink != nullptr;
   }
-  [[nodiscard]] std::string path() const { return directory + "/" + filename; }
+  [[nodiscard]] std::string path() const {
+    return directory + "/checkpoint.json";
+  }
 };
 
 struct CampaignConfig {

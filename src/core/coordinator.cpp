@@ -120,8 +120,8 @@ void Coordinator::handle_completion(const rp::TaskPtr& task) {
   Pipeline* p = it->second;
   inflight_.erase(it);
   ++completions_since_checkpoint_;
-  if (config_.checkpoint.every_n_completions > 0 &&
-      completions_since_checkpoint_ >= config_.checkpoint.every_n_completions)
+  if (config_.checkpoint_every > 0 &&
+      completions_since_checkpoint_ >= config_.checkpoint_every)
     checkpoint_pending_ = true;
   // The stage span the coordinator opened at submit time closes when the
   // stage's task comes back, whatever the outcome.
@@ -325,10 +325,6 @@ void Coordinator::maybe_submit_queued() {
 
 void Coordinator::on_pipeline_finished(Pipeline* pipeline) {
   if (active_pipelines_ > 0) --active_pipelines_;
-  ++finished_since_checkpoint_;
-  if (config_.checkpoint.every_n_pipelines > 0 &&
-      finished_since_checkpoint_ >= config_.checkpoint.every_n_pipelines)
-    checkpoint_pending_ = true;
   obs::Observability& ob = session_.observability();
   ob.metrics().pipelines_finished->inc();
   ob.metrics().pipelines_active->sub(1.0);
@@ -398,10 +394,9 @@ bool Coordinator::quiesced() const noexcept {
 void Coordinator::maybe_checkpoint() {
   if (!checkpoint_pending_ || !quiesced()) return;
   // Reset before the sink runs: a resumed coordinator starts its cadence
-  // counters at zero, so the uninterrupted run must too.
+  // counter at zero, so the uninterrupted run must too.
   checkpoint_pending_ = false;
   completions_since_checkpoint_ = 0;
-  finished_since_checkpoint_ = 0;
   if (config_.checkpoint_sink) config_.checkpoint_sink(checkpoint());
   release_parked();
 }

@@ -45,21 +45,6 @@ struct RefineDurationModel {
   double cpu_intensity = 0.90;
 };
 
-/// Checkpoint cadence. A checkpoint becomes *pending* when either counter
-/// reaches its threshold (0 disables that trigger); it is cut at the next
-/// quiesce point — no task in flight, both channels empty — so the
-/// document never has to describe a half-executed runtime task. Would-be
-/// task submissions arriving while a checkpoint is pending are parked
-/// (before any rng fork or task construction) and released, in order,
-/// once the checkpoint is durable.
-struct CheckpointPolicy {
-  std::size_t every_n_completions = 0;  ///< handled task completions
-  std::size_t every_n_pipelines = 0;    ///< finished pipelines
-  [[nodiscard]] bool enabled() const noexcept {
-    return every_n_completions > 0 || every_n_pipelines > 0;
-  }
-};
-
 /// Everything of the coordinator's state a campaign checkpoint captures at
 /// a quiesce point. Pipelines appear in submission order; parked actions
 /// in release (FIFO) order.
@@ -100,12 +85,18 @@ struct CoordinatorConfig {
   /// Trace context: span the coordinator parents its pipeline spans under
   /// (the campaign root span). 0 = pipelines become trace roots.
   obs::SpanId trace_root = 0;
-  /// Checkpoint cadence (disabled by default) and the sink invoked with
-  /// the coordinator's state at each quiesce-point checkpoint. The sink
-  /// (the campaign layer) adds session/runtime state and persists the
-  /// document; a sink that throws aborts the campaign, modelling a crash
-  /// during the write.
-  CheckpointPolicy checkpoint;
+  /// Checkpoint cadence: a checkpoint becomes *pending* once this many
+  /// task completions were handled since the last one (0, the default,
+  /// never cuts one). It is cut at the next quiesce point — no task in
+  /// flight, both channels empty — so the document never has to describe
+  /// a half-executed runtime task. Would-be task submissions arriving
+  /// while a checkpoint is pending are parked (before any rng fork or
+  /// task construction) and released, in order, once it is durable.
+  std::size_t checkpoint_every = 0;
+  /// Invoked with the coordinator's state at each quiesce-point
+  /// checkpoint. The sink (the campaign layer) adds session/runtime state
+  /// and persists the document; a sink that throws aborts the campaign,
+  /// modelling a crash during the write.
   std::function<void(const CoordinatorCheckpoint&)> checkpoint_sink;
 };
 
@@ -239,7 +230,6 @@ class Coordinator {
   bool checkpoint_pending_ = false;
   bool resumed_ = false;
   std::size_t completions_since_checkpoint_ = 0;
-  std::size_t finished_since_checkpoint_ = 0;
 };
 
 }  // namespace impress::core

@@ -1,31 +1,41 @@
-// Executor interface: the backend that runs an already-placed task.
+// Executor: runs an already-placed task through one attempt, as
+// RADICAL-Pilot's agent Executor component does.
 //
-// Two implementations exist:
-//  * SimExecutor    — advances a discrete-event virtual clock; the default
-//                     for campaign replay and figure reproduction.
-//  * ThreadExecutor — real worker threads with (scaled) wall-clock delays;
-//                     used to validate the middleware under genuine
-//                     concurrency.
+// One implementation serves both execution modes. The attempt lifecycle
+// is written once: the exec-setup draw and spans, exec_start, the fault
+// and phase draws, phase spans and usage intervals at completion, the
+// work call under the attempt's ambient span, and one tail per outcome
+// (exec_stop, the attempt's `outcome`, its close, the pilot's
+// completion). Only how the executor waits differs:
+//  * simulated: each wait is an event on the session's sim::Engine, which
+//    a cancel drops — a 38-hour IM-RP run completes in milliseconds,
+//    deterministically;
+//  * threaded: a ThreadPool worker sleeps the wait scaled to wall time,
+//    then finds a cancelled attempt gone and returns — genuine
+//    concurrency for validating the middleware.
 //
-// Both honor the same contract: exec-setup overhead is applied, phases run
-// in order, the work function executes once, usage intervals land in the
-// pilot's UtilizationRecorder, lifecycle marks are recorded, and exactly
-// one completion callback fires with the task in a terminal state.
+// Exactly one Pilot::on_complete fires per launched attempt, with the
+// task terminal. A cancel takes effect at once in both modes.
 
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
+#include "common/lockdep.hpp"
 #include "common/rng.hpp"
-#include "hpc/resource_pool.hpp"
+#include "common/thread_pool.hpp"
+#include "hpc/utilization.hpp"
+#include "obs/obs.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/task.hpp"
+#include "sim/engine.hpp"
 
 namespace impress::rp {
 
-/// Called exactly once when a launched task reaches a terminal state.
-/// The allocation is still attached; the pilot releases it.
-using CompletionFn = std::function<void(const TaskPtr&)>;
+class Pilot;
 
 /// Per-task launch overhead model: RP creates a sandbox and launch script
 /// before the application starts ("Exec setup" in Fig 5). The cost varies
@@ -37,40 +47,82 @@ struct ExecOverheadModel {
 
 class Executor {
  public:
-  virtual ~Executor() = default;
+  /// Simulated mode: every wait is an event on `engine`. The executor
+  /// runs `pilot`'s placements, reads its clock and exec overhead, and
+  /// reports each finished attempt to it. `obs` receives the marks,
+  /// attempt/phase spans and exec histograms; instrumentation never draws
+  /// from `rng`, so enabling it cannot perturb results. `faults` (may be
+  /// null) draws each attempt's fate. All must outlive the executor.
+  Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
+           const FaultInjector* faults, sim::Engine& engine);
+  /// Threaded mode: a `pool` worker sleeps every wait, `time_scale` wall
+  /// seconds per simulated second.
+  Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
+           const FaultInjector* faults, common::ThreadPool& pool,
+           double time_scale);
 
-  /// Run `task` on the allocation it already carries (Task::allocation()).
-  /// Must not block the caller.
-  virtual void launch(TaskPtr task, CompletionFn on_complete) = 0;
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
-  /// Best-effort cancel of a task this executor has in flight. Returns
-  /// true if the task was prevented from completing normally (the
-  /// completion callback still fires, with state kCancelled).
-  virtual bool cancel(const TaskPtr& task) = 0;
+  /// Run `task` on the allocation it already carries. Never blocks.
+  void launch(TaskPtr task);
 
-  /// Checkpoint support: position of the executor's duration-jitter rng
-  /// stream. Only meaningful while the executor has no task in flight (a
-  /// checkpoint is only cut at quiesce).
-  [[nodiscard]] virtual common::Rng::State rng_state() const = 0;
-  virtual void restore_rng_state(const common::Rng::State& s) = 0;
+  /// Cancel an attempt this executor has in flight: it ends at once as
+  /// kCancelled, and the pilot releases its allocation. Returns false if
+  /// the attempt already ended (or was never launched here).
+  bool cancel(const TaskPtr& task);
 
-  /// Wire a fault injector; each launched attempt draws its fate from it.
-  /// Pass nullptr (the default) for a fault-free executor. The injector
-  /// must outlive the executor.
-  void set_fault_injector(const FaultInjector* faults) noexcept {
-    faults_ = faults;
-  }
+  /// The attempts in flight, in launch order.
+  [[nodiscard]] std::vector<TaskPtr> in_flight() const;
 
- protected:
-  /// Fate of one attempt: neutral when no injector is wired.
-  [[nodiscard]] FaultInjector::AttemptFault draw_fault(
-      const TaskPtr& task) const noexcept {
-    if (faults_ == nullptr) return {};
-    return faults_->draw_attempt(task->uid(), task->attempt());
-  }
+  /// Checkpoint support: position of the duration-jitter rng stream. Only
+  /// meaningful at quiesce (a checkpoint is never cut with a task in
+  /// flight).
+  [[nodiscard]] common::Rng::State rng_state() const;
+  void restore_rng_state(const common::Rng::State& s);
 
  private:
-  const FaultInjector* faults_ = nullptr;
+  struct Attempt {
+    TaskPtr task;
+    std::uint64_t seq = 0;    ///< launch ordinal; a relaunch gets a new one
+    sim::EventId event = 0;   ///< simulated: the pending wait
+  };
+
+  Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
+           const FaultInjector* faults, sim::Engine* engine,
+           common::ThreadPool* pool, double time_scale);
+
+  /// Exec setup is over: mark exec_start, draw the attempt's fault and
+  /// phase durations, and wait for its end.
+  void start_phases(const Task* key, std::uint64_t seq);
+  /// The attempt ran to its end: phase spans, usage, the work call.
+  void finish(const Task* key, std::uint64_t seq,
+              std::vector<hpc::UsageInterval> intervals);
+  /// An injected crash ends the attempt partway; it records no usage.
+  void fail_injected(const Task* key, std::uint64_t seq);
+  /// Remove the attempt `seq` of `key` from the in-flight table; null if
+  /// it already ended or was cancelled. Caller holds mutex_.
+  [[nodiscard]] TaskPtr claim(const Task* key, std::uint64_t seq);
+  /// The tail every attempt ends with, whatever its outcome.
+  void stop(const TaskPtr& task, double now, std::string_view info,
+            std::string_view outcome);
+  /// Threaded mode: sleep the calling worker until the clock reads `at`.
+  void sleep_until(double at) const;
+
+  Pilot& pilot_;
+  obs::Observability& obs_;
+  const FaultInjector* faults_;
+  sim::Engine* engine_;         ///< simulated mode
+  common::ThreadPool* pool_;    ///< threaded mode
+  double time_scale_;           ///< threaded mode
+
+  /// Guards rng_, in_flight_ and next_seq_ in both modes. Taken under
+  /// Pilot::mutex_ (launch); never held while calling the pilot, the pool
+  /// or a work function.
+  mutable common::TrackedMutex mutex_{"Executor::mutex_"};
+  common::Rng rng_;
+  std::unordered_map<const Task*, Attempt> in_flight_;
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace impress::rp

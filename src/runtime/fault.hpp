@@ -5,8 +5,9 @@
 // those events on deterministically — every fate is a pure function of
 // (seed, task uid, attempt number), so a campaign with 10% injected
 // failures replays bit-identically and a chaos test can bisect a failing
-// seed. Both executors consult the injector at launch time; pilot outages
-// are armed by the Session against its clock (engine event or timer).
+// seed. The executor consults the injector as each attempt starts; pilot
+// outages are armed by the Session against its clock (engine event or
+// timer).
 
 #pragma once
 

@@ -33,7 +33,7 @@ Pilot::Pilot(std::string uid, PilotDescription description,
   if (!restored) obs_.tracer().mark(now_(), uid_, hpc::events::kBootstrapStart);
 }
 
-void Pilot::attach(Executor& executor, CompletionFn on_task_terminal,
+void Pilot::attach(Executor& executor, TerminalFn on_task_terminal,
                    RequeueFn on_task_requeue) {
   std::lock_guard lock(mutex_);
   executor_ = &executor;
@@ -81,13 +81,8 @@ bool Pilot::try_enqueue(TaskPtr task) {
   return true;
 }
 
-bool Pilot::dequeue(const TaskPtr& task) {
-  std::lock_guard lock(mutex_);
-  return scheduler_.remove(task);
-}
-
 bool Pilot::cancel(const TaskPtr& task) {
-  CompletionFn notify;
+  TerminalFn notify;
   Executor* executor = nullptr;
   {
     std::lock_guard lock(mutex_);
@@ -124,7 +119,7 @@ void Pilot::fail() {
   std::deque<TaskPtr> drained;
   std::vector<TaskPtr> evicted;
   RequeueFn requeue;
-  CompletionFn notify;
+  TerminalFn notify;
   Executor* executor = nullptr;
   {
     std::lock_guard lock(mutex_);
@@ -132,8 +127,8 @@ void Pilot::fail() {
     state_ = PilotState::kFailed;
     obs_.tracer().mark(now_(), uid_, hpc::events::kPilotFailed);
     drained = scheduler_.drain();
-    evicted.reserve(executing_.size());
-    for (const auto& [uid, t] : executing_) evicted.push_back(t);
+    // FAILED places nothing more, so this is every attempt to evict.
+    if (executor_ != nullptr) evicted = executor_->in_flight();
     requeue = on_task_requeue_;
     notify = on_task_terminal_;
     executor = executor_;
@@ -157,7 +152,7 @@ void Pilot::fail() {
   }
   for (const auto& task : evicted) {
     task->set_evict_reason(EvictReason::kPilotFailure);
-    if (executor != nullptr) (void)executor->cancel(task);
+    (void)executor->cancel(task);
   }
 }
 
@@ -181,19 +176,16 @@ void Pilot::place(TaskPtr task, hpc::Allocation alloc) {
   task->set_allocation(std::move(alloc));
   task->set_state(TaskState::kExecuting, now_());
   ++running_;
-  executing_[task->uid()] = task;
-  executor_->launch(std::move(task),
-                    [this](const TaskPtr& t) { on_complete(t); });
+  executor_->launch(std::move(task));
 }
 
 void Pilot::on_complete(const TaskPtr& task) {
-  CompletionFn notify;
+  TerminalFn notify;
   {
     std::lock_guard lock(mutex_);
     pool_.release(task->allocation());
     task->clear_allocation();
     --running_;
-    executing_.erase(task->uid());
     obs_.tracer().mark(now_(), task->uid(),
                        task->state() == TaskState::kDone ? hpc::events::kDone
                        : task->state() == TaskState::kFailed

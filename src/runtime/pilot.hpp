@@ -19,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/lockdep.hpp"
@@ -37,6 +36,8 @@ enum class PilotState { kLaunching, kActive, kDone, kFailed };
 
 [[nodiscard]] std::string_view to_string(PilotState s) noexcept;
 
+/// Invoked once for each task that reaches a terminal state on the pilot.
+using TerminalFn = std::function<void(const TaskPtr&)>;
 /// Invoked for each task a failing pilot hands back for re-routing.
 using RequeueFn = std::function<void(const TaskPtr&)>;
 
@@ -70,6 +71,8 @@ class Pilot {
     return description_;
   }
   [[nodiscard]] PilotState state() const noexcept { return state_.load(); }
+  /// The session clock, in simulated seconds.
+  [[nodiscard]] double now() const { return now_(); }
   [[nodiscard]] hpc::ResourcePool& pool() noexcept { return pool_; }
   [[nodiscard]] const hpc::ResourcePool& pool() const noexcept { return pool_; }
   [[nodiscard]] hpc::UtilizationRecorder& recorder() noexcept { return recorder_; }
@@ -77,11 +80,10 @@ class Pilot {
     return recorder_;
   }
 
-  /// Wire the executor (owned by the session, depends on this pilot's
-  /// recorder), the terminal-task callback, and optionally the requeue
-  /// callback used when this pilot fails. Must be called before any
-  /// enqueue().
-  void attach(Executor& executor, CompletionFn on_task_terminal,
+  /// Wire the executor (owned by the session, built on this pilot), the
+  /// terminal-task callback, and optionally the requeue callback used
+  /// when this pilot fails. Must be called before any enqueue().
+  void attach(Executor& executor, TerminalFn on_task_terminal,
               RequeueFn on_task_requeue = {});
 
   /// Mark bootstrap finished; queued tasks start flowing.
@@ -95,10 +97,6 @@ class Pilot {
   /// is DONE or FAILED — the TaskManager uses this to re-route around a
   /// pilot that died between routing and enqueueing.
   [[nodiscard]] bool try_enqueue(TaskPtr task);
-
-  /// Remove a still-queued task; returns false if it already left the
-  /// queue (executing or terminal).
-  bool dequeue(const TaskPtr& task);
 
   /// Cancel a task owned by this pilot: removed from the queue if still
   /// waiting, otherwise forwarded to the executor. Returns false if the
@@ -118,8 +116,8 @@ class Pilot {
 
   /// Simulate a pilot/node outage: the pilot enters FAILED, queued tasks
   /// are handed to the requeue callback (or failed terminally if none is
-  /// wired), and executing tasks are evicted so the TaskManager can retry
-  /// them on another pilot.
+  /// wired), and executing tasks are evicted, in launch order, so the
+  /// TaskManager can retry them on another pilot.
   void fail();
 
   /// Spot capacity returned: a FAILED pilot re-enters ACTIVE with its
@@ -128,9 +126,13 @@ class Pilot {
   /// done. Used by the session's FaultConfig::spot_reclaims schedule.
   void reactivate();
 
+  /// Called by the executor when a launched attempt ends (the task is
+  /// terminal): releases its allocation, reschedules, and notifies the
+  /// terminal callback.
+  void on_complete(const TaskPtr& task);
+
  private:
   void place(TaskPtr task, hpc::Allocation alloc);
-  void on_complete(const TaskPtr& task);
   /// try_schedule + scheduler-decision metrics (ticks/placements).
   void run_scheduler();
 
@@ -142,22 +144,19 @@ class Pilot {
   hpc::UtilizationRecorder recorder_;
   Scheduler scheduler_;
   Executor* executor_ = nullptr;
-  CompletionFn on_task_terminal_;
+  TerminalFn on_task_terminal_;
   RequeueFn on_task_requeue_;
   // Atomic: read lock-free by TaskManager::route while activate()/finish()
   // write it under mutex_ from timer/worker threads.
   std::atomic<PilotState> state_{PilotState::kLaunching};
   // Atomic for the same reason as state_: routing reads it lock-free.
   std::atomic<std::size_t> running_{0};
-  /// Guards executing_ and scheduler_. Recursive: enqueue -> run_scheduler
-  /// -> place re-enters under the same lock. Second tier of the canonical
-  /// order: taken under TaskManager::mutex_ (route), holds Executor /
-  /// ThreadPool / ResourcePool locks below it, and is always dropped
-  /// before the terminal/requeue callbacks re-enter the TaskManager.
+  /// Guards scheduler_. Recursive: enqueue -> run_scheduler -> place
+  /// re-enters under the same lock. Second tier of the canonical order:
+  /// taken under TaskManager::mutex_ (route), holds Executor / ThreadPool
+  /// / ResourcePool locks below it, and is always dropped before the
+  /// terminal/requeue callbacks re-enter the TaskManager.
   mutable common::TrackedRecursiveMutex mutex_{"Pilot::mutex_"};
-  // Tasks currently holding an allocation, by uid: fail() must evict them
-  // without the executor exposing its in-flight bookkeeping.
-  std::unordered_map<std::string, TaskPtr> executing_;
 };
 
 using PilotPtr = std::shared_ptr<Pilot>;

@@ -6,8 +6,6 @@
 #include <thread>
 
 #include "common/logging.hpp"
-#include "runtime/sim_executor.hpp"
-#include "runtime/thread_executor.hpp"
 
 namespace impress::rp {
 
@@ -23,11 +21,11 @@ Session::Session(SessionConfig config)
   if (config_.faults.any())
     faults_.emplace(config_.faults, rng_.fork("faults"));
   tmgr_ = std::make_unique<TaskManager>(
-      uids_, obs_, [this] { return now(); }, rng_.fork("tmgr"));
-  tmgr_->set_defer(
+      uids_, obs_, [this] { return now(); },
       [this](double delay_s, std::function<void()> fn) {
         call_after(delay_s, std::move(fn));
-      });
+      },
+      rng_.fork("tmgr"));
 }
 
 Session::Session(SessionConfig config, const SessionRestore& restore)
@@ -57,9 +55,18 @@ Session::~Session() {
   close();
   // Join detached-timer threads before members are destroyed. Blocking:
   // a timer callback may need any runtime lock, so none may be held here.
+  // A running timer can arm another (a retry's backoff timer arms its
+  // deadline), so take the list under its lock until it stays empty.
   common::lockdep::check_blocking("Session timer join");
-  for (auto& t : timers_)
-    if (t.joinable()) t.join();
+  for (;;) {
+    std::vector<std::thread> timers;
+    {
+      std::lock_guard lock(timer_mutex_);
+      timers.swap(timers_);
+    }
+    if (timers.empty()) break;
+    for (auto& t : timers) t.join();
+  }
 }
 
 double Session::now() const {
@@ -74,20 +81,13 @@ common::Rng Session::fork_rng(std::string_view tag) const {
   return rng_.fork(tag);
 }
 
-std::unique_ptr<Executor> Session::make_executor(
-    const PilotPtr& pilot, const PilotDescription& description,
-    common::Rng exec_rng) {
-  std::unique_ptr<Executor> exec;
-  if (config_.mode == ExecutionMode::kSimulated) {
-    exec = std::make_unique<SimExecutor>(engine_, obs_, pilot->recorder(),
-                                         description.exec_overhead, exec_rng);
-  } else {
-    exec = std::make_unique<ThreadExecutor>(
-        *pool_, obs_, pilot->recorder(), description.exec_overhead, exec_rng,
-        config_.time_scale, [this] { return now(); });
-  }
-  if (faults_) exec->set_fault_injector(&*faults_);
-  return exec;
+std::unique_ptr<Executor> Session::make_executor(Pilot& pilot) {
+  common::Rng rng = rng_.fork("executor." + pilot.uid());
+  const FaultInjector* faults = faults_ ? &*faults_ : nullptr;
+  if (config_.mode == ExecutionMode::kSimulated)
+    return std::make_unique<Executor>(pilot, obs_, rng, faults, engine_);
+  return std::make_unique<Executor>(pilot, obs_, rng, faults, *pool_,
+                                    config_.time_scale);
 }
 
 void Session::register_pilot(PilotPtr pilot, std::unique_ptr<Executor> exec) {
@@ -129,9 +129,7 @@ void Session::arm_outages(const PilotPtr& pilot, std::size_t index,
 PilotPtr Session::submit_pilot(const PilotDescription& description) {
   auto pilot = std::make_shared<Pilot>(uids_.next("pilot"), description,
                                        obs_, [this] { return now(); });
-  register_pilot(pilot,
-                 make_executor(pilot, description,
-                               rng_.fork("executor." + pilot->uid())));
+  register_pilot(pilot, make_executor(*pilot));
   call_after(description.bootstrap_s, [pilot] { pilot->activate(); });
   // Arm any scheduled outage for this pilot (index in submission order).
   arm_outages(pilot, pilots_.size() - 1,
@@ -148,8 +146,7 @@ PilotPtr Session::submit_pilot(const PilotDescription& description,
                                        /*restored=*/true);
   for (const auto& interval : restore.intervals)
     pilot->recorder().record(interval);
-  auto exec = make_executor(pilot, description,
-                            rng_.fork("executor." + pilot->uid()));
+  auto exec = make_executor(*pilot);
   exec->restore_rng_state(restore.executor_rng);
   register_pilot(pilot, std::move(exec));
   // Bootstrap completed before the cut (its marks are preloaded); jump

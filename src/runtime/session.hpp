@@ -43,7 +43,8 @@ struct SessionConfig {
   double time_scale = 1e-4;
   /// Threaded mode: executor pool width; must be >= the maximum number of
   /// concurrently running tasks or placements will serialize behind
-  /// sleeping workers.
+  /// sleeping workers. A cancelled attempt's worker sleeps out its current
+  /// wait before it is free again.
   std::size_t worker_threads = 16;
   /// Seeded fault plan: task failures / slowdowns drawn per (task, attempt)
   /// plus scheduled pilot outages. Empty by default (no faults).
@@ -137,11 +138,9 @@ class Session {
   void close();
 
  private:
-  /// Executor construction + fault wiring shared by both submit_pilot
-  /// overloads.
-  std::unique_ptr<Executor> make_executor(const PilotPtr& pilot,
-                                          const PilotDescription& description,
-                                          common::Rng exec_rng);
+  /// The executor for `pilot`, waiting in the session's mode; shared by
+  /// both submit_pilot overloads.
+  std::unique_ptr<Executor> make_executor(Pilot& pilot);
   /// Registration shared by both submit_pilot overloads (executor/pilot
   /// bookkeeping + TaskManager routing).
   void register_pilot(PilotPtr pilot, std::unique_ptr<Executor> exec);

@@ -11,17 +11,17 @@
 namespace impress::rp {
 
 TaskManager::TaskManager(common::UidGenerator& uids, obs::Observability& obs,
-                         std::function<double()> now_fn, common::Rng rng)
-    : uids_(uids), obs_(obs), now_(std::move(now_fn)), rng_(rng) {}
+                         std::function<double()> now_fn, DeferFn defer,
+                         common::Rng rng)
+    : uids_(uids),
+      obs_(obs),
+      now_(std::move(now_fn)),
+      defer_(std::move(defer)),
+      rng_(rng) {}
 
 void TaskManager::add_pilot(PilotPtr pilot) {
   std::lock_guard lock(mutex_);
   pilots_.push_back(std::move(pilot));
-}
-
-void TaskManager::set_defer(DeferFn defer) {
-  // Wire before the first submit: the deadline path reads defer_ unlocked.
-  defer_ = std::move(defer);
 }
 
 PilotPtr TaskManager::route(const TaskDescription& td, const Pilot* exclude) {
@@ -55,7 +55,7 @@ TaskPtr TaskManager::submit(TaskDescription description) {
     task->set_state(TaskState::kSubmitted, now_());
     obs_.tracer().mark(now_(), task->uid(), hpc::events::kSubmit,
                        task->description().name);
-    task_pilot_[task->uid()] = pilot;
+    routes_.emplace(task.get(), Route{.pilot = pilot});
     ++outstanding_;
     ++submitted_;
   }
@@ -95,7 +95,7 @@ void TaskManager::dispatch(const TaskPtr& task, PilotPtr pilot) {
     {
       std::lock_guard lock(mutex_);
       next = route(task->description(), pilot.get());
-      if (next) task_pilot_[task->uid()] = next;
+      if (next) routes_[task.get()] = Route{.pilot = next};
     }
     if (!next) {
       fail_unroutable(task, "pilot " + pilot->uid() + " died; no alternative");
@@ -108,7 +108,7 @@ void TaskManager::dispatch(const TaskPtr& task, PilotPtr pilot) {
 
 void TaskManager::arm_deadline(const TaskPtr& task) {
   const double timeout = task->description().retry.attempt_timeout_s;
-  if (timeout <= 0.0 || !defer_) return;
+  if (timeout <= 0.0) return;
   const int attempt = task->attempt();
   defer_(timeout, [this, task, attempt, timeout] {
     // Fires only if the same attempt is still live; a completed or retried
@@ -117,10 +117,9 @@ void TaskManager::arm_deadline(const TaskPtr& task) {
     PilotPtr pilot;
     {
       std::lock_guard lock(mutex_);
-      if (backoff_.find(task->uid()) != backoff_.end()) return;
-      const auto it = task_pilot_.find(task->uid());
-      if (it == task_pilot_.end()) return;
-      pilot = it->second;
+      const auto it = routes_.find(task.get());
+      if (it == routes_.end() || it->second.backoff) return;
+      pilot = it->second.pilot;
       ++timed_out_;
     }
     obs_.metrics().tasks_timed_out->inc();
@@ -158,15 +157,16 @@ bool TaskManager::cancel(const TaskPtr& task) {
     // its terminal bookkeeping is mid-flight (the old TOCTOU).
     std::lock_guard lock(mutex_);
     if (is_terminal(task->state())) return false;
-    if (backoff_.erase(task->uid()) > 0) {
+    const auto it = routes_.find(task.get());
+    if (it == routes_.end()) return false;
+    if (it->second.backoff) {
+      routes_.erase(it);
       in_backoff = true;
       task->set_state(TaskState::kCancelled, now_());
       obs_.tracer().mark(now_(), task->uid(), hpc::events::kCancelled,
                          "during retry backoff");
     } else {
-      const auto it = task_pilot_.find(task->uid());
-      if (it == task_pilot_.end()) return false;
-      pilot = it->second;
+      pilot = it->second.pilot;
     }
   }
   if (in_backoff) {
@@ -225,7 +225,7 @@ void TaskManager::wait_all() {
                 [&] { return outstanding_ == 0 && callbacks_in_flight_ == 0; });
 }
 
-CompletionFn TaskManager::terminal_handler() {
+TerminalFn TaskManager::terminal_handler() {
   return [this](const TaskPtr& task) { on_terminal(task); };
 }
 
@@ -253,14 +253,8 @@ void TaskManager::on_terminal(const TaskPtr& task) {
     const bool retryable = task->attempt() < policy.max_attempts &&
                            route(task->description()) != nullptr;
     if (retryable) {
-      PilotPtr prev;
-      const auto it = task_pilot_.find(task->uid());
-      if (it != task_pilot_.end()) {
-        prev = it->second;
-        task_pilot_.erase(it);
-      }
       ++retried_;
-      backoff_[task->uid()] = std::move(prev);
+      routes_[task.get()].backoff = true;
       // The task is not terminal while it waits out the backoff — it is
       // still outstanding and cancellable. The error text of the failed
       // attempt is kept for observability until begin_retry clears it.
@@ -278,10 +272,7 @@ void TaskManager::on_terminal(const TaskPtr& task) {
           << task->uid() << " attempt " << task->attempt() << "/"
           << policy.max_attempts << " failed (" << task->error()
           << "); retrying in " << delay << "s";
-      if (defer_)
-        defer_(delay, [this, task] { resubmit(task); });
-      else
-        resubmit(task);
+      defer_(delay, [this, task] { resubmit(task); });
       return;  // still outstanding; wait_all keeps blocking
     }
   }
@@ -292,19 +283,20 @@ void TaskManager::resubmit(const TaskPtr& task) {
   PilotPtr pilot;
   {
     std::lock_guard lock(mutex_);
-    const auto it = backoff_.find(task->uid());
-    if (it == backoff_.end()) return;  // cancelled during the backoff
-    const PilotPtr prev = it->second;
-    backoff_.erase(it);
+    const auto it = routes_.find(task.get());
+    if (it == routes_.end() || !it->second.backoff)
+      return;  // cancelled during the backoff
     // Prefer a different pilot than the one the attempt failed on; fall
     // back to it only when nothing else fits.
-    pilot = route(task->description(), prev.get());
+    pilot = route(task->description(), it->second.pilot.get());
     if (!pilot) pilot = route(task->description());
     if (pilot) {
       task->begin_retry(now_());
-      task_pilot_[task->uid()] = pilot;
+      it->second = Route{.pilot = pilot};
       obs_.tracer().mark(now_(), task->uid(), hpc::events::kSubmit,
                          "attempt " + std::to_string(task->attempt()));
+    } else {
+      routes_.erase(it);
     }
   }
   if (!pilot) {
@@ -324,7 +316,7 @@ void TaskManager::requeue(const TaskPtr& task) {
     pilot = route(task->description());
     if (pilot) {
       ++requeued_;
-      task_pilot_[task->uid()] = pilot;
+      routes_[task.get()] = Route{.pilot = pilot};
     }
   }
   if (!pilot) {
@@ -365,8 +357,7 @@ void TaskManager::finalize(const TaskPtr& task) {
   std::vector<Callback> callbacks;
   {
     std::lock_guard lock(mutex_);
-    task_pilot_.erase(task->uid());
-    backoff_.erase(task->uid());
+    routes_.erase(task.get());
     if (outstanding_ > 0) --outstanding_;
     switch (task->state()) {
       case TaskState::kDone: ++done_; break;

@@ -43,17 +43,15 @@ class TaskManager {
   /// `obs` (which must outlive the manager) receives the task lifecycle
   /// marks, the task spans (submit -> terminal, parented under
   /// TaskDescription::trace_parent) and the task-lifecycle counters.
+  /// `defer` drives retry backoff and per-attempt deadlines; `rng` draws
+  /// the backoff jitter.
   TaskManager(common::UidGenerator& uids, obs::Observability& obs,
-              std::function<double()> now_fn,
-              common::Rng rng = common::Rng(0));
+              std::function<double()> now_fn, DeferFn defer,
+              common::Rng rng);
 
   /// Register a pilot as a routing target. The session wires the pilot's
   /// terminal notifications back to this manager.
   void add_pilot(PilotPtr pilot);
-
-  /// Wire the deferred-execution hook. Without it, retries are submitted
-  /// immediately (no backoff) and attempt deadlines are not enforced.
-  void set_defer(DeferFn defer);
 
   /// Submit one task; returns the live Task handle.
   /// Throws std::runtime_error if no registered pilot can ever fit it.
@@ -124,7 +122,7 @@ class TaskManager {
   void wait_all();
 
   /// The handler the session installs on each pilot.
-  [[nodiscard]] CompletionFn terminal_handler();
+  [[nodiscard]] TerminalFn terminal_handler();
 
   /// The requeue handler the session installs on each pilot: tasks a
   /// failing pilot drains from its queue are re-routed to a live pilot.
@@ -146,11 +144,19 @@ class TaskManager {
   void fail_unroutable(const TaskPtr& task, const std::string& why);
   PilotPtr route(const TaskDescription& td, const Pilot* exclude = nullptr);
 
+  /// Where an outstanding task is: routed to `pilot`, or waiting out a
+  /// retry backoff after an attempt failed on `pilot` (excluded on
+  /// resubmission when an alternative exists).
+  struct Route {
+    PilotPtr pilot;
+    bool backoff = false;
+  };
+
   common::UidGenerator& uids_;
   obs::Observability& obs_;
   std::function<double()> now_;
+  const DeferFn defer_;
   common::Rng rng_;  ///< backoff jitter; forked per (task, attempt)
-  DeferFn defer_;
 
   // Root of the canonical acquisition order (see lockdep.hpp): held while
   // peeking Pilot queue lengths in route() and drawing uids, never taken
@@ -159,10 +165,8 @@ class TaskManager {
   common::CondVar idle_cv_;
   std::vector<PilotPtr> pilots_;
   std::vector<Callback> callbacks_;
-  std::unordered_map<std::string, PilotPtr> task_pilot_;
-  /// Tasks waiting out a retry backoff, mapped to the pilot of the failed
-  /// attempt (excluded on resubmission when an alternative exists).
-  std::unordered_map<std::string, PilotPtr> backoff_;
+  /// One entry per outstanding task, from submit to finalize.
+  std::unordered_map<const Task*, Route> routes_;
   std::size_t outstanding_ = 0;
   /// Terminal callbacks currently executing; wait_all() must not return
   /// while one is in flight, because it may be about to submit follow-on

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <iomanip>
 #include <memory>
@@ -119,7 +120,6 @@ class CheckpointResume : public ::testing::Test {
 
 struct KillSpec {
   std::size_t every_n_completions;
-  std::size_t every_n_pipelines;
   std::size_t halt_after;  ///< crash after this many checkpoint writes
 };
 
@@ -127,7 +127,6 @@ CampaignConfig checkpointed(CampaignConfig cfg, const std::string& directory,
                             const KillSpec& spec, std::size_t halt_after) {
   cfg.checkpoint.directory = directory;
   cfg.checkpoint.every_n_completions = spec.every_n_completions;
-  cfg.checkpoint.every_n_pipelines = spec.every_n_pipelines;
   cfg.checkpoint.halt_after = halt_after;
   return cfg;
 }
@@ -166,31 +165,41 @@ void run_kill_resume(CampaignConfig (*make)(std::uint64_t),
 
 TEST_F(CheckpointResume, DeterminismImRpKillAfterFirstCheckpoint) {
   run_kill_resume(im_rp_campaign, 42, {.every_n_completions = 4,
-                                       .every_n_pipelines = 0,
                                        .halt_after = 1},
                   dir("ref"), dir("kill"));
 }
 
 TEST_F(CheckpointResume, DeterminismImRpKillLate) {
   run_kill_resume(im_rp_campaign, 42, {.every_n_completions = 3,
-                                       .every_n_pipelines = 0,
                                        .halt_after = 4},
                   dir("ref"), dir("kill"));
 }
 
 TEST_F(CheckpointResume, DeterminismContVKillMidway) {
   run_kill_resume(cont_v_campaign, 42, {.every_n_completions = 5,
-                                        .every_n_pipelines = 0,
                                         .halt_after = 2},
                   dir("ref"), dir("kill"));
 }
 
 TEST_F(CheckpointResume, DeterminismPipelineCadence) {
-  // Trigger on finished pipelines instead of completions: the checkpoint
-  // lands right after a sub-pipeline or root retires.
-  run_kill_resume(im_rp_campaign, 7, {.every_n_completions = 0,
-                                      .every_n_pipelines = 1,
-                                      .halt_after = 1},
+  // A cut after every completion, killed at the first cut taken right
+  // after a sub-pipeline or root retired. A snapshot's `state` is
+  // Pipeline's State, in which 4 is kDone and 5 kTerminated.
+  auto cfg = im_rp_campaign(7);
+  cfg.checkpoint.every_n_completions = 1;
+  std::uint64_t first_after_retire = 0;
+  cfg.checkpoint.sink = [&](const CampaignCheckpoint& cut) {
+    const auto& pipelines = cut.coordinator.pipelines;
+    if (first_after_retire == 0 &&
+        std::any_of(pipelines.begin(), pipelines.end(),
+                    [](const Pipeline::Snapshot& p) { return p.state >= 4; }))
+      first_after_retire = cut.ordinal;
+  };
+  (void)Campaign(cfg).run(targets2());
+  ASSERT_GT(first_after_retire, 1u);
+
+  run_kill_resume(im_rp_campaign, 7,
+                  {.every_n_completions = 1, .halt_after = first_after_retire},
                   dir("ref"), dir("kill"));
 }
 
@@ -198,7 +207,6 @@ TEST_F(CheckpointResume, DeterminismObservabilityContinuesSeamlessly) {
   // Trace span ids/seqs and metric totals of the resumed run must equal
   // the uninterrupted run's — including the checkpoint.write markers.
   run_kill_resume(im_rp_campaign, 42, {.every_n_completions = 4,
-                                       .every_n_pipelines = 0,
                                        .halt_after = 2},
                   dir("ref"), dir("kill"), /*observability=*/true);
 }
@@ -251,7 +259,6 @@ TEST_P(CadenceSweep, DeterminismRandomizedBoundaries) {
                                                 GetParam() + 1);
   s ^= s >> 29;
   const KillSpec spec{.every_n_completions = 2 + s % 5,
-                      .every_n_pipelines = 0,
                       .halt_after = 1 + (s >> 8) % 3};
   run_kill_resume(im_rp_campaign, 100 + static_cast<std::uint64_t>(GetParam()),
                   spec, (base / "ref").string(), (base / "kill").string());
@@ -296,7 +303,6 @@ TEST_P(SpotReclaimSweep, DeterminismKillResumeAcrossReclaimWindow) {
   // and after the capacity returns. Every resume must reproduce the
   // uninterrupted spot-reclaimed run bit for bit.
   const KillSpec spec{.every_n_completions = 3,
-                      .every_n_pipelines = 0,
                       .halt_after = 1 + static_cast<std::size_t>(GetParam())};
   run_kill_resume(spot_campaign, 42, spec, (base_ / "ref").string(),
                   (base_ / "kill").string());
@@ -319,7 +325,6 @@ TEST_F(CheckpointResume, DeterminismDoubleKillChainedResume) {
   // the final result still matches the uninterrupted reference.
   const auto targets = targets2();
   const KillSpec spec{.every_n_completions = 3,
-                      .every_n_pipelines = 0,
                       .halt_after = 1};
 
   const auto reference =
@@ -356,7 +361,6 @@ TEST_F(CheckpointResume, DeterminismFaultyCampaignKillAndResume) {
   };
   const auto targets = targets2();
   const KillSpec spec{.every_n_completions = 4,
-                      .every_n_pipelines = 0,
                       .halt_after = 2};
 
   auto ref_cfg = checkpointed(make_faulty(9), dir("ref"), spec, 0);
@@ -379,7 +383,6 @@ TEST_F(CheckpointResume, CrashDuringCheckpointWriteLeavesPreviousLoadable) {
   // N-1 intact — and resuming from it still reproduces the reference.
   const auto targets = targets2();
   const KillSpec spec{.every_n_completions = 3,
-                      .every_n_pipelines = 0,
                       .halt_after = 0};
 
   const auto reference =
@@ -409,7 +412,6 @@ TEST_F(CheckpointResume, CrashDuringCheckpointWriteLeavesPreviousLoadable) {
 TEST_F(CheckpointResume, ResumeValidatesConfigMatch) {
   const auto targets = targets2();
   const KillSpec spec{.every_n_completions = 3,
-                      .every_n_pipelines = 0,
                       .halt_after = 1};
   (void)Campaign(checkpointed(im_rp_campaign(42), dir("kill"), spec, 1))
       .run(targets);

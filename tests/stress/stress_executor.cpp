@@ -1,6 +1,6 @@
 // TSan-targeted stress tests for the runtime: scheduler placement racing
 // completions, task cancellation racing normal completion, and pilot
-// teardown while tasks are in flight. All on the ThreadExecutor, i.e.
+// teardown while tasks are in flight. All on the threaded executor, i.e.
 // real worker threads — these are the interleavings the simulated engine
 // can never produce.
 
@@ -14,9 +14,9 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/pilot.hpp"
 #include "runtime/session.hpp"
-#include "runtime/thread_executor.hpp"
 
 namespace impress::rp {
 namespace {
@@ -99,8 +99,7 @@ TEST(StressExecutor, PilotTeardownWhileTasksInFlight) {
   obs::Observability obs;
   common::ThreadPool pool(4);
   Pilot pilot("pilot.stress", stress_pilot(), obs, now_fn);
-  ThreadExecutor exec(pool, obs, pilot.recorder(), ExecOverheadModel{},
-                      common::Rng(11), 1e-3, now_fn);
+  Executor exec(pilot, obs, common::Rng(11), /*faults=*/nullptr, pool, 1e-3);
   std::atomic<int> terminal{0};
   pilot.attach(exec, [&](const TaskPtr&) {
     terminal.fetch_add(1, std::memory_order_relaxed);
