@@ -112,7 +112,7 @@ void BM_SimulatedTaskTurnaround(benchmark::State& state) {
       session.task_manager().submit(
           rp::make_simple_task("t" + std::to_string(i), 1, 0, 10.0));
     session.run();
-    if (session.task_manager().done() != n)
+    if (session.task_manager().counters().done != n)
       state.SkipWithError("tasks not completed");
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));

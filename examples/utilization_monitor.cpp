@@ -73,8 +73,10 @@ int main() {
               common::format_duration(phases.at("bootstrap")).c_str(),
               common::format_duration(phases.at("exec_setup")).c_str(),
               common::format_duration(phases.at("running")).c_str());
-  std::printf("tasks done=%zu failed=%zu, makespan %s (simulated)\n",
-              session.task_manager().done(), session.task_manager().failed(),
+  const rp::TaskManager::Counters counters = session.task_manager().counters();
+  std::printf("tasks done=%llu failed=%llu, makespan %s (simulated)\n",
+              static_cast<unsigned long long>(counters.done),
+              static_cast<unsigned long long>(counters.failed),
               common::format_duration(makespan).c_str());
-  return session.task_manager().failed() == 0 ? 0 : 1;
+  return counters.failed == 0 ? 0 : 1;
 }

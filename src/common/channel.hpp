@@ -3,8 +3,7 @@
 // The IMPRESS coordinator communicates with the runtime over exactly two
 // channels, mirroring the paper's implementation section: one carries new
 // pipeline instances toward the execution backend, the other carries
-// completed-task notifications back to the decision-making loop. The same
-// primitive backs the threaded executor's work queue.
+// completed-task notifications back to the decision-making loop.
 //
 // Semantics follow Go channels: send blocks when full, receive blocks when
 // empty, close() wakes everyone and makes further receives drain-then-fail.

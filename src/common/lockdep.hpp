@@ -27,19 +27,22 @@
 //     -> Pilot::mutex_                  (route() peeks queue lengths)
 //          -> Executor::mutex_          (place() launches under pilot lock;
 //                                        taken in both execution modes)
-//          -> ThreadPool::mutex_        (launch submits to the pool)
+//               -> Session::engine_mutex_  (threaded mode: an attempt
+//                                           arms or cancels its wait)
+//                    -> ThreadPool::mutex_ (the pacer hands each due
+//                                           callback to the pool)
 //          -> ResourcePool::mutex_      (scheduler claims/releases slots)
 //     -> leaves (never hold another tracked lock while holding one of
 //        these, and they call out to nothing):
 //          UidGenerator::mutex_, UtilizationRecorder::mutex_,
-//          Channel::mutex_, Session::timer_mutex_
+//          Channel::mutex_
 //
 // Deliberate exceptions encoded in the runtime: Pilot::cancel()/fail()
 // drop Pilot::mutex_ before calling back into the executor or the
 // TaskManager (requeue/terminal handlers), the executor drops its mutex_
-// before it calls the pilot, the pool or a work function, and
-// TaskManager::finalize() invokes user callbacks outside mutex_ — all
-// prevent the reverse edges that would close a cycle. obs::Tracer's one log lock is an untracked
+// before it calls the pilot or a work function, and TaskManager::finalize()
+// invokes user callbacks outside mutex_ — all prevent the reverse edges
+// that would close a cycle. obs::Tracer's one log lock is an untracked
 // leaf: every lifecycle mark and span call takes it, under Pilot::mutex_
 // among others, and it calls out to nothing. So is the lock on
 // protein::ideal_trace's table of shared C-alpha traces: every

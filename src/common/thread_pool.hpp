@@ -1,9 +1,9 @@
 // Fixed-size worker pool.
 //
-// Backs the *threaded* executor (real concurrency for tests/examples) and
-// a handful of data-parallel helpers. Task submission returns a
-// std::future so callers can join on individual results; `wait_idle`
-// provides a barrier over everything submitted so far.
+// Runs a threaded session's due callbacks (real concurrency for
+// tests/examples) and a handful of data-parallel helpers. Task submission
+// returns a std::future so callers can join on individual results;
+// `wait_idle` provides a barrier over everything submitted so far.
 
 #pragma once
 

@@ -290,9 +290,10 @@ CampaignResult Campaign::execute(
   r.fold_retries = coordinator.fold_retries();
   r.failed_tasks = coordinator.failed_tasks();
 
-  r.task_retries = session.task_manager().retried();
-  r.task_timeouts = session.task_manager().timed_out();
-  r.task_requeues = session.task_manager().requeued();
+  const rp::TaskManager::Counters counters = session.task_manager().counters();
+  r.task_retries = counters.retried;
+  r.task_timeouts = counters.timed_out;
+  r.task_requeues = counters.requeued;
 
   // Observability harvest: close the root span at the simulated makespan
   // (the session clock already sits there) and snapshot everything. The

@@ -1,42 +1,25 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <functional>
-#include <thread>
 
 #include "hpc/analytics.hpp"
 #include "runtime/pilot.hpp"
+#include "runtime/session.hpp"
 
 namespace impress::rp {
 
 Executor::Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
-                   const FaultInjector* faults, sim::Engine& engine)
-    : Executor(pilot, obs, rng, faults, &engine, nullptr, 0.0) {}
-
-Executor::Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
-                   const FaultInjector* faults, common::ThreadPool& pool,
-                   double time_scale)
-    : Executor(pilot, obs, rng, faults, nullptr, &pool, time_scale) {}
-
-Executor::Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
-                   const FaultInjector* faults, sim::Engine* engine,
-                   common::ThreadPool* pool, double time_scale)
-    : pilot_(pilot),
-      obs_(obs),
-      faults_(faults),
-      engine_(engine),
-      pool_(pool),
-      time_scale_(time_scale),
-      rng_(rng) {}
+                   const FaultInjector* faults, Session& session)
+    : pilot_(pilot), obs_(obs), faults_(faults), session_(session), rng_(rng) {}
 
 void Executor::launch(TaskPtr task) {
   const double now = pilot_.now();
   obs::Tracer& tr = obs_.tracer();
   tr.mark(now, task->uid(), hpc::events::kExecSetupStart);
   const ExecOverheadModel& overhead = pilot_.description().exec_overhead;
-  std::unique_lock lock(mutex_);
+  std::lock_guard lock(mutex_);
   double setup = overhead.setup_mean_s;
   if (setup > 0.0 && overhead.setup_jitter_sigma > 0.0)
     setup = rng_.lognormal_mean(setup, overhead.setup_jitter_sigma);
@@ -56,22 +39,13 @@ void Executor::launch(TaskPtr task) {
   const std::uint64_t seq = next_seq_++;
   Attempt& attempt = in_flight_[key] =
       Attempt{.task = std::move(task), .seq = seq};
-  const double ready = now + setup;
-  if (engine_ != nullptr) {
-    attempt.event = engine_->schedule_at(
-        ready, [this, key, seq] { start_phases(key, seq); });
-    return;
-  }
-  lock.unlock();
-  pool_->submit([this, key, seq, ready] {
-    sleep_until(ready);
-    start_phases(key, seq);
-  });
+  attempt.event = session_.call_at(
+      now + setup, [this, key, seq] { start_phases(key, seq); });
 }
 
 void Executor::start_phases(const Task* key, std::uint64_t seq) {
   const double start = pilot_.now();
-  std::unique_lock lock(mutex_);
+  std::lock_guard lock(mutex_);
   const auto it = in_flight_.find(key);
   if (it == in_flight_.end() || it->second.seq != seq) return;  // cancelled
   const Task& task = *it->second.task;
@@ -111,13 +85,7 @@ void Executor::start_phases(const Task* key, std::uint64_t seq) {
       finish(key, seq, std::move(intervals));
     };
   }
-  if (engine_ != nullptr) {
-    it->second.event = engine_->schedule_at(end, std::move(step));
-    return;
-  }
-  lock.unlock();
-  sleep_until(end);
-  step();
+  it->second.event = session_.call_at(end, std::move(step));
 }
 
 void Executor::finish(const Task* key, std::uint64_t seq,
@@ -183,7 +151,7 @@ bool Executor::cancel(const TaskPtr& task) {
     std::lock_guard lock(mutex_);
     const auto it = in_flight_.find(task.get());
     if (it == in_flight_.end()) return false;
-    if (engine_ != nullptr) engine_->cancel(it->second.event);
+    session_.cancel(it->second.event);
     in_flight_.erase(it);
   }
   const double now = pilot_.now();
@@ -207,12 +175,6 @@ void Executor::stop(const TaskPtr& task, double now, std::string_view info,
   tr.attr(task->attempt_span(), "outcome", outcome);
   tr.end(task->attempt_span(), now);
   pilot_.on_complete(task);
-}
-
-void Executor::sleep_until(double at) const {
-  const double wall = (at - pilot_.now()) * time_scale_;
-  if (wall > 0.0)
-    std::this_thread::sleep_for(std::chrono::duration<double>(wall));
 }
 
 std::vector<TaskPtr> Executor::in_flight() const {

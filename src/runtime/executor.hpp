@@ -1,21 +1,20 @@
 // Executor: runs an already-placed task through one attempt, as
 // RADICAL-Pilot's agent Executor component does.
 //
-// One implementation serves both execution modes. The attempt lifecycle
-// is written once: the exec-setup draw and spans, exec_start, the fault
-// and phase draws, phase spans and usage intervals at completion, the
-// work call under the attempt's ambient span, and one tail per outcome
-// (exec_stop, the attempt's `outcome`, its close, the pilot's
-// completion). Only how the executor waits differs:
-//  * simulated: each wait is an event on the session's sim::Engine, which
-//    a cancel drops — a 38-hour IM-RP run completes in milliseconds,
-//    deterministically;
-//  * threaded: a ThreadPool worker sleeps the wait scaled to wall time,
-//    then finds a cancelled attempt gone and returns — genuine
-//    concurrency for validating the middleware.
+// The attempt lifecycle is written once: the exec-setup draw and spans,
+// exec_start, the fault and phase draws, phase spans and usage intervals
+// at completion, the work call under the attempt's ambient span, and one
+// tail per outcome (exec_stop, the attempt's `outcome`, its close, the
+// pilot's completion). The executor waits one way: exec setup and the
+// phases are each a Session::call_at event, which a cancel drops. It
+// never learns the execution mode — the session fires the events from
+// its simulated run loop (a 38-hour IM-RP run completes in milliseconds,
+// deterministically) or from its wall-clock pacer on pool workers
+// (genuine concurrency for validating the middleware).
 //
 // Exactly one Pilot::on_complete fires per launched attempt, with the
-// task terminal. A cancel takes effect at once in both modes.
+// task terminal. A cancel takes effect at once, and no thread is left
+// waiting out the dropped wait.
 
 #pragma once
 
@@ -26,16 +25,16 @@
 
 #include "common/lockdep.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "hpc/utilization.hpp"
 #include "obs/obs.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/task.hpp"
-#include "sim/engine.hpp"
+#include "sim/event_pool.hpp"
 
 namespace impress::rp {
 
 class Pilot;
+class Session;
 
 /// Per-task launch overhead model: RP creates a sandbox and launch script
 /// before the application starts ("Exec setup" in Fig 5). The cost varies
@@ -47,19 +46,14 @@ struct ExecOverheadModel {
 
 class Executor {
  public:
-  /// Simulated mode: every wait is an event on `engine`. The executor
-  /// runs `pilot`'s placements, reads its clock and exec overhead, and
-  /// reports each finished attempt to it. `obs` receives the marks,
-  /// attempt/phase spans and exec histograms; instrumentation never draws
-  /// from `rng`, so enabling it cannot perturb results. `faults` (may be
-  /// null) draws each attempt's fate. All must outlive the executor.
+  /// The executor runs `pilot`'s placements, reads its clock and exec
+  /// overhead, and reports each finished attempt to it. `obs` receives
+  /// the marks, attempt/phase spans and exec histograms; instrumentation
+  /// never draws from `rng`, so enabling it cannot perturb results.
+  /// `faults` (may be null) draws each attempt's fate. Every wait is an
+  /// event on `session`'s clock. All must outlive the executor.
   Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
-           const FaultInjector* faults, sim::Engine& engine);
-  /// Threaded mode: a `pool` worker sleeps every wait, `time_scale` wall
-  /// seconds per simulated second.
-  Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
-           const FaultInjector* faults, common::ThreadPool& pool,
-           double time_scale);
+           const FaultInjector* faults, Session& session);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -85,12 +79,8 @@ class Executor {
   struct Attempt {
     TaskPtr task;
     std::uint64_t seq = 0;    ///< launch ordinal; a relaunch gets a new one
-    sim::EventId event = 0;   ///< simulated: the pending wait
+    sim::EventId event = 0;   ///< the pending wait
   };
-
-  Executor(Pilot& pilot, obs::Observability& obs, common::Rng rng,
-           const FaultInjector* faults, sim::Engine* engine,
-           common::ThreadPool* pool, double time_scale);
 
   /// Exec setup is over: mark exec_start, draw the attempt's fault and
   /// phase durations, and wait for its end.
@@ -106,19 +96,15 @@ class Executor {
   /// The tail every attempt ends with, whatever its outcome.
   void stop(const TaskPtr& task, double now, std::string_view info,
             std::string_view outcome);
-  /// Threaded mode: sleep the calling worker until the clock reads `at`.
-  void sleep_until(double at) const;
 
   Pilot& pilot_;
   obs::Observability& obs_;
   const FaultInjector* faults_;
-  sim::Engine* engine_;         ///< simulated mode
-  common::ThreadPool* pool_;    ///< threaded mode
-  double time_scale_;           ///< threaded mode
+  Session& session_;
 
-  /// Guards rng_, in_flight_ and next_seq_ in both modes. Taken under
-  /// Pilot::mutex_ (launch); never held while calling the pilot, the pool
-  /// or a work function.
+  /// Guards rng_, in_flight_ and next_seq_. Taken under Pilot::mutex_
+  /// (launch); held while arming or cancelling a wait on the session's
+  /// clock, never while calling the pilot or a work function.
   mutable common::TrackedMutex mutex_{"Executor::mutex_"};
   common::Rng rng_;
   std::unordered_map<const Task*, Attempt> in_flight_;

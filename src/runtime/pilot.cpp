@@ -59,13 +59,6 @@ void Pilot::run_scheduler() {
   if (placed > 0) obs_.metrics().scheduler_placements->add(placed);
 }
 
-void Pilot::enqueue(TaskPtr task) {
-  const std::string uid = task->uid();
-  if (!try_enqueue(std::move(task)))
-    throw std::logic_error("Pilot::enqueue of " + uid + " on " +
-                           std::string(to_string(state())) + " pilot " + uid_);
-}
-
 bool Pilot::try_enqueue(TaskPtr task) {
   std::lock_guard lock(mutex_);
   if (state_ == PilotState::kDone || state_ == PilotState::kFailed)
@@ -119,7 +112,6 @@ void Pilot::fail() {
   std::deque<TaskPtr> drained;
   std::vector<TaskPtr> evicted;
   RequeueFn requeue;
-  TerminalFn notify;
   Executor* executor = nullptr;
   {
     std::lock_guard lock(mutex_);
@@ -130,7 +122,6 @@ void Pilot::fail() {
     // FAILED places nothing more, so this is every attempt to evict.
     if (executor_ != nullptr) evicted = executor_->in_flight();
     requeue = on_task_requeue_;
-    notify = on_task_terminal_;
     executor = executor_;
   }
   IMPRESS_LOG(kWarn, "pilot") << uid_ << " FAILED: draining "
@@ -140,15 +131,8 @@ void Pilot::fail() {
   // (which routes to other pilots) and eviction re-enters on_complete via
   // the executor's cancel path.
   for (const auto& task : drained) {
-    if (requeue) {
-      obs_.tracer().mark(now_(), task->uid(), hpc::events::kRequeue, uid_);
-      requeue(task);
-    } else {
-      task->set_error("pilot " + uid_ + " failed");
-      task->set_state(TaskState::kFailed, now_());
-      obs_.tracer().mark(now_(), task->uid(), hpc::events::kFailed, uid_);
-      if (notify) notify(task);
-    }
+    obs_.tracer().mark(now_(), task->uid(), hpc::events::kRequeue, uid_);
+    requeue(task);
   }
   for (const auto& task : evicted) {
     task->set_evict_reason(EvictReason::kPilotFailure);

@@ -81,21 +81,17 @@ class Pilot {
   }
 
   /// Wire the executor (owned by the session, built on this pilot), the
-  /// terminal-task callback, and optionally the requeue callback used
-  /// when this pilot fails. Must be called before any enqueue().
+  /// terminal-task callback, and the requeue callback used when this
+  /// pilot fails. Must be called before any try_enqueue().
   void attach(Executor& executor, TerminalFn on_task_terminal,
-              RequeueFn on_task_requeue = {});
+              RequeueFn on_task_requeue);
 
   /// Mark bootstrap finished; queued tasks start flowing.
   void activate();
 
-  /// Accept a task into the agent scheduler queue. Throws std::logic_error
-  /// if the pilot is no longer accepting work.
-  void enqueue(TaskPtr task);
-
-  /// Like enqueue(), but returns false instead of throwing when the pilot
-  /// is DONE or FAILED — the TaskManager uses this to re-route around a
-  /// pilot that died between routing and enqueueing.
+  /// Accept a task into the agent scheduler queue; false when the pilot
+  /// is DONE or FAILED — the TaskManager then re-routes around a pilot
+  /// that died between routing and enqueueing.
   [[nodiscard]] bool try_enqueue(TaskPtr task);
 
   /// Cancel a task owned by this pilot: removed from the queue if still
@@ -115,9 +111,8 @@ class Pilot {
   void finish();
 
   /// Simulate a pilot/node outage: the pilot enters FAILED, queued tasks
-  /// are handed to the requeue callback (or failed terminally if none is
-  /// wired), and executing tasks are evicted, in launch order, so the
-  /// TaskManager can retry them on another pilot.
+  /// are handed to the requeue callback, and executing tasks are evicted,
+  /// in launch order, so the TaskManager can retry them on another pilot.
   void fail();
 
   /// Spot capacity returned: a FAILED pilot re-enters ACTIVE with its
@@ -151,11 +146,12 @@ class Pilot {
   std::atomic<PilotState> state_{PilotState::kLaunching};
   // Atomic for the same reason as state_: routing reads it lock-free.
   std::atomic<std::size_t> running_{0};
-  /// Guards scheduler_. Recursive: enqueue -> run_scheduler -> place
+  /// Guards scheduler_. Recursive: try_enqueue -> run_scheduler -> place
   /// re-enters under the same lock. Second tier of the canonical order:
-  /// taken under TaskManager::mutex_ (route), holds Executor / ThreadPool
-  /// / ResourcePool locks below it, and is always dropped before the
-  /// terminal/requeue callbacks re-enter the TaskManager.
+  /// taken under TaskManager::mutex_ (route), holds Executor (and through
+  /// it the session's engine and ThreadPool) / ResourcePool locks below
+  /// it, and is always dropped before the terminal/requeue callbacks
+  /// re-enter the TaskManager.
   mutable common::TrackedRecursiveMutex mutex_{"Pilot::mutex_"};
 };
 

@@ -2,19 +2,28 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.hpp"
 
 namespace impress::rp {
 
-Session::Session(SessionConfig config)
+Session::Session(SessionConfig config) : Session(config, 0.0) {}
+
+Session::Session(SessionConfig config, double start_s)
     : config_(config),
       obs_(obs::Observability::Config{.tracing = config.enable_tracing,
                                       .metrics = config.enable_metrics}),
       rng_(common::Rng(config.seed)),
-      wall_start_(std::chrono::steady_clock::now()) {
+      wall_start_(std::chrono::steady_clock::now()),
+      clock_offset_(config.mode == ExecutionMode::kThreaded ? start_s : 0.0) {
+  // A fresh engine has no live events and now() == 0, so this can only
+  // fail on a corrupt checkpoint (negative clock) — a bug that must not be
+  // absorbed into a silently-wrong clock.
+  if (config_.mode == ExecutionMode::kSimulated && !engine_.warp_to(start_s))
+    throw std::logic_error(
+        "Session restore: illegal clock warp (clock would move backwards)");
   obs_.tracer().set_clock([this] { return now(); });
   if (config_.mode == ExecutionMode::kThreaded)
     pool_.emplace(config_.worker_threads);
@@ -26,24 +35,15 @@ Session::Session(SessionConfig config)
         call_after(delay_s, std::move(fn));
       },
       rng_.fork("tmgr"));
+  if (config_.mode == ExecutionMode::kThreaded)
+    pacer_ = std::thread([this] { pace(); });
 }
 
 Session::Session(SessionConfig config, const SessionRestore& restore)
-    : Session(config) {
-  // Clock first: preloaded marks and spans carry pre-cut times, and
-  // everything recorded from here on must stamp post-cut times.
-  if (config_.mode == ExecutionMode::kSimulated) {
-    // A fresh engine has no live events and now() == 0, so this can only
-    // fail on a corrupt checkpoint (negative clock) or a restore sequenced
-    // after work was scheduled — both are bugs that must not be absorbed
-    // into a silently-wrong clock.
-    if (!engine_.warp_to(restore.now))
-      throw std::logic_error(
-          "Session restore: illegal clock warp (events pending or clock "
-          "would move backwards)");
-  } else {
-    clock_offset_ = restore.now;
-  }
+    : Session(config, restore.now) {
+  // The clock is already at the cut: preloaded marks and spans carry
+  // pre-cut times, and everything recorded from here on stamps post-cut
+  // times.
   obs_.tracer().preload(restore.profiler_events, restore.trace,
                         restore.trace_next_seq);
   obs_.registry().preload(restore.metrics);
@@ -53,20 +53,16 @@ Session::Session(SessionConfig config, const SessionRestore& restore)
 
 Session::~Session() {
   close();
-  // Join detached-timer threads before members are destroyed. Blocking:
-  // a timer callback may need any runtime lock, so none may be held here.
-  // A running timer can arm another (a retry's backoff timer arms its
-  // deadline), so take the list under its lock until it stays empty.
-  common::lockdep::check_blocking("Session timer join");
-  for (;;) {
-    std::vector<std::thread> timers;
-    {
-      std::lock_guard lock(timer_mutex_);
-      timers.swap(timers_);
-    }
-    if (timers.empty()) break;
-    for (auto& t : timers) t.join();
+  if (!pacer_.joinable()) return;
+  // Events not yet due are dropped; the pool, destroyed after this body,
+  // still runs every callback the pacer handed it.
+  {
+    std::lock_guard lock(engine_mutex_);
+    stopping_ = true;
   }
+  pacer_cv_.notify_one();
+  common::lockdep::check_blocking("Session pacer join");
+  pacer_.join();
 }
 
 double Session::now() const {
@@ -82,12 +78,9 @@ common::Rng Session::fork_rng(std::string_view tag) const {
 }
 
 std::unique_ptr<Executor> Session::make_executor(Pilot& pilot) {
-  common::Rng rng = rng_.fork("executor." + pilot.uid());
-  const FaultInjector* faults = faults_ ? &*faults_ : nullptr;
-  if (config_.mode == ExecutionMode::kSimulated)
-    return std::make_unique<Executor>(pilot, obs_, rng, faults, engine_);
-  return std::make_unique<Executor>(pilot, obs_, rng, faults, *pool_,
-                                    config_.time_scale);
+  return std::make_unique<Executor>(pilot, obs_,
+                                    rng_.fork("executor." + pilot.uid()),
+                                    faults_ ? &*faults_ : nullptr, *this);
 }
 
 void Session::register_pilot(PilotPtr pilot, std::unique_ptr<Executor> exec) {
@@ -180,17 +173,55 @@ void Session::run() {
   }
 }
 
-void Session::call_after(double delay_s, std::function<void()> fn) {
-  if (config_.mode == ExecutionMode::kSimulated) {
-    engine_.schedule_after(delay_s, std::move(fn));
-    return;
+sim::EventId Session::call_at(double t, std::function<void()> fn) {
+  if (config_.mode == ExecutionMode::kSimulated)
+    return engine_.schedule_at(t, std::move(fn));
+  sim::EventId id = 0;
+  {
+    std::lock_guard lock(engine_mutex_);
+    id = engine_.schedule_at(t, [this, fn = std::move(fn)]() mutable {
+      // noexcept: an exception a callback lets escape ends the program,
+      // as it would on a thread of its own, rather than vanishing into
+      // the pool's discarded future.
+      pool_->submit([fn = std::move(fn)]() noexcept { fn(); });
+    });
   }
-  const auto wall = std::chrono::duration<double>(delay_s * config_.time_scale);
-  std::lock_guard lock(timer_mutex_);
-  timers_.emplace_back([wall, fn = std::move(fn)] {
-    std::this_thread::sleep_for(wall);
-    fn();
-  });
+  pacer_cv_.notify_one();
+  return id;
+}
+
+bool Session::cancel(sim::EventId id) {
+  if (config_.mode == ExecutionMode::kSimulated) return engine_.cancel(id);
+  std::lock_guard lock(engine_mutex_);
+  return engine_.cancel(id);
+}
+
+void Session::call_after(double delay_s, std::function<void()> fn) {
+  call_at(now() + std::max(delay_s, 0.0), std::move(fn));
+}
+
+void Session::pace() {
+  std::unique_lock lock(engine_mutex_);
+  while (!stopping_) {
+    const std::optional<sim::SimTime> next = engine_.next_time();
+    if (next && *next <= now()) {
+      engine_.step();  // the event's wrapper hands its callback to the pool
+      continue;
+    }
+    // Sleep until the head event is due, or until it changes (call_at
+    // queued an earlier one) or the session stops.
+    const auto changed = [&] {
+      return stopping_ || engine_.next_time() != next;
+    };
+    if (!next) {
+      pacer_cv_.wait(lock, changed);
+    } else {
+      pacer_cv_.wait_for(lock,
+                         std::chrono::duration<double>(
+                             (*next - now()) * config_.time_scale),
+                         changed);
+    }
+  }
 }
 
 void Session::close() {

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -32,19 +31,19 @@ namespace impress::rp {
 
 enum class ExecutionMode {
   kSimulated,  ///< discrete-event virtual clock; deterministic, instant
-  kThreaded,   ///< real worker threads; wall delays scaled by time_scale
+  kThreaded,   ///< engine paced by the wall clock, scaled by time_scale;
+               ///< callbacks run on real worker threads
 };
 
 struct SessionConfig {
   ExecutionMode mode = ExecutionMode::kSimulated;
   std::uint64_t seed = 42;
   /// Threaded mode: wall seconds per simulated second (1e-4 => a one-hour
-  /// task sleeps 0.36 s).
+  /// task takes 0.36 s).
   double time_scale = 1e-4;
-  /// Threaded mode: executor pool width; must be >= the maximum number of
-  /// concurrently running tasks or placements will serialize behind
-  /// sleeping workers. A cancelled attempt's worker sleeps out its current
-  /// wait before it is free again.
+  /// Threaded mode: how many due callbacks (attempt steps, timers, work
+  /// functions) run at once. No worker waits out a delay — waits are
+  /// engine events — so this need not match the task concurrency.
   std::size_t worker_threads = 16;
   /// Seeded fault plan: task failures / slowdowns drawn per (task, attempt)
   /// plus scheduled pilot outages. Empty by default (no faults).
@@ -103,6 +102,8 @@ class Session {
                         const PilotRestore& restore);
 
   [[nodiscard]] TaskManager& task_manager() noexcept { return *tmgr_; }
+  /// The event queue, for simulated mode only: in threaded mode the pacer
+  /// owns it, and call_at / cancel are the way in.
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] obs::Observability& observability() noexcept { return obs_; }
   [[nodiscard]] const obs::Observability& observability() const noexcept {
@@ -130,16 +131,26 @@ class Session {
   /// loop; threaded mode blocks until no task is outstanding.
   void run();
 
-  /// Schedule a callback `delay_s` simulated seconds from now (engine
-  /// event or detached timer depending on mode).
+  /// Run `fn` when the session clock reaches `t` (simulated seconds;
+  /// earlier times fire at once). Both modes queue it on the one engine:
+  /// simulated mode fires it from run(), threaded mode from the pacer,
+  /// which hands each due callback to a pool worker. Callbacks not yet due
+  /// when the session is destroyed never run.
+  sim::EventId call_at(double t, std::function<void()> fn);
+  /// Drop an event call_at queued; false if it already fired (threaded:
+  /// was handed to the pool) or was cancelled.
+  bool cancel(sim::EventId id);
+  /// call_at(now() + delay_s); negative delays count as zero.
   void call_after(double delay_s, std::function<void()> fn);
 
   /// Mark all pilots done. Called by the destructor.
   void close();
 
  private:
-  /// The executor for `pilot`, waiting in the session's mode; shared by
-  /// both submit_pilot overloads.
+  /// Both public constructors: the clock starts at `start_s`, and in
+  /// threaded mode the pacer starts last, once the clock is in place.
+  Session(SessionConfig config, double start_s);
+  /// The executor for `pilot`; shared by both submit_pilot overloads.
   std::unique_ptr<Executor> make_executor(Pilot& pilot);
   /// Registration shared by both submit_pilot overloads (executor/pilot
   /// bookkeeping + TaskManager routing).
@@ -148,8 +159,19 @@ class Session {
   /// before `horizon_s` (already fired before a checkpoint cut).
   void arm_outages(const PilotPtr& pilot, std::size_t index,
                    double horizon_s);
+  /// Threaded mode's pacer thread: wait until the scaled wall clock
+  /// reaches the next event, then fire it, which hands its callback to
+  /// the pool.
+  void pace();
 
   SessionConfig config_;
+  /// Threaded mode only (simulated mode runs the engine on one thread):
+  /// guards engine_ and stopping_. Taken under Executor::mutex_ (an
+  /// attempt arms or cancels its wait); the pacer holds it while it
+  /// submits due callbacks to the pool.
+  common::TrackedMutex engine_mutex_{"Session::engine_mutex_"};
+  common::CondVar pacer_cv_;  ///< the head event changed, or stopping_
+  bool stopping_ = false;
   sim::Engine engine_;
   // Declared before the task manager / executors / pilots that hold a
   // reference to it (and therefore destroyed after them).
@@ -160,7 +182,7 @@ class Session {
   /// Simulated seconds already elapsed before this process started
   /// (checkpoint restore); added to the wall clock in threaded mode. The
   /// simulated engine warps its own clock instead.
-  double clock_offset_ = 0.0;
+  const double clock_offset_;
   // Declared before the executors that hold a pointer to it.
   std::optional<FaultInjector> faults_;
   std::unique_ptr<TaskManager> tmgr_;
@@ -168,12 +190,9 @@ class Session {
   std::vector<std::unique_ptr<Executor>> executors_;
   // Declared after everything worker threads touch: destroying the pool
   // joins the workers, so the TaskManager, pilots and executors are
-  // guaranteed to outlive every in-flight completion callback.
+  // guaranteed to outlive every callback already handed to it.
   std::optional<common::ThreadPool> pool_;
-  /// A leaf lock in the canonical order: call_after only appends under
-  /// it and never calls out.
-  common::TrackedMutex timer_mutex_{"Session::timer_mutex_"};  // guards timers_
-  std::vector<std::thread> timers_;
+  std::thread pacer_;  ///< threaded mode; joined by the destructor
 };
 
 }  // namespace impress::rp

@@ -57,7 +57,7 @@ TaskPtr TaskManager::submit(TaskDescription description) {
                        task->description().name);
     routes_.emplace(task.get(), Route{.pilot = pilot});
     ++outstanding_;
-    ++submitted_;
+    ++counters_.submitted;
   }
   obs_.metrics().tasks_submitted->inc();
   obs_.metrics().tasks_outstanding->add(1.0);
@@ -120,7 +120,7 @@ void TaskManager::arm_deadline(const TaskPtr& task) {
       const auto it = routes_.find(task.get());
       if (it == routes_.end() || it->second.backoff) return;
       pilot = it->second.pilot;
-      ++timed_out_;
+      ++counters_.timed_out;
     }
     obs_.metrics().tasks_timed_out->inc();
     obs_.tracer().mark(now_(), task->uid(), hpc::events::kTimeout,
@@ -181,41 +181,6 @@ std::size_t TaskManager::outstanding() const {
   return outstanding_;
 }
 
-std::size_t TaskManager::submitted() const {
-  std::lock_guard lock(mutex_);
-  return submitted_;
-}
-
-std::size_t TaskManager::done() const {
-  std::lock_guard lock(mutex_);
-  return done_;
-}
-
-std::size_t TaskManager::failed() const {
-  std::lock_guard lock(mutex_);
-  return failed_;
-}
-
-std::size_t TaskManager::cancelled() const {
-  std::lock_guard lock(mutex_);
-  return cancelled_;
-}
-
-std::size_t TaskManager::retried() const {
-  std::lock_guard lock(mutex_);
-  return retried_;
-}
-
-std::size_t TaskManager::timed_out() const {
-  std::lock_guard lock(mutex_);
-  return timed_out_;
-}
-
-std::size_t TaskManager::requeued() const {
-  std::lock_guard lock(mutex_);
-  return requeued_;
-}
-
 void TaskManager::wait_all() {
   std::unique_lock lock(mutex_);
   // Both conditions matter: outstanding_ hits zero *before* the terminal
@@ -253,7 +218,7 @@ void TaskManager::on_terminal(const TaskPtr& task) {
     const bool retryable = task->attempt() < policy.max_attempts &&
                            route(task->description()) != nullptr;
     if (retryable) {
-      ++retried_;
+      ++counters_.retried;
       routes_[task.get()].backoff = true;
       // The task is not terminal while it waits out the backoff — it is
       // still outstanding and cancellable. The error text of the failed
@@ -315,7 +280,7 @@ void TaskManager::requeue(const TaskPtr& task) {
     if (is_terminal(task->state())) return;
     pilot = route(task->description());
     if (pilot) {
-      ++requeued_;
+      ++counters_.requeued;
       routes_[task.get()] = Route{.pilot = pilot};
     }
   }
@@ -360,9 +325,9 @@ void TaskManager::finalize(const TaskPtr& task) {
     routes_.erase(task.get());
     if (outstanding_ > 0) --outstanding_;
     switch (task->state()) {
-      case TaskState::kDone: ++done_; break;
-      case TaskState::kFailed: ++failed_; break;
-      case TaskState::kCancelled: ++cancelled_; break;
+      case TaskState::kDone: ++counters_.done; break;
+      case TaskState::kFailed: ++counters_.failed; break;
+      case TaskState::kCancelled: ++counters_.cancelled; break;
       default: break;
     }
     callbacks = callbacks_;  // snapshot: callbacks may submit more tasks

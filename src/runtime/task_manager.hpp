@@ -36,7 +36,7 @@ class TaskManager {
   using Callback = std::function<void(const TaskPtr&)>;
 
   /// Schedules a deferred action `delay_s` simulated seconds from now;
-  /// the session wires this to its clock (engine event or timer thread).
+  /// the session wires this to an event on its clock (Session::call_after).
   /// Retry backoff and per-attempt deadlines are driven through it.
   using DeferFn = std::function<void(double, std::function<void()>)>;
 
@@ -74,51 +74,36 @@ class TaskManager {
   /// Tasks submitted but not yet terminal.
   [[nodiscard]] std::size_t outstanding() const;
 
-  /// Counters over everything ever submitted.
-  [[nodiscard]] std::size_t submitted() const;
-  [[nodiscard]] std::size_t done() const;
-  [[nodiscard]] std::size_t failed() const;
-  [[nodiscard]] std::size_t cancelled() const;
-  /// Failed attempts that were resubmitted under a RetryPolicy.
-  [[nodiscard]] std::size_t retried() const;
-  /// Attempts evicted because their per-attempt deadline expired.
-  [[nodiscard]] std::size_t timed_out() const;
-  /// Tasks handed back by failing pilots and re-routed.
-  [[nodiscard]] std::size_t requeued() const;
-
-  /// Lifetime counters as one plain-data bundle (checkpointed so a
-  /// resumed campaign reports the same workload totals).
+  /// Lifetime counters over everything ever submitted, as one plain-data
+  /// bundle (checkpointed so a resumed campaign reports the same workload
+  /// totals).
   struct Counters {
     std::uint64_t submitted = 0;
     std::uint64_t done = 0;
     std::uint64_t failed = 0;
     std::uint64_t cancelled = 0;
+    /// Failed attempts that were resubmitted under a RetryPolicy.
     std::uint64_t retried = 0;
+    /// Attempts evicted because their per-attempt deadline expired.
     std::uint64_t timed_out = 0;
+    /// Tasks handed back by failing pilots and re-routed.
     std::uint64_t requeued = 0;
     bool operator==(const Counters&) const = default;
   };
   [[nodiscard]] Counters counters() const {
     std::lock_guard lock(mutex_);
-    return {submitted_, done_, failed_, cancelled_,
-            retried_,   timed_out_, requeued_};
+    return counters_;
   }
   /// Checkpoint restore; only valid while no task is outstanding.
   void restore_counters(const Counters& c) {
     std::lock_guard lock(mutex_);
-    submitted_ = c.submitted;
-    done_ = c.done;
-    failed_ = c.failed;
-    cancelled_ = c.cancelled;
-    retried_ = c.retried;
-    timed_out_ = c.timed_out;
-    requeued_ = c.requeued;
+    counters_ = c;
   }
 
   /// Block the calling thread until no task is outstanding *and* no
-  /// terminal callback is still running. Only meaningful with the
-  /// threaded executor — with the simulated executor use Session::run(),
-  /// which drives the event loop instead of blocking.
+  /// terminal callback is still running. Only meaningful in threaded
+  /// mode — in simulated mode use Session::run(), which drives the event
+  /// loop instead of blocking.
   void wait_all();
 
   /// The handler the session installs on each pilot.
@@ -172,13 +157,7 @@ class TaskManager {
   /// while one is in flight, because it may be about to submit follow-on
   /// work (see on_terminal).
   std::size_t callbacks_in_flight_ = 0;
-  std::size_t submitted_ = 0;
-  std::size_t done_ = 0;
-  std::size_t failed_ = 0;
-  std::size_t cancelled_ = 0;
-  std::size_t retried_ = 0;
-  std::size_t timed_out_ = 0;
-  std::size_t requeued_ = 0;
+  Counters counters_;
 };
 
 }  // namespace impress::rp

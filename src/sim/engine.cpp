@@ -69,31 +69,25 @@ std::size_t Engine::run() {
   return n;
 }
 
-bool Engine::peek_next_live(SimTime& t) {
+std::optional<SimTime> Engine::next_time() {
   while (batch_pos_ < batch_.size()) {
-    if (pool_.is_live(batch_[batch_pos_].id)) {
-      t = batch_[batch_pos_].time;
-      return true;
-    }
+    if (pool_.is_live(batch_[batch_pos_].id)) return batch_[batch_pos_].time;
     ++batch_pos_;  // tombstone: skipping it here is free
   }
   while (!heap_.empty()) {
     const Entry& top = heap_.front();
-    if (pool_.is_live(top.id)) {
-      t = top.time;
-      return true;
-    }
+    if (pool_.is_live(top.id)) return top.time;
     pop_heap_top();  // discard tombstone
   }
-  return false;
+  return std::nullopt;
 }
 
 std::size_t Engine::run_until(SimTime t_end) {
   stopped_ = false;
   std::size_t n = 0;
   while (!stopped_) {
-    SimTime t_next = 0.0;
-    if (!peek_next_live(t_next) || t_next > t_end) break;
+    const std::optional<SimTime> next = next_time();
+    if (!next || *next > t_end) break;
     step();
     ++n;
   }

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "sim/event_pool.hpp"
@@ -55,6 +56,11 @@ class Engine {
 
   /// Fire the next event; returns false when the queue is empty.
   bool step();
+
+  /// Time of the event step() fires next, or nullopt when none is
+  /// pending. Drops cancelled entries at the head as it looks, hence not
+  /// const.
+  [[nodiscard]] std::optional<SimTime> next_time();
 
   /// Run until the queue drains (or stop() is called). Returns the number
   /// of events fired.
@@ -106,9 +112,6 @@ class Engine {
   };
 
   void pop_heap_top();
-  /// Advance past cancelled entries to the next live event's time.
-  /// Consumes tombstones as a side effect; returns false when drained.
-  bool peek_next_live(SimTime& t);
   /// Compact the heap when lazily-cancelled tombstones outnumber live
   /// entries (amortized O(1) per cancel: a compaction of k entries
   /// reclaims >= k/2 tombstones, each paid for by one cancel).

@@ -85,10 +85,10 @@ TEST(EndToEnd, PhaseHoursAccountForMakespan) {
 }
 
 TEST(EndToEnd, ThreadedModeMatchesSimCounts) {
-  // The same campaign on the threaded executor: different timing engine,
-  // same protocol semantics. Counts must line up structurally (the random
-  // streams differ because completion order differs, so we compare
-  // invariants, not exact numbers).
+  // The same campaign in threaded mode: wall-clock pacing and real
+  // threads, same protocol semantics. Counts must line up structurally
+  // (the random streams differ because completion order differs, so we
+  // compare invariants, not exact numbers).
   auto cfg = im_rp_campaign(42);
   cfg.protocol.spawn_subpipelines = false;  // keep the workload fixed
   cfg.session.mode = rp::ExecutionMode::kThreaded;

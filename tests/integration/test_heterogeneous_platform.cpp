@@ -41,7 +41,7 @@ TEST(HeterogeneousPlatform, GpuTasksOnlyOnGpuNodes) {
   // the recorded allocations at completion time: the task allocation is
   // cleared after release, so validate via utilization intervals instead:
   // every GPU-bearing interval exists and all tasks completed.
-  EXPECT_EQ(session.task_manager().done(), 16u);
+  EXPECT_EQ(session.task_manager().counters().done, 16u);
   std::size_t gpu_intervals = 0;
   for (const auto& iv : pilot->recorder().intervals())
     if (iv.gpus > 0) ++gpu_intervals;

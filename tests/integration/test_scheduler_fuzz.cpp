@@ -80,8 +80,9 @@ TEST_P(RuntimeFuzz, InvariantsHoldForRandomWorkloads) {
 
   // 1. Everything terminated successfully.
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
-  EXPECT_EQ(session.task_manager().failed(), 0u);
-  EXPECT_EQ(session.task_manager().done(), session.task_manager().submitted());
+  const TaskManager::Counters counters = session.task_manager().counters();
+  EXPECT_EQ(counters.failed, 0u);
+  EXPECT_EQ(counters.done, counters.submitted);
   EXPECT_EQ(pilot->pool().free_cores(), node.cores);
   EXPECT_EQ(pilot->pool().free_gpus(), node.gpus);
 

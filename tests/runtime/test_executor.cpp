@@ -1,8 +1,9 @@
-// Executor contract under both clocks: whether the executor waits on the
-// engine (simulated) or sleeps pool workers (threaded), an attempt records
-// the same exec_* marks and infos, ends with the same attempt outcome and
-// terminal state, feeds impress_task_run_seconds only when it ran to its
-// end, and hands its allocation back.
+// Executor contract under both clocks: whether the session fires the
+// executor's waits from its simulated run loop or from its wall-clock
+// pacer on pool workers (threaded), an attempt records the same exec_*
+// marks and infos, ends with the same attempt outcome and terminal state,
+// feeds impress_task_run_seconds only when it ran to its end, and hands
+// its allocation back.
 
 #include <gtest/gtest.h>
 
@@ -71,7 +72,7 @@ class ExecutorContract : public ::testing::TestWithParam<ExecutionMode> {
   /// Run `act` inside a window of the attempts' timeline: at simulated
   /// time `t` in simulated mode; in threaded mode from a watcher thread as
   /// soon as every task in `tasks` has recorded `mark`, since a timer
-  /// thread on a loaded machine can wake after the window has closed.
+  /// callback on a loaded machine can run after the window has closed.
   void act_at(double t, std::vector<TaskPtr> tasks, std::string_view mark,
               std::function<void()> act) {
     if (GetParam() == ExecutionMode::kSimulated) {

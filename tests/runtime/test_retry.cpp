@@ -78,9 +78,9 @@ TEST(Retry, FlakyWorkRetriedToSuccess) {
   session.run();
   EXPECT_EQ(task->state(), TaskState::kDone);
   EXPECT_EQ(task->attempt(), 3);
-  EXPECT_EQ(session.task_manager().done(), 1u);
-  EXPECT_EQ(session.task_manager().failed(), 0u);
-  EXPECT_EQ(session.task_manager().retried(), 2u);
+  EXPECT_EQ(session.task_manager().counters().done, 1u);
+  EXPECT_EQ(session.task_manager().counters().failed, 0u);
+  EXPECT_EQ(session.task_manager().counters().retried, 2u);
   // Two runs plus two backoffs (5s then 10s) must have elapsed.
   EXPECT_GE(session.now(), 10.0 + 5.0 + 10.0);
 }
@@ -96,8 +96,8 @@ TEST(Retry, ExhaustedPolicyIsTerminalFailure) {
   session.run();
   EXPECT_EQ(task->state(), TaskState::kFailed);
   EXPECT_EQ(task->attempt(), 2);
-  EXPECT_EQ(session.task_manager().failed(), 1u);
-  EXPECT_EQ(session.task_manager().retried(), 1u);
+  EXPECT_EQ(session.task_manager().counters().failed, 1u);
+  EXPECT_EQ(session.task_manager().counters().retried, 1u);
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
 }
 
@@ -113,7 +113,7 @@ TEST(Retry, InjectedFaultsFlowThroughPolicy) {
   EXPECT_EQ(task->state(), TaskState::kFailed);
   EXPECT_EQ(task->attempt(), 2);
   EXPECT_NE(task->error().find("injected fault"), std::string::npos);
-  EXPECT_EQ(session.task_manager().retried(), 1u);
+  EXPECT_EQ(session.task_manager().counters().retried, 1u);
 }
 
 TEST(Retry, AttemptDeadlineEvictsAndRetries) {
@@ -130,8 +130,8 @@ TEST(Retry, AttemptDeadlineEvictsAndRetries) {
   EXPECT_EQ(task->state(), TaskState::kFailed);
   EXPECT_EQ(task->attempt(), 2);
   EXPECT_EQ(task->error(), "attempt deadline exceeded");
-  EXPECT_EQ(session.task_manager().timed_out(), 2u);
-  EXPECT_EQ(session.task_manager().retried(), 1u);
+  EXPECT_EQ(session.task_manager().counters().timed_out, 2u);
+  EXPECT_EQ(session.task_manager().counters().retried, 1u);
   // Both attempts were cut at 10s, not run to 100s.
   EXPECT_LT(session.now(), 100.0);
 }
@@ -149,7 +149,7 @@ TEST(Retry, DeadlineDoesNotFireForFastTasks) {
   session.run();
   EXPECT_EQ(task->state(), TaskState::kDone);
   EXPECT_EQ(task->attempt(), 1);
-  EXPECT_EQ(session.task_manager().timed_out(), 0u);
+  EXPECT_EQ(session.task_manager().counters().timed_out, 0u);
 }
 
 TEST(Retry, ResubmissionPrefersDifferentPilot) {
@@ -185,8 +185,8 @@ TEST(Retry, PilotOutageReroutesWorkToSurvivor) {
   for (const auto& t : tasks) EXPECT_EQ(t->state(), TaskState::kDone);
   // Executing tasks on the dead pilot were evicted and retried; queued
   // ones were drained and re-routed without consuming an attempt.
-  EXPECT_GT(session.task_manager().retried() +
-                session.task_manager().requeued(),
+  EXPECT_GT(session.task_manager().counters().retried +
+                session.task_manager().counters().requeued,
             0u);
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
 }
@@ -226,8 +226,8 @@ TEST(Retry, SpotReclaimEvictsAndPilotReturns) {
   for (const auto& t : tasks) EXPECT_EQ(t->state(), TaskState::kDone);
   // The window closed before the workload drained, so the pilot is back.
   EXPECT_EQ(spot->state(), PilotState::kActive);
-  EXPECT_GT(session.task_manager().retried() +
-                session.task_manager().requeued(),
+  EXPECT_GT(session.task_manager().counters().retried +
+                session.task_manager().counters().requeued,
             0u);
   bool reactivated = false;
   for (const auto& e : session.observability().tracer().marks())
@@ -271,10 +271,8 @@ TEST(Retry, SpotReclaimedRunIsDeterministic) {
       (void)session.task_manager().submit(std::move(td));
     }
     session.run();
-    return std::tuple{session.task_manager().done(),
-                      session.task_manager().failed(),
-                      session.task_manager().retried(),
-                      session.task_manager().requeued(), session.now(),
+    const TaskManager::Counters c = session.task_manager().counters();
+    return std::tuple{c.done, c.failed, c.retried, c.requeued, session.now(),
                       session.observability().tracer().marks().size()};
   };
   EXPECT_EQ(run_once(), run_once());
@@ -294,9 +292,8 @@ TEST(Retry, FaultedRunIsDeterministic) {
       (void)session.task_manager().submit(std::move(td));
     }
     session.run();
-    return std::tuple{session.task_manager().done(),
-                      session.task_manager().failed(),
-                      session.task_manager().retried(), session.now(),
+    const TaskManager::Counters c = session.task_manager().counters();
+    return std::tuple{c.done, c.failed, c.retried, session.now(),
                       session.observability().tracer().marks().size()};
   };
   EXPECT_EQ(run_once(), run_once());

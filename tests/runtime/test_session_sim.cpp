@@ -77,7 +77,7 @@ TEST(SimSession, ThrowingWorkFails) {
   session.run();
   EXPECT_EQ(task->state(), TaskState::kFailed);
   EXPECT_EQ(task->error(), "sim boom");
-  EXPECT_EQ(session.task_manager().failed(), 1u);
+  EXPECT_EQ(session.task_manager().counters().failed, 1u);
 }
 
 TEST(SimSession, ConcurrentTasksOverlapInTime) {
@@ -183,7 +183,7 @@ TEST(SimSession, CancelQueuedTask) {
   EXPECT_TRUE(session.task_manager().cancel(task));
   session.run();
   EXPECT_EQ(task->state(), TaskState::kCancelled);
-  EXPECT_EQ(session.task_manager().cancelled(), 1u);
+  EXPECT_EQ(session.task_manager().counters().cancelled, 1u);
 }
 
 TEST(SimSession, CancelExecutingTaskReleasesResources) {
@@ -244,7 +244,7 @@ TEST(SimSession, CallbackCanSubmitFollowOnWork) {
   session.task_manager().submit(make_simple_task("first", 1, 0, 5.0));
   session.run();
   EXPECT_EQ(completed, 2);
-  EXPECT_EQ(session.task_manager().done(), 2u);
+  EXPECT_EQ(session.task_manager().counters().done, 2u);
   EXPECT_DOUBLE_EQ(session.now(), 10.0);
 }
 
@@ -283,11 +283,11 @@ TEST(SimSession, TaskCountsAreConsistent) {
   session.submit_pilot(small_pilot());
   for (int i = 0; i < 5; ++i)
     session.task_manager().submit(make_simple_task("t" + std::to_string(i), 1, 0, 1.0));
-  EXPECT_EQ(session.task_manager().submitted(), 5u);
+  EXPECT_EQ(session.task_manager().counters().submitted, 5u);
   EXPECT_EQ(session.task_manager().outstanding(), 5u);
   session.run();
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
-  EXPECT_EQ(session.task_manager().done(), 5u);
+  EXPECT_EQ(session.task_manager().counters().done, 5u);
 }
 
 }  // namespace

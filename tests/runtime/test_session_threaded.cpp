@@ -1,12 +1,19 @@
-// Runtime behaviour on the threaded executor: the same middleware under
-// real concurrency. Durations here are virtual seconds scaled by
-// time_scale, so keep them small enough that tests stay fast but large
-// enough that overlap is real.
+// Runtime behaviour in threaded mode: the same middleware under real
+// concurrency. Durations here are virtual seconds scaled by time_scale,
+// so keep them small enough that tests stay fast but large enough that
+// overlap is real.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
+
+#include "hpc/analytics.hpp"
 
 #include "runtime/session.hpp"
 
@@ -57,7 +64,7 @@ TEST(ThreadedSession, ManyTasksAllComplete) {
     session.task_manager().submit(
         make_simple_task("t" + std::to_string(i), 1, 0, 5.0));
   session.run();
-  EXPECT_EQ(session.task_manager().done(), 50u);
+  EXPECT_EQ(session.task_manager().counters().done, 50u);
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
 }
 
@@ -72,7 +79,7 @@ TEST(ThreadedSession, TasksActuallyOverlap) {
   const auto wall = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - wall0)
                         .count();
-  EXPECT_EQ(session.task_manager().done(), 4u);
+  EXPECT_EQ(session.task_manager().counters().done, 4u);
   // 4 x 80 virtual ms would be ~320 ms wall if serialized; the 4-core
   // node runs them concurrently, so well under that even with slack.
   EXPECT_LT(wall, 0.25);
@@ -137,7 +144,7 @@ TEST(ThreadedSession, CooperativeCancelBetweenPhases) {
   session.task_manager().cancel(task);
   session.run();
   EXPECT_EQ(task->state(), TaskState::kCancelled);
-  EXPECT_EQ(session.task_manager().cancelled(), 1u);
+  EXPECT_EQ(session.task_manager().counters().cancelled, 1u);
 }
 
 TEST(ThreadedSession, FollowOnSubmissionFromCallback) {
@@ -153,7 +160,78 @@ TEST(ThreadedSession, FollowOnSubmissionFromCallback) {
   });
   session.task_manager().submit(make_simple_task("chain0", 1, 0, 2.0));
   session.run();
-  EXPECT_EQ(session.task_manager().done(), 6u);  // original + 5 follow-ons
+  // The original and 5 follow-ons.
+  EXPECT_EQ(session.task_manager().counters().done, 6u);
+}
+
+TEST(ThreadedSession, RestoredClockStartsAtTheCut) {
+  // The pacer starts only once the clock offset is in place, so a resumed
+  // session never fires or stamps anything before the cut.
+  SessionRestore restore;
+  restore.now = 1000.0;
+  Session session{threaded_config(), restore};
+  EXPECT_GE(session.now(), 1000.0);
+  session.submit_pilot(small_pilot());
+  auto task = session.task_manager().submit(make_simple_task("t", 1, 0, 5.0));
+  session.run();
+  EXPECT_EQ(task->state(), TaskState::kDone);
+  const auto marks = session.observability().tracer().marks();
+  ASSERT_FALSE(marks.empty());
+  for (const auto& m : marks)
+    EXPECT_GE(m.time, 1000.0) << m.entity << ' ' << m.event;
+}
+
+TEST(ThreadedSession, DestroyedWithoutWaitingOutArmedTimers) {
+  // Every task finishes in a few ms but leaves its 5000 s deadline (5 s
+  // of wall time) armed. Destruction drops timers that are not yet due.
+  std::optional<Session> session;
+  session.emplace(threaded_config());
+  session->submit_pilot(small_pilot());
+  for (int i = 0; i < 20; ++i) {
+    auto td = make_simple_task("t" + std::to_string(i), 1, 0, 1.0);
+    td.retry.attempt_timeout_s = 5000.0;
+    session->task_manager().submit(std::move(td));
+  }
+  session->run();
+  EXPECT_EQ(session->task_manager().counters().done, 20u);
+  const auto t0 = std::chrono::steady_clock::now();
+  session.reset();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                .count(),
+            1.0);
+}
+
+TEST(ThreadedSession, CancelledAttemptFreesItsWorkerAtOnce) {
+  // One worker: if a cancelled 5000 s attempt (5 s of wall time) kept it
+  // busy, the next task could not run until that attempt would have ended.
+  SessionConfig cfg = threaded_config();
+  cfg.worker_threads = 1;
+  Session session{cfg};
+  session.submit_pilot(small_pilot());
+  auto hog =
+      session.task_manager().submit(make_simple_task("hog", 1, 0, 5000.0));
+  const auto started = [&] {
+    const auto marks = session.observability().tracer().marks();
+    return std::any_of(marks.begin(), marks.end(), [&](const obs::Mark& m) {
+      return m.entity == hog->uid() && m.event == hpc::events::kExecStart;
+    });
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!started() && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(started());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(session.task_manager().cancel(hog));
+  auto quick =
+      session.task_manager().submit(make_simple_task("quick", 1, 0, 1.0));
+  session.run();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                .count(),
+            1.0);
+  EXPECT_EQ(hog->state(), TaskState::kCancelled);
+  EXPECT_EQ(quick->state(), TaskState::kDone);
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ TEST(TaskManager, CancelReturnsTrueOnceThenFalse) {
   });
   session.run();
   EXPECT_EQ(task->state(), TaskState::kCancelled);
-  EXPECT_EQ(session.task_manager().cancelled(), 1u);
+  EXPECT_EQ(session.task_manager().counters().cancelled, 1u);
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
 }
 
@@ -127,7 +127,7 @@ TEST(TaskManager, CancelDuringRetryBackoffFinalizes) {
   });
   session.run();
   EXPECT_EQ(task->state(), TaskState::kCancelled);
-  EXPECT_EQ(session.task_manager().cancelled(), 1u);
+  EXPECT_EQ(session.task_manager().counters().cancelled, 1u);
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
   // The armed resubmission became a no-op: no second attempt ran.
   EXPECT_EQ(task->attempt(), 1);
@@ -154,7 +154,7 @@ TEST(TaskManager, WaitAllWaitsForCallbackSubmissions) {
   (void)session.task_manager().submit(make_simple_task("root", 1, 0, 50.0));
   session.run();  // wait_all
   EXPECT_TRUE(chained.load());
-  EXPECT_EQ(session.task_manager().done(), 2u);
+  EXPECT_EQ(session.task_manager().counters().done, 2u);
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
 }
 
@@ -166,8 +166,8 @@ TEST(TaskManager, FailedTasksCountedSeparately) {
       "bad", 1, 0, 1.0,
       [](Task&) -> std::any { throw std::runtime_error("x"); }));
   session.run();
-  EXPECT_EQ(session.task_manager().done(), 1u);
-  EXPECT_EQ(session.task_manager().failed(), 1u);
+  EXPECT_EQ(session.task_manager().counters().done, 1u);
+  EXPECT_EQ(session.task_manager().counters().failed, 1u);
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
 }
 

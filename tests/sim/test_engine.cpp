@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -114,6 +115,30 @@ TEST(Engine, CancelledEventDoesNotAdvanceClock) {
   e.cancel(id);
   e.run();
   EXPECT_EQ(e.now(), 1.0);
+}
+
+TEST(Engine, NextTimeIsTheTimeStepFiresNext) {
+  Engine e;
+  EXPECT_EQ(e.next_time(), std::nullopt);
+  const EventId head = e.schedule_at(1.0, [] {});
+  e.schedule_at(4.0, [] {});
+  const EventId first_at_two = e.schedule_at(2.0, [] {});
+  const EventId second_at_two = e.schedule_at(2.0, [] {});
+  EXPECT_EQ(e.next_time(), 1.0);
+  EXPECT_TRUE(e.cancel(head));
+  EXPECT_EQ(e.next_time(), 2.0);  // the cancelled head is skipped
+  ASSERT_TRUE(e.step());
+  EXPECT_FALSE(e.cancel(first_at_two));  // fired
+  // Cancelled inside the same-timestamp batch step() is working through.
+  EXPECT_TRUE(e.cancel(second_at_two));
+  EXPECT_EQ(e.next_time(), 4.0);
+  while (const std::optional<SimTime> next = e.next_time()) {
+    ASSERT_TRUE(e.step());
+    EXPECT_EQ(e.now(), *next);
+  }
+  EXPECT_FALSE(e.step());
+  EXPECT_EQ(e.now(), 4.0);
+  EXPECT_EQ(e.next_time(), std::nullopt);
 }
 
 TEST(Engine, StepFiresExactlyOne) {

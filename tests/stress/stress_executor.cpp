@@ -1,6 +1,6 @@
 // TSan-targeted stress tests for the runtime: scheduler placement racing
 // completions, task cancellation racing normal completion, and pilot
-// teardown while tasks are in flight. All on the threaded executor, i.e.
+// teardown while tasks are in flight. All in threaded mode, i.e. on
 // real worker threads — these are the interleavings the simulated engine
 // can never produce.
 
@@ -8,11 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/pilot.hpp"
@@ -81,8 +81,8 @@ TEST(StressExecutor, CompletionVsCancellationRace) {
   }
   EXPECT_EQ(terminal, static_cast<std::size_t>(kTasks));
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
-  EXPECT_EQ(session.task_manager().done() + session.task_manager().failed() +
-                session.task_manager().cancelled(),
+  const TaskManager::Counters counters = session.task_manager().counters();
+  EXPECT_EQ(counters.done + counters.failed + counters.cancelled,
             static_cast<std::size_t>(kTasks));
 }
 
@@ -90,20 +90,20 @@ TEST(StressExecutor, PilotTeardownWhileTasksInFlight) {
   // Direct pilot + executor wiring (no TaskManager): enqueue a burst,
   // then finish() the pilot from another thread while completions and
   // cancels are landing. Every placed task must still reach a terminal
-  // state exactly once, and nothing may race the teardown.
-  const auto t0 = std::chrono::steady_clock::now();
-  auto now_fn = [t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-               .count() * 1e3;  // virtual seconds at time_scale 1e-3
-  };
+  // state exactly once, and nothing may race the teardown. A threaded
+  // session supplies the clock the executor waits on; it is destroyed,
+  // joining its pool, before the pilot and executor.
+  std::optional<Session> session;
+  session.emplace(stress_config());
   obs::Observability obs;
-  common::ThreadPool pool(4);
-  Pilot pilot("pilot.stress", stress_pilot(), obs, now_fn);
-  Executor exec(pilot, obs, common::Rng(11), /*faults=*/nullptr, pool, 1e-3);
+  Pilot pilot("pilot.stress", stress_pilot(), obs,
+              [&session] { return session->now(); });
+  Executor exec(pilot, obs, common::Rng(11), /*faults=*/nullptr, *session);
   std::atomic<int> terminal{0};
-  pilot.attach(exec, [&](const TaskPtr&) {
-    terminal.fetch_add(1, std::memory_order_relaxed);
-  });
+  pilot.attach(
+      exec,
+      [&](const TaskPtr&) { terminal.fetch_add(1, std::memory_order_relaxed); },
+      /*on_task_requeue=*/{});
   pilot.activate();
 
   constexpr int kTasks = 24;
@@ -114,7 +114,7 @@ TEST(StressExecutor, PilotTeardownWhileTasksInFlight) {
     td.validate_and_normalize();
     auto task = std::make_shared<Task>("task." + std::to_string(i), std::move(td));
     tasks.push_back(task);
-    pilot.enqueue(task);
+    EXPECT_TRUE(pilot.try_enqueue(task));
   }
 
   std::thread finisher([&] {
@@ -129,7 +129,12 @@ TEST(StressExecutor, PilotTeardownWhileTasksInFlight) {
   });
   finisher.join();
   canceller.join();
-  pool.wait_idle();
+  // An attempt that ended just before its cancel turns terminal on a
+  // worker shortly after.
+  const auto give_up = std::chrono::steady_clock::now() + 30s;
+  while (terminal.load() < kTasks && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(1ms);
+  session.reset();
 
   EXPECT_EQ(pilot.state(), PilotState::kDone);
   EXPECT_EQ(pilot.running(), 0u);
@@ -154,7 +159,8 @@ TEST(StressExecutor, BackfillPlacementHammer) {
         "t" + std::to_string(i), 1 + static_cast<std::uint32_t>(i % 4),
         i % 5 == 0 ? 1 : 0, 2.0 + i % 3));
   session.run();
-  EXPECT_EQ(session.task_manager().done(), static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(session.task_manager().counters().done,
+            static_cast<std::size_t>(kTasks));
   EXPECT_EQ(session.task_manager().outstanding(), 0u);
 }
 

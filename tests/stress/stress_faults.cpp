@@ -50,12 +50,13 @@ TEST(StressFaults, InjectedFailuresWithRetriesUnderLoad) {
   }
   session.run();
   auto& tmgr = session.task_manager();
+  const TaskManager::Counters c = tmgr.counters();
   EXPECT_EQ(tmgr.outstanding(), 0u);
-  EXPECT_EQ(tmgr.done() + tmgr.failed() + tmgr.cancelled(),
+  EXPECT_EQ(c.done + c.failed + c.cancelled,
             static_cast<std::size_t>(n));
   for (const auto& t : tasks) EXPECT_TRUE(is_terminal(t->state()));
   // A 30% failure rate over 48 tasks must have triggered retries.
-  EXPECT_GT(tmgr.retried(), 0u);
+  EXPECT_GT(c.retried, 0u);
 }
 
 TEST(StressFaults, CancelRacesFaultInjectionAndRetry) {
@@ -82,8 +83,9 @@ TEST(StressFaults, CancelRacesFaultInjectionAndRetry) {
   session.run();
   canceller.join();
   auto& tmgr = session.task_manager();
+  const TaskManager::Counters c = tmgr.counters();
   EXPECT_EQ(tmgr.outstanding(), 0u);
-  EXPECT_EQ(tmgr.done() + tmgr.failed() + tmgr.cancelled(),
+  EXPECT_EQ(c.done + c.failed + c.cancelled,
             static_cast<std::size_t>(n));
   for (const auto& t : tasks) EXPECT_TRUE(is_terminal(t->state()));
   // Repeated cancel of an already-terminal task stays false.
@@ -111,10 +113,11 @@ TEST(StressFaults, PilotOutageDrainsAndReroutesUnderLoad) {
   session.run();
   EXPECT_EQ(doomed->state(), PilotState::kFailed);
   auto& tmgr = session.task_manager();
+  const TaskManager::Counters c = tmgr.counters();
   EXPECT_EQ(tmgr.outstanding(), 0u);
   for (const auto& t : tasks) EXPECT_TRUE(is_terminal(t->state()));
   // The outage must have evicted or drained something.
-  EXPECT_GT(tmgr.retried() + tmgr.requeued(), 0u);
+  EXPECT_GT(c.retried + c.requeued, 0u);
 }
 
 TEST(StressFaults, SpotReclaimRacesEvictionAndReturn) {
@@ -137,11 +140,12 @@ TEST(StressFaults, SpotReclaimRacesEvictionAndReturn) {
   }
   session.run();
   auto& tmgr = session.task_manager();
+  const TaskManager::Counters c = tmgr.counters();
   EXPECT_EQ(tmgr.outstanding(), 0u);
-  EXPECT_EQ(tmgr.done() + tmgr.failed() + tmgr.cancelled(),
+  EXPECT_EQ(c.done + c.failed + c.cancelled,
             static_cast<std::size_t>(n));
   for (const auto& t : tasks) EXPECT_TRUE(is_terminal(t->state()));
-  EXPECT_GT(tmgr.retried() + tmgr.requeued(), 0u);
+  EXPECT_GT(c.retried + c.requeued, 0u);
   // The window (500 ms wall) closes long before the retried workload
   // drains, so the pilot must have come back.
   EXPECT_EQ(spot->state(), PilotState::kActive);
@@ -176,10 +180,11 @@ TEST(StressFaults, WaitAllSurvivesCallbackResubmissionChurn) {
   }
   session.run();
   auto& tmgr = session.task_manager();
+  const TaskManager::Counters c = tmgr.counters();
   // Every root chained to full depth: 16 * (1 + 3) tasks total.
   EXPECT_EQ(chained.load(), roots * depth);
-  EXPECT_EQ(tmgr.submitted(), static_cast<std::size_t>(roots * (depth + 1)));
-  EXPECT_EQ(tmgr.done() + tmgr.failed() + tmgr.cancelled(), tmgr.submitted());
+  EXPECT_EQ(c.submitted, static_cast<std::size_t>(roots * (depth + 1)));
+  EXPECT_EQ(c.done + c.failed + c.cancelled, c.submitted);
   EXPECT_EQ(tmgr.outstanding(), 0u);
 }
 
@@ -202,8 +207,9 @@ TEST(StressFaults, AttemptDeadlinesRaceCompletions) {
   }
   session.run();
   auto& tmgr = session.task_manager();
+  const TaskManager::Counters c = tmgr.counters();
   EXPECT_EQ(tmgr.outstanding(), 0u);
-  EXPECT_EQ(tmgr.done() + tmgr.failed() + tmgr.cancelled(),
+  EXPECT_EQ(c.done + c.failed + c.cancelled,
             static_cast<std::size_t>(n));
   for (const auto& t : tasks) EXPECT_TRUE(is_terminal(t->state()));
 }
