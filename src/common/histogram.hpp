@@ -56,8 +56,7 @@ class Histogram {
 /// sub-buckets, giving a relative quantile error bounded by 2^-p.
 /// Memory is fixed at construction: (65 - p) * 2^p counters.
 ///
-/// Not internally synchronized — one writer, or external locking (the
-/// service guards its latency recorders with a leaf mutex).
+/// Not internally synchronized — one writer, or external locking.
 class HdrHistogram {
  public:
   /// `precision_bits` = p above. p=7 (the default) bounds the relative

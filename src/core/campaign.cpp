@@ -133,8 +133,6 @@ CampaignResult Campaign::execute(
       (void)session.submit_pilot(config_.extra_pilots[i],
                                  resume_from->pilots[i + 1]);
   }
-  auto coordinator_config = config_.coordinator;
-  coordinator_config.trace_root = campaign_span;
 
   std::shared_ptr<const SequenceGenerator> generator = config_.generator;
   if (!generator)
@@ -148,17 +146,16 @@ CampaignResult Campaign::execute(
   // includes its own marker and a resumed tracer/registry continues
   // exactly where the uninterrupted run's would. Each cut's file is
   // formatted from the previous cut's.
-  std::size_t local_writes = 0;
   CheckpointWriter writer;
-  const std::uint64_t prior_ordinal =
-      resume_from != nullptr ? resume_from->ordinal : 0;
+  std::uint64_t ordinal = resume_from != nullptr ? resume_from->ordinal : 0;
+  std::size_t checkpoint_every = 0;
+  std::function<void(const CoordinatorCheckpoint&)> checkpoint_sink;
   if (config_.checkpoint.enabled()) {
-    coordinator_config.checkpoint_every =
-        config_.checkpoint.every_n_completions;
-    coordinator_config.checkpoint_sink =
+    checkpoint_every = config_.checkpoint.every_n_completions;
+    checkpoint_sink =
         [&, campaign_span](const CoordinatorCheckpoint& coord) {
           CampaignCheckpoint doc;
-          doc.ordinal = prior_ordinal + ++local_writes;
+          doc.ordinal = ++ordinal;
           if (obs::Tracer& tracer = ob.tracer(); tracer.enabled()) {
             const obs::SpanId mark =
                 tracer.instant(session.now(), "checkpoint.write",
@@ -187,13 +184,10 @@ CampaignResult Campaign::execute(
           if (!config_.checkpoint.directory.empty())
             writer.save(doc, config_.checkpoint.path());
           if (config_.checkpoint.sink) config_.checkpoint.sink(doc);
-          if (config_.checkpoint.halt_after > 0 &&
-              local_writes >= config_.checkpoint.halt_after &&
-              session.mode() == rp::ExecutionMode::kSimulated)
-            session.engine().stop();
         };
   }
-  Coordinator coordinator(session, coordinator_config);
+  Coordinator coordinator(session, config_.coordinator, campaign_span,
+                          checkpoint_every, std::move(checkpoint_sink));
 
   if (resume_from != nullptr) {
     std::map<std::string, const protein::DesignTarget*> by_name;

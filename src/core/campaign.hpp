@@ -36,17 +36,14 @@ struct CheckpointConfig {
   /// (0 with a directory set means a directory was configured but no
   /// checkpoint will ever be cut).
   std::size_t every_n_completions = 0;
-  /// Test hook (simulated mode only): hard-stop the engine right after
-  /// the Nth checkpoint of this process is written, modelling a crash.
-  /// The interrupted run's CampaignResult is meaningless; resume from the
-  /// written checkpoint instead. 0 = never halt.
-  std::size_t halt_after = 0;
   /// In-memory checkpoint delivery: invoked with each completed document
   /// after the file write (or instead of one, when no directory is set).
   /// The fabric's workers use this to ship CHECKPOINT_SHARD frames without
   /// touching the filesystem. Cutting checkpoints perturbs the engine
   /// schedule exactly like a directory sink does, so the same cadence must
-  /// be configured on both sides of any bit-identity comparison.
+  /// be configured on both sides of any bit-identity comparison. A sink
+  /// that throws aborts the campaign after the file write, modelling a
+  /// crash: resume from the written checkpoint.
   std::function<void(const CampaignCheckpoint&)> sink;
 
   [[nodiscard]] bool enabled() const noexcept {

@@ -24,9 +24,15 @@ void erase_sorted(std::vector<double>& sorted, double x) {
 
 }  // namespace
 
-Coordinator::Coordinator(rp::Session& session, CoordinatorConfig config)
+Coordinator::Coordinator(
+    rp::Session& session, CoordinatorConfig config, obs::SpanId trace_root,
+    std::size_t checkpoint_every,
+    std::function<void(const CoordinatorCheckpoint&)> checkpoint_sink)
     : session_(session),
       config_(std::move(config)),
+      trace_root_(trace_root),
+      checkpoint_every_(checkpoint_every),
+      checkpoint_sink_(std::move(checkpoint_sink)),
       fold_rng_root_(session.fork_rng("coordinator.fold_rng")) {
   completion_callback_id_ =
       session_.task_manager().add_callback([this](const rp::TaskPtr& task) {
@@ -102,7 +108,7 @@ void Coordinator::register_pipeline(std::unique_ptr<Pipeline> pipeline) {
   if (obs::Tracer& tracer = ob.tracer(); tracer.enabled()) {
     const obs::SpanId span =
         tracer.begin(session_.now(), p->id(), obs::categories::kPipeline,
-                     config_.trace_root);
+                     trace_root_);
     if (p->is_subpipeline()) tracer.attr(span, "subpipeline", "true");
     tracer.attr(span, "start_cycle", std::to_string(p->cycle() + 1));
     pipeline_spans_[p] = span;
@@ -120,8 +126,8 @@ void Coordinator::handle_completion(const rp::TaskPtr& task) {
   Pipeline* p = it->second;
   inflight_.erase(it);
   ++completions_since_checkpoint_;
-  if (config_.checkpoint_every > 0 &&
-      completions_since_checkpoint_ >= config_.checkpoint_every)
+  if (checkpoint_every_ > 0 &&
+      completions_since_checkpoint_ >= checkpoint_every_)
     checkpoint_pending_ = true;
   // The stage span the coordinator opened at submit time closes when the
   // stage's task comes back, whatever the outcome.
@@ -295,7 +301,7 @@ obs::SpanId Coordinator::begin_stage_span(Pipeline* pipeline,
   if (!tracer.enabled()) return 0;
   const auto it = pipeline_spans_.find(pipeline);
   const obs::SpanId parent =
-      it == pipeline_spans_.end() ? config_.trace_root : it->second;
+      it == pipeline_spans_.end() ? trace_root_ : it->second;
   return tracer.begin(session_.now(),
                       "stage." + std::string(stage) + ".c" +
                           std::to_string(pipeline->cycle() + 1),
@@ -367,7 +373,7 @@ void Coordinator::consider_subpipeline(Pipeline* pipeline) {
   if (obs::Tracer& tracer = ob.tracer(); tracer.enabled()) {
     const obs::SpanId decision = tracer.instant(
         session_.now(), "decision.spawn_subpipeline",
-        obs::categories::kDecision, config_.trace_root);
+        obs::categories::kDecision, trace_root_);
     tracer.attr(decision, "pipeline", pipeline->id());
     tracer.attr(decision, "reason",
                 pruned ? "pruned-trajectory" : "below-pool-median");
@@ -397,7 +403,7 @@ void Coordinator::maybe_checkpoint() {
   // counter at zero, so the uninterrupted run must too.
   checkpoint_pending_ = false;
   completions_since_checkpoint_ = 0;
-  if (config_.checkpoint_sink) config_.checkpoint_sink(checkpoint());
+  if (checkpoint_sink_) checkpoint_sink_(checkpoint());
   release_parked();
 }
 

@@ -82,27 +82,30 @@ struct CoordinatorConfig {
   /// inject faults raise max_attempts so transient failures are absorbed
   /// by the runtime instead of terminating the pipeline.
   rp::RetryPolicy task_retry;
-  /// Trace context: span the coordinator parents its pipeline spans under
-  /// (the campaign root span). 0 = pipelines become trace roots.
-  obs::SpanId trace_root = 0;
-  /// Checkpoint cadence: a checkpoint becomes *pending* once this many
-  /// task completions were handled since the last one (0, the default,
-  /// never cuts one). It is cut at the next quiesce point — no task in
-  /// flight, both channels empty — so the document never has to describe
-  /// a half-executed runtime task. Would-be task submissions arriving
-  /// while a checkpoint is pending are parked (before any rng fork or
-  /// task construction) and released, in order, once it is durable.
-  std::size_t checkpoint_every = 0;
-  /// Invoked with the coordinator's state at each quiesce-point
-  /// checkpoint. The sink (the campaign layer) adds session/runtime state
-  /// and persists the document; a sink that throws aborts the campaign,
-  /// modelling a crash during the write.
-  std::function<void(const CoordinatorCheckpoint&)> checkpoint_sink;
 };
 
 class Coordinator {
  public:
-  Coordinator(rp::Session& session, CoordinatorConfig config);
+  /// The campaign wiring beside `config`:
+  ///   * `trace_root` — the span the coordinator parents its pipeline
+  ///     spans under (the campaign root span); 0 = pipelines become
+  ///     trace roots.
+  ///   * `checkpoint_every` — a checkpoint becomes *pending* once this
+  ///     many task completions were handled since the last one (0 never
+  ///     cuts one). It is cut at the next quiesce point — no task in
+  ///     flight, both channels empty — so the document never has to
+  ///     describe a half-executed runtime task. Would-be task submissions
+  ///     arriving while a checkpoint is pending are parked (before any
+  ///     rng fork or task construction) and released, in order, once it
+  ///     is durable.
+  ///   * `checkpoint_sink` — invoked with the coordinator's state at
+  ///     each cut. The sink (the campaign layer) adds session/runtime
+  ///     state and persists the document; a sink that throws aborts the
+  ///     campaign, modelling a crash during the write.
+  Coordinator(
+      rp::Session& session, CoordinatorConfig config,
+      obs::SpanId trace_root = 0, std::size_t checkpoint_every = 0,
+      std::function<void(const CoordinatorCheckpoint&)> checkpoint_sink = {});
 
   /// Deregisters the completion callback and waits for in-flight callback
   /// passes to drain, so a late-finishing task cannot signal the channels
@@ -189,6 +192,9 @@ class Coordinator {
 
   rp::Session& session_;
   CoordinatorConfig config_;
+  obs::SpanId trace_root_;
+  std::size_t checkpoint_every_;
+  std::function<void(const CoordinatorCheckpoint&)> checkpoint_sink_;
   std::size_t completion_callback_id_ = 0;
   /// Root stream for fold-task rngs: each fold task's rng is
   /// fold_rng_root_.fork(content_key), so duplicate fold inputs draw

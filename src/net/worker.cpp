@@ -10,6 +10,14 @@
 
 namespace impress::net {
 
+namespace {
+
+/// Thrown by a shard run's checkpoint sink at the kill plan's checkpoint:
+/// the modelled crash, which run_shard catches apart from a failed shard.
+struct WorkerKilled {};
+
+}  // namespace
+
 WorkerNode::WorkerNode(WorkerConfig config, std::shared_ptr<Link> link,
                        const std::vector<protein::DesignTarget>* universe)
     : config_(std::move(config)),
@@ -93,21 +101,24 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
         config_.campaign, config_.checkpoint_every);
     shard_config.session.seed = assign.seed;
     checkpoints_this_run_ = 0;
-    shard_config.checkpoint.halt_after = config_.kill.die_at_checkpoint;
     shard_config.checkpoint.sink =
         [this, &assign, &writer](const core::CampaignCheckpoint& doc) {
           ++checkpoints_this_run_;
           const bool fatal =
               config_.kill.die_at_checkpoint > 0 &&
               checkpoints_this_run_ >= config_.kill.die_at_checkpoint;
-          if (fatal && !config_.kill.ship_final) {
-            return;  // crash before the document leaves the process
+          // Without ship_final the crash lands before the document
+          // leaves the process.
+          if (!fatal || config_.kill.ship_final) {
+            send(CheckpointShardMsg{
+                .shard_id = assign.shard_id,
+                .epoch = assign.epoch,
+                .ordinal = doc.ordinal,
+                .checkpoint_json = std::string(writer.format(doc))});
           }
-          send(CheckpointShardMsg{
-              .shard_id = assign.shard_id,
-              .epoch = assign.epoch,
-              .ordinal = doc.ordinal,
-              .checkpoint_json = std::string(writer.format(doc))});
+          if (fatal) {
+            throw WorkerKilled{};
+          }
         };
     if (config_.kill.die_at_checkpoint > 0 &&
         shard_config.checkpoint.every_n_completions == 0) {
@@ -142,19 +153,16 @@ void WorkerNode::run_shard(const TaskSubmitMsg& submit) {
       shard_result = campaign.resume(targets, doc);
     }
 
-    if (config_.kill.die_at_checkpoint > 0 &&
-        checkpoints_this_run_ >= config_.kill.die_at_checkpoint) {
-      // The engine was halted mid-run: this process "crashed". The
-      // partial result is meaningless; go silent and close the link —
-      // the kernel would send FIN/RST for a dead process, and the
-      // coordinator uses that as its prompt, unambiguous death signal
-      // (the heartbeat timeout covers silent partitions instead).
-      dead_ = true;
-      link_->close();
-      return;
-    }
     result.status = TaskResultMsg::Status::kOk;
     result.payload = to_json(shard_result).dump();
+  } catch (const WorkerKilled&) {
+    // This process "crashed" at its checkpoint: go silent and close the
+    // link — the kernel would send FIN/RST for a dead process, and the
+    // coordinator uses that as its prompt, unambiguous death signal (the
+    // heartbeat timeout covers silent partitions instead).
+    dead_ = true;
+    link_->close();
+    return;
   } catch (const std::exception& e) {
     result.status = TaskResultMsg::Status::kError;
     result.payload = e.what();

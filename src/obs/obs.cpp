@@ -31,23 +31,6 @@ RuntimeMetrics RuntimeMetrics::registered(MetricsRegistry& registry) {
   return m;
 }
 
-ServiceMetrics ServiceMetrics::registered(MetricsRegistry& registry) {
-  ServiceMetrics m;
-  m.submitted = registry.counter(names::kServiceSubmitted);
-  m.admitted = registry.counter(names::kServiceAdmitted);
-  m.rejected_quota = registry.counter(names::kServiceRejectedQuota);
-  m.rejected_rate = registry.counter(names::kServiceRejectedRate);
-  m.rejected_capacity = registry.counter(names::kServiceRejectedCapacity);
-  m.shed = registry.counter(names::kServiceShed);
-  m.dispatched = registry.counter(names::kServiceDispatched);
-  m.completed = registry.counter(names::kServiceCompleted);
-  m.queued = registry.gauge(names::kServiceQueued);
-  m.in_flight = registry.gauge(names::kServiceInFlight);
-  m.first_result_seconds = registry.histogram(
-      names::kServiceFirstResultSeconds, Histogram::default_seconds_bounds());
-  return m;
-}
-
 FabricMetrics FabricMetrics::registered(MetricsRegistry& registry) {
   FabricMetrics m;
   for (std::size_t i = 0; i < kMsgTypes; ++i) {

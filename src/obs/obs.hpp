@@ -64,26 +64,6 @@ inline constexpr std::string_view kStageFold = "impress_stage_fold";
 // part of the pre-registered RuntimeMetrics bundle)
 inline constexpr std::string_view kCheckpointsWritten =
     "impress_checkpoints_written";
-// campaign service front door (src/service; docs/service.md)
-inline constexpr std::string_view kServiceSubmitted =
-    "impress_service_submitted";
-inline constexpr std::string_view kServiceAdmitted = "impress_service_admitted";
-inline constexpr std::string_view kServiceRejectedQuota =
-    "impress_service_rejected_quota";
-inline constexpr std::string_view kServiceRejectedRate =
-    "impress_service_rejected_rate";
-inline constexpr std::string_view kServiceRejectedCapacity =
-    "impress_service_rejected_capacity";
-inline constexpr std::string_view kServiceShed = "impress_service_shed";
-inline constexpr std::string_view kServiceDispatched =
-    "impress_service_dispatched";
-inline constexpr std::string_view kServiceCompleted =
-    "impress_service_completed";
-inline constexpr std::string_view kServiceQueued = "impress_service_queued";
-inline constexpr std::string_view kServiceInFlight =
-    "impress_service_in_flight";
-inline constexpr std::string_view kServiceFirstResultSeconds =
-    "impress_service_first_result_seconds";
 // campaign fabric (src/net; docs/fabric.md). Per-message-type frame
 // counters follow "impress_fabric_tx_<type>" / "impress_fabric_rx_<type>"
 // with <type> from kFabricMsgTypeNames, indexed by net::type_index — the
@@ -137,29 +117,9 @@ struct RuntimeMetrics {
   [[nodiscard]] static RuntimeMetrics registered(MetricsRegistry& registry);
 };
 
-/// Pre-registered handles for the campaign-service front door
-/// (src/service). Same contract as RuntimeMetrics: registered once, then
-/// only atomics on the hot path — the service submit path never does a
-/// string lookup.
-struct ServiceMetrics {
-  Counter* submitted = nullptr;
-  Counter* admitted = nullptr;
-  Counter* rejected_quota = nullptr;
-  Counter* rejected_rate = nullptr;
-  Counter* rejected_capacity = nullptr;
-  Counter* shed = nullptr;
-  Counter* dispatched = nullptr;
-  Counter* completed = nullptr;
-  Gauge* queued = nullptr;
-  Gauge* in_flight = nullptr;
-  Histogram* first_result_seconds = nullptr;
-
-  [[nodiscard]] static ServiceMetrics registered(MetricsRegistry& registry);
-};
-
 /// Pre-registered handles for the campaign fabric coordinator (src/net).
 /// tx/rx are indexed by net::type_index(MsgType) — same order as
-/// names::kFabricMsgTypeNames. Same contract as the bundles above: one
+/// names::kFabricMsgTypeNames. Same contract as RuntimeMetrics: one
 /// registration up front, only atomic bumps on the message pump.
 struct FabricMetrics {
   static constexpr std::size_t kMsgTypes = 7;

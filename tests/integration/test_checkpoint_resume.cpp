@@ -1,5 +1,5 @@
-// Checkpoint/restart determinism: a campaign hard-stopped after a
-// checkpoint and resumed from the file must reproduce the uninterrupted
+// Checkpoint/restart determinism: a campaign killed after a checkpoint
+// and resumed from the file must reproduce the uninterrupted
 // run's CampaignResult bit for bit (same checkpoint cadence on both
 // sides — cutting a checkpoint quiesces the coordinator, which is itself
 // part of the schedule being reproduced).
@@ -123,11 +123,22 @@ struct KillSpec {
   std::size_t halt_after;  ///< crash after this many checkpoint writes
 };
 
+/// The crash a killed run models: thrown by the sink checkpointed()
+/// installs, right after the halt_after-th checkpoint file is written.
+struct Killed : std::runtime_error {
+  Killed() : std::runtime_error("killed after a checkpoint write") {}
+};
+
 CampaignConfig checkpointed(CampaignConfig cfg, const std::string& directory,
                             const KillSpec& spec, std::size_t halt_after) {
   cfg.checkpoint.directory = directory;
   cfg.checkpoint.every_n_completions = spec.every_n_completions;
-  cfg.checkpoint.halt_after = halt_after;
+  if (halt_after > 0) {
+    cfg.checkpoint.sink = [halt_after, writes = std::size_t{0}](
+                              const CampaignCheckpoint&) mutable {
+      if (++writes == halt_after) throw Killed();
+    };
+  }
   return cfg;
 }
 
@@ -148,8 +159,7 @@ void run_kill_resume(CampaignConfig (*make)(std::uint64_t),
       checkpointed(make(seed), kill_dir, spec, spec.halt_after);
   kill_cfg.session.enable_tracing = observability;
   kill_cfg.session.enable_metrics = observability;
-  // The halted run's partial result models a crash: discard it.
-  (void)Campaign(kill_cfg).run(targets);
+  EXPECT_THROW((void)Campaign(kill_cfg).run(targets), Killed);
 
   const auto checkpoint = load_checkpoint(kill_dir + "/checkpoint.json");
   EXPECT_GE(checkpoint.ordinal, spec.halt_after);
@@ -332,14 +342,18 @@ TEST_F(CheckpointResume, DeterminismDoubleKillChainedResume) {
           .run(targets);
 
   const auto kill_dir = dir("kill");
-  (void)Campaign(checkpointed(im_rp_campaign(42), kill_dir, spec, 1))
-      .run(targets);
+  EXPECT_THROW(
+      (void)Campaign(checkpointed(im_rp_campaign(42), kill_dir, spec, 1))
+          .run(targets),
+      Killed);
   const auto first = load_checkpoint(kill_dir + "/checkpoint.json");
   EXPECT_EQ(first.ordinal, 1u);
 
   // Resume, but crash again after one more checkpoint.
-  (void)Campaign(checkpointed(im_rp_campaign(42), kill_dir, spec, 1))
-      .resume(targets, first);
+  EXPECT_THROW(
+      (void)Campaign(checkpointed(im_rp_campaign(42), kill_dir, spec, 1))
+          .resume(targets, first),
+      Killed);
   const auto second = load_checkpoint(kill_dir + "/checkpoint.json");
   EXPECT_GE(second.ordinal, 2u);
   EXPECT_GT(second.now, first.now);
@@ -368,9 +382,10 @@ TEST_F(CheckpointResume, DeterminismFaultyCampaignKillAndResume) {
   EXPECT_GT(reference.task_retries + reference.fold_retries, 0u)
       << "fault rate too low to exercise the retry path";
 
-  (void)Campaign(checkpointed(make_faulty(9), dir("kill"), spec,
-                              spec.halt_after))
-      .run(targets);
+  EXPECT_THROW((void)Campaign(checkpointed(make_faulty(9), dir("kill"), spec,
+                                           spec.halt_after))
+                   .run(targets),
+               Killed);
   const auto checkpoint = load_checkpoint(dir("kill") + "/checkpoint.json");
   const auto resumed =
       Campaign(checkpointed(make_faulty(9), dir("kill"), spec, 0))
@@ -413,8 +428,10 @@ TEST_F(CheckpointResume, ResumeValidatesConfigMatch) {
   const auto targets = targets2();
   const KillSpec spec{.every_n_completions = 3,
                       .halt_after = 1};
-  (void)Campaign(checkpointed(im_rp_campaign(42), dir("kill"), spec, 1))
-      .run(targets);
+  EXPECT_THROW(
+      (void)Campaign(checkpointed(im_rp_campaign(42), dir("kill"), spec, 1))
+          .run(targets),
+      Killed);
   const auto checkpoint = load_checkpoint(dir("kill") + "/checkpoint.json");
 
   // Wrong campaign name.

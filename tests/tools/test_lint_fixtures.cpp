@@ -57,17 +57,8 @@ TEST(LintFixtures, EveryRuleFiresOnItsBadFixture) {
       "bad/wall_clock.cpp:wall-clock-in-deterministic-path:rand",
       "bad/wall_clock.cpp:wall-clock-in-deterministic-path:system_clock",
       "bad/wall_clock.cpp:wall-clock-in-deterministic-path:random_device",
-      // zero-allocation service TU contract (path suffix service/service.cpp
-      // puts the fixture on both the hot-path and zero-alloc lists)
-      "bad/service/service.cpp:hot-path-alloc:new",
-      "bad/service/service.cpp:hot-path-alloc:delete",
-      "bad/service/service.cpp:hot-path-alloc:make_unique",
-      "bad/service/service.cpp:hot-path-alloc:make_shared",
-      "bad/service/service.cpp:hot-path-alloc:string",
-      "bad/service/service.cpp:hot-path-alloc:to_string",
-      "bad/service/service.cpp:hot-path-alloc:vector",
-      "bad/service/service.cpp:hot-path-alloc:map",
-      "bad/service/service.cpp:hot-string-key:to_string",
+      // hot-path lookup keys (path suffix mpnn/mpnn.cpp is on the list)
+      "bad/mpnn/mpnn.cpp:hot-string-key:to_string",
       // wire-format discipline (path suffix net/wire.cpp scopes the rule)
       "bad/net/wire.cpp:raw-struct-serialization:memcpy",
       "bad/net/wire.cpp:raw-struct-serialization:HelloMsg",

@@ -249,31 +249,16 @@ bool ends_with_any(const std::string& rel,
 // Files on the campaign's per-proposal / per-record hot paths, where a
 // heap-allocating lookup key is a measured regression (see
 // docs/performance.md). Kept as an explicit list: elsewhere readability
-// wins and the rule stays silent. The service entries are suffix-matched
-// without the src/ prefix so the fixture twins exercise them too.
+// wins and the rule stays silent. The mpnn entry is suffix-matched
+// without the src/ prefix so the fixture twins exercise the rule too.
 bool is_hot_path_file(const std::string& rel) {
   static const std::vector<std::string> hot = {
       "src/protein/landscape.cpp",  "src/protein/kernel_tables.cpp",
-      "src/protein/sequence.cpp",   "src/mpnn/mpnn.cpp",
+      "src/protein/sequence.cpp",   "mpnn/mpnn.cpp",
       "src/obs/trace.cpp",
       "src/core/crossover_generator.cpp",
-      "service/service.cpp",        "service/backpressure.cpp",
-      "service/sim_backend.cpp",
   };
   return ends_with_any(rel, hot);
-}
-
-// TUs under the service's ZERO-allocation steady-state contract (pinned
-// at run time by tests/service/test_alloc_free.cpp's counting allocator).
-// The cold/report TU (service_report.cpp) is deliberately absent: string
-// and container churn belongs there.
-bool is_zero_alloc_file(const std::string& rel) {
-  static const std::vector<std::string> files = {
-      "service/service.cpp",
-      "service/backpressure.cpp",
-      "service/sim_backend.cpp",
-  };
-  return ends_with_any(rel, files);
 }
 
 void check_hot_string_key(const SourceFile& f, std::vector<Violation>& out) {
@@ -669,80 +654,6 @@ void check_wall_clock(const SourceFile& f, std::vector<Violation>& out) {
   }
 }
 
-// --- v2 rule: hot-path-alloc ------------------------------------------------
-//
-// The service steady-state TUs carry a zero-allocation contract: the
-// counting-allocator test pins it at run time; this rule catches the
-// textual precursors at review time. Construction-time allocations are
-// fine — annotate them `// lint:allow hot-path-alloc — <reason>` so the
-// exemption is visible in review.
-
-// Allocating standard types whose very *spelling* in a zero-alloc TU is
-// suspect: constructing any of these does (or may) hit the heap.
-constexpr const char* kAllocatingStd[] = {
-    "vector",        "deque",         "list",
-    "map",           "set",           "unordered_map",
-    "unordered_set", "queue",         "priority_queue",
-    "function",      "stringstream",  "ostringstream",
-    "istringstream",
-};
-
-void check_hot_path_alloc(const SourceFile& f, std::vector<Violation>& out) {
-  if (!is_zero_alloc_file(f.rel)) return;
-  const auto& toks = f.tokens;
-  auto flag = [&](const Token& t, const std::string& what) {
-    emit(f,
-         {f.rel, t.line, "hot-path-alloc", t.text,
-          what + " in a zero-allocation service TU; carve records from the "
-                 "SlabPool / pre-reserved storage, or move the code to the "
-                 "cold report TU (construction-time sites may carry "
-                 "`lint:allow hot-path-alloc` with a reason)"},
-         out);
-  };
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != Token::Kind::kIdent) continue;
-    const bool has_next = i + 1 < toks.size();
-    if (t.text == "new") {
-      flag(t, "naked 'new'");
-      continue;
-    }
-    if (t.text == "delete") {
-      // `= delete`d members are declarations, not deallocations.
-      if (i >= 1 && toks[i - 1].text == "=") continue;
-      flag(t, "naked 'delete'");
-      continue;
-    }
-    if ((t.text == "make_unique" || t.text == "make_shared") && has_next &&
-        (toks[i + 1].text == "<" || toks[i + 1].text == "(")) {
-      flag(t, "std::" + t.text);
-      continue;
-    }
-    // The remaining patterns are std-qualified type/function spellings.
-    const bool std_qualified =
-        i >= 2 && toks[i - 1].text == "::" && is_ident(toks[i - 2], "std");
-    if (!std_qualified) continue;
-    if (t.text == "string") {
-      // References, pointers, and string_view (a distinct token) are free;
-      // a by-value std::string constructs per request.
-      if (has_next && (toks[i + 1].text == "&" || toks[i + 1].text == "*"))
-        continue;
-      flag(t, "by-value std::string");
-      continue;
-    }
-    if (t.text == "to_string" && has_next && toks[i + 1].text == "(") {
-      flag(t, "std::to_string");
-      continue;
-    }
-    if (in_list(t.text, kAllocatingStd,
-                sizeof(kAllocatingStd) / sizeof(kAllocatingStd[0])) &&
-        has_next && (toks[i + 1].text == "<" || toks[i + 1].text == "(")) {
-      flag(t, "allocating container std::" + t.text);
-      continue;
-    }
-  }
-}
-
 // --- v2 rule: raw-struct-serialization --------------------------------------
 //
 // Wire messages cross links through WireWriter/WireReader, field by
@@ -819,7 +730,6 @@ void run_rules(const IncludeGraph& graph, std::vector<Violation>& out) {
     check_naked_cv_wait(f, out);
     check_class_members(f, out);
     check_hot_string_key(f, out);
-    check_hot_path_alloc(f, out);
     check_header_rules(f, out);
     check_guard_rules(f, out);
     check_detached_thread(f, out);

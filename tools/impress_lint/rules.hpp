@@ -44,14 +44,6 @@
 //                        (padding, endianness) into the wire format.
 //                        std::bit_cast of scalars and byte-pointer casts
 //                        without a message type stay legal.
-//   hot-path-alloc       the service steady-state TUs (service.cpp,
-//                        backpressure.cpp, sim_backend.cpp) carry a
-//                        zero-allocation contract, pinned at run time by
-//                        the counting-allocator test; naked new/delete,
-//                        make_unique/make_shared, by-value std::string,
-//                        std::to_string, and allocating std containers
-//                        are flagged at review time. Construction-time
-//                        sites carry `lint:allow hot-path-alloc`.
 //
 // Any rule can be silenced at a specific site with a trailing comment:
 //   do_thing();  // lint:allow <rule-name> — reason
